@@ -30,7 +30,6 @@ from .integrators import (
     element_max_eigenvalue,
     run_cdm,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .momentfit import (
     LumpedElementMass,
     MomentFitConfig,

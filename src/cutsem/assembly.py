@@ -178,23 +178,23 @@ class CartesianMesh:
 class GlobalSystem:
     """Assembled explicit-dynamics system with diagonal mass."""
 
-    k_indptr: np.ndarray
-    k_indices: np.ndarray
-    k_data: np.ndarray
+    k: sp.csr_matrix
     lumped_mass: np.ndarray
     dof_count: int
     dirichlet_dofs: np.ndarray
     cut_element_dofs: np.ndarray
     load_assembler: object = None  # callable t -> force vector, or None
 
-    def k_matvec(self, x, out=None):
-        from . import kernels
+    @property
+    def k_data(self):
+        """Stored values of K; edits in place reach every product."""
+        return self.k.data
 
-        return kernels.csr_matvec(self.k_indptr, self.k_indices, self.k_data, x, out)
+    def k_matvec(self, x):
+        return self.k @ x
 
     def k_csr(self):
-        n = self.dof_count
-        return sp.csr_matrix((self.k_data, self.k_indices, self.k_indptr), shape=(n, n))
+        return self.k
 
     def force(self, t):
         if self.load_assembler is None:
@@ -300,9 +300,7 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
         raise SingularMass("a free DOF received zero lumped mass")
 
     return GlobalSystem(
-        k_indptr=k.indptr.astype(np.int64),
-        k_indices=k.indices.astype(np.int64),
-        k_data=np.ascontiguousarray(k.data, dtype=np.float64),
+        k=k,
         lumped_mass=mass,
         dof_count=ndof,
         dirichlet_dofs=dirichlet,

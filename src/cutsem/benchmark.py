@@ -28,7 +28,14 @@ from .assembly import (
 )
 from .errors import ConfigError, ReflectionRegime, ZeroReference
 from .geometry import _gauss_square
-from .integrators import LtsConfig, LtsSolver, choose_pt, critical_timestep_table, run_cdm
+from .integrators import (
+    LtsConfig,
+    LtsSolver,
+    _advance_cdm,
+    choose_pt,
+    critical_timestep_table,
+    run_cdm,
+)
 from .momentfit import MomentFitConfig
 
 
@@ -49,10 +56,6 @@ class HannPulse:
             return 0.0
         w = 2.0 * math.pi * self.frequency
         return self.amplitude * math.sin(w * t) * math.sin(w * t / (2 * self.cycles)) ** 2
-
-
-def hann_load(pulse, t):
-    return pulse(t)
 
 
 @dataclass
@@ -160,16 +163,7 @@ def run_bar_cdm(cfg):
 
 def run_cdm_continue(system, hist, extra_steps):
     """Advance an existing CDM history by extra_steps."""
-    minv = 1.0 / system.lumped_mass
-    u_prev, u_curr = hist.u_prev, hist.u_curr
-    dt = hist.dt
-    for k in range(extra_steps):
-        t = (hist.step + k) * dt
-        accel = minv * (system.force(t) - system.k_matvec(u_curr))
-        u_prev, u_curr = u_curr, 2.0 * u_curr - u_prev + dt * dt * accel
-    from .integrators import TimeHistory
-
-    return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=hist.step + extra_steps, dt=dt)
+    return _advance_cdm(system, hist, extra_steps)
 
 
 def run_bar_lts(cfg, dt_coarse=None, p_t=None):

@@ -64,7 +64,7 @@ def circle(cx, cy, r):
 
 def union_of_voids(level_sets):
     """Void wherever any member is void: pointwise minimum of Phi."""
-    fns = [ls if isinstance(ls, LevelSet) else ls for ls in level_sets]
+    fns = list(level_sets)
 
     def evaluator(x, y):
         vals = fns[0](x, y)

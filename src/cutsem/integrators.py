@@ -209,18 +209,27 @@ def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     u_curr = np.zeros(n) if u0 is None else u0.copy()
     v0 = np.zeros(n) if v0 is None else v0
     u_prev = cdm_startup(system, u_curr, v0, dt)
+    start = TimeHistory(u_prev=u_prev, u_curr=u_curr, step=0, dt=dt)
+    return _advance_cdm(system, start, n_steps, record)
+
+
+def _advance_cdm(system, hist, n_steps, record=None):
+    """Advance a CDM history by n_steps; the one central-difference loop."""
+    dt = hist.dt
+    u_prev, u_curr = hist.u_prev, hist.u_curr
     minv = 1.0 / system.lumped_mass
     scale = max(float(np.max(np.abs(u_curr))), 1.0)
-    for step in range(n_steps):
+    end = hist.step + n_steps
+    for step in range(hist.step, end):
         t = step * dt
         accel = minv * (system.force(t) - system.k_matvec(u_curr))
         u_next = 2.0 * u_curr - u_prev + dt * dt * accel
         u_prev, u_curr = u_curr, u_next
-        if step % 25 == 0 or step == n_steps - 1:
+        if step % 25 == 0 or step == end - 1:
             _check_divergence(u_curr, scale)
         if record is not None:
             record(step + 1, t + dt, u_curr)
-    return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=n_steps, dt=dt)
+    return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=end, dt=dt)
 
 
 class LtsConfig:
@@ -312,11 +321,6 @@ class LtsSolver:
             if record is not None:
                 record(state.step, state.t, self.displacement(state))
         return state
-
-
-def leapfrog_lts_step(system, state, cfg):
-    """Single-step functional form of the LTS update."""
-    return LtsSolver(system, cfg).step(state)
 
 
 def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):

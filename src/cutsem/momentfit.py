@@ -108,7 +108,6 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     slack = target - n * w_min
     # GLL weights sum to the full reference area >= target, so for eps <= 1
     # the box {w >= w_min, sum w = target} is never empty
-    assert slack > -1e-12 * max(target, 1.0), "pathological w_min (infeasible QP)"
     if slack <= 0:
         raise Infeasible("n * w_min exceeds the conservation target")
 
@@ -225,7 +224,6 @@ def hrz_weights(basis, cutq):
     vals, _ = basis.shape_eval_2d_batch(cutq.points)
     diag = cutq.weights @ vals**2
     total = diag.sum()
-    assert total > 0, "nonempty positive-weight rule cannot give a zero diagonal"
     if total <= 0:
         raise DegenerateDiagonal("consistent-mass diagonal is non-positive")
     area = cutq.weights.sum()

@@ -149,6 +149,18 @@ def test_cut_mesh_mass_conservation():
     assert len(system.cut_element_dofs) > 0
 
 
+def test_stiffness_is_one_prebuilt_csr_matrix():
+    ls = half_plane(1.0, 0.0, 0.7)
+    mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=4, level_set=ls, depth=3)
+    mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
+    system = assemble_global(mesh, MAT)
+    x = np.random.default_rng(4).standard_normal(system.dof_count)
+    assert np.array_equal(system.k_matvec(x), system.k_csr() @ x)
+    # built once at assembly, and k_data is a view of its stored values
+    assert system.k_csr() is system.k_csr()
+    assert np.shares_memory(system.k_csr().data, system.k_data)
+
+
 def test_interface_traction_total_force():
     ls = half_plane(1.0, 0.0, 1.1)
     mesh = CartesianMesh(lx=1.2, ly=0.1, nx=6, ny=1, p=4, level_set=ls, depth=3)

@@ -16,12 +16,13 @@ from cutsem.benchmark import (
     build_bar_system,
     convergence_csv_rows,
     dtcrit_csv_rows,
-    hann_load,
     l2_velocity_error,
     run_bar_case,
+    run_cdm_continue,
     run_dtcrit_sweep,
 )
 from cutsem.errors import ConfigError, ReflectionRegime, ZeroReference
+from cutsem.integrators import run_cdm
 
 
 def test_hann_pulse_values():
@@ -31,7 +32,7 @@ def test_hann_pulse_values():
     assert pulse(0.3) == 0.0
     assert pulse(-0.1) == 0.0
     expect = 1e6 * math.sin(math.pi / 2.0) * math.sin(math.pi / 20.0) ** 2
-    assert hann_load(pulse, 1.0 / 80.0) == pytest.approx(expect)
+    assert pulse(1.0 / 80.0) == pytest.approx(expect)
     assert expect == pytest.approx(2.447e4, rel=1e-3)
 
 
@@ -125,3 +126,16 @@ def test_dtcrit_sweep_deterministic_across_threads():
     rows_b = dtcrit_csv_rows(run_dtcrit_sweep(*args, depth=3, threads=2))
     assert rows_a == rows_b
     assert rows_a[0] == "order,cut_fraction,scheme,epsilon,dt_ratio"
+
+
+def test_cdm_continue_matches_one_longer_run():
+    # loaded cut bar: the continued step must pick up the load at the right time
+    cfg = BarBenchmarkConfig(cut_fraction=0.5, elements_x=4, order=3, dt=1e-4)
+    _, system = build_bar_system(cfg)
+    n = 120
+    longer = run_cdm(system, cfg.dt, n + 1)
+    continued = run_cdm_continue(system, run_cdm(system, cfg.dt, n), 1)
+    assert np.max(np.abs(longer.u_curr)) > 0.0
+    assert continued.step == longer.step == n + 1
+    assert np.array_equal(continued.u_curr, longer.u_curr)
+    assert np.array_equal(continued.u_prev, longer.u_prev)

@@ -116,9 +116,7 @@ def test_cdm_harmonic_oscillator_period_error():
     omega = 2.0 * math.pi
     k = sp.csr_matrix(np.array([[omega**2]]))
     system = GlobalSystem(
-        k_indptr=k.indptr.astype(np.int64),
-        k_indices=k.indices.astype(np.int64),
-        k_data=k.data.astype(np.float64),
+        k=k,
         lumped_mass=np.ones(1),
         dof_count=1,
         dirichlet_dofs=np.array([], dtype=np.int64),

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cutsem.errors import VoidElement
-from cutsem.geometry import LevelSet, build_cut_quadrature, half_plane
+from cutsem.errors import DegenerateDiagonal, Infeasible, VoidElement
+from cutsem.geometry import CutQuadrature, LevelSet, build_cut_quadrature, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.momentfit import (
     MomentFitConfig,
@@ -192,6 +192,28 @@ def test_config_validation_and_void_errors():
         lump_element(basis, void, "fitted")
     with pytest.raises(VoidElement):
         hrz_weights(basis, void)
+
+
+def test_fitted_weights_raise_infeasible_when_bound_exceeds_target():
+    # p = 1, eps = 1: w_min = v_e, so four nodes need 4 v_e <= sum of the rule
+    basis = tensor_basis(1)
+    cutq = CutQuadrature(
+        points=np.zeros((1, 2)), weights=np.array([1.0]), volume_ratio=0.5, classification="cut"
+    )
+    assert cutq.volume_ratio > cutq.weights.sum() / 4
+    cfg = MomentFitConfig(epsilon=1.0)
+    with pytest.raises(Infeasible):
+        solve_fitted_weights(build_moment_system(basis, cutq), cutq, cfg, basis)
+
+
+def test_hrz_weights_raise_degenerate_diagonal_on_zero_rule():
+    basis = tensor_basis(2)
+    cutq = CutQuadrature(
+        points=np.array([[0.1, -0.3], [0.5, 0.2]]), weights=np.zeros(2),
+        volume_ratio=0.5, classification="cut",
+    )
+    with pytest.raises(DegenerateDiagonal):
+        hrz_weights(basis, cutq)
 
 
 def test_nodal_gll_scheme_label():

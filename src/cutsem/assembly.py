@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from . import geometry
 from .errors import SingularMass, VoidElement
 from .gll import tensor_basis
-from .momentfit import MomentFitConfig, lump_element
+from .momentfit import LumpedElementMass, MomentFitConfig, lump_element
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ class CartesianMesh:
         self._classify_elements()
         self._number_dofs()
         self.dirichlet_dofs = set()
+        self.operator_cache = {}  # element_operators results, by input values
 
     # -- construction -------------------------------------------------
 
@@ -236,47 +237,81 @@ def element_lumped_mass(lumped, mat, jacobian):
     return np.repeat(m, 2)
 
 
-def element_stiffness_quadrature(mesh, ex, ey, stiffness_rule="cut", lumped=None):
-    """Reference points/weights used for the stiffness of one element."""
-    cutq = mesh.cut_quadratures[(ex, ey)]
-    if cutq.classification == "full":
-        return mesh.basis.node_coords(), mesh.basis.node_weights()
-    if stiffness_rule == "fitted" and lumped is not None:
-        return mesh.basis.node_coords(), lumped.weights
-    return cutq.points, cutq.weights
+@dataclass(frozen=True)
+class ElementOperators:
+    """Lumped weights, stiffness and interleaved diagonal mass of one element.
+
+    The arrays are read-only: one record is shared by every consumer of the
+    mesh, and by every full element.
+    """
+
+    lumped: LumpedElementMass
+    k_e: np.ndarray
+    m_e: np.ndarray
+
+
+def element_operators(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
+    """{(ex, ey): ElementOperators} for the non-void elements of the mesh.
+
+    Full elements share one record. Cut elements get the stiffness of their
+    cut rule, or of the fitted weights at the GLL nodes when stiffness_rule
+    is "fitted". The result is memoised on the mesh and keyed by value, so
+    equal but distinct configs reuse one pass.
+    """
+    cfg = cfg or MomentFitConfig()
+    key = (mat, scheme, cfg, stiffness_rule)
+    if key in mesh.operator_cache:
+        return mesh.operator_cache[key]
+    basis = mesh.basis
+    jac = (mesh.hx / 2.0, mesh.hy / 2.0)
+
+    def build(cutq):
+        lumped = lump_element(basis, cutq, scheme, cfg)
+        if cutq.classification == "full":
+            pts, wts = basis.node_coords(), basis.node_weights()
+        elif stiffness_rule == "fitted":
+            pts, wts = basis.node_coords(), lumped.weights
+        else:
+            pts, wts = cutq.points, cutq.weights
+        rec = ElementOperators(
+            lumped=lumped,
+            k_e=element_stiffness(basis, mat, pts, wts, jac),
+            m_e=element_lumped_mass(lumped, mat, jac),
+        )
+        for a in (rec.lumped.weights, rec.k_e, rec.m_e):
+            a.flags.writeable = False
+        return rec
+
+    ops = {}
+    full = None
+    for ex, ey in mesh.elements():
+        cutq = mesh.cut_quadratures[(ex, ey)]
+        if cutq.is_void:
+            continue
+        if cutq.classification == "full":
+            full = full or build(cutq)
+            ops[(ex, ey)] = full
+        else:
+            ops[(ex, ey)] = build(cutq)
+    mesh.operator_cache[key] = ops
+    return ops
 
 
 def assemble_global(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
-    """Scatter-add element contributions in deterministic element order."""
-    cfg = cfg or MomentFitConfig()
-    jac = (mesh.hx / 2.0, mesh.hy / 2.0)
+    """Scatter-add the element operators in deterministic element order."""
     ndof = mesh.dof_count
     rows, cols, vals = [], [], []
     mass = np.zeros(ndof)
     cut_dofs = set()
 
-    full_ke = None  # all full elements share one stiffness matrix
-    for ex, ey in mesh.elements():
-        cutq = mesh.cut_quadratures[(ex, ey)]
-        if cutq.is_void:
-            continue
-        lumped = lump_element(mesh.basis, cutq, scheme, cfg)
-        if cutq.classification == "full":
-            if full_ke is None:
-                pts, wts = element_stiffness_quadrature(mesh, ex, ey)
-                full_ke = element_stiffness(mesh.basis, mat, pts, wts, jac)
-            ke = full_ke
-        else:
-            pts, wts = element_stiffness_quadrature(mesh, ex, ey, stiffness_rule, lumped)
-            ke = element_stiffness(mesh.basis, mat, pts, wts, jac)
-        me = element_lumped_mass(lumped, mat, jac)
+    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg, stiffness_rule).items():
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
-        mass[dofs] += me
+        mass[dofs] += rec.m_e
         dd = np.broadcast_to(dofs, (len(dofs), len(dofs)))
         rows.append(dd.T.ravel())
         cols.append(dd.ravel())
-        vals.append(ke.ravel())
-        if cutq.classification == "cut":
+        vals.append(rec.k_e.ravel())
+        if mesh.classification[(ex, ey)] == "cut":
             cut_dofs.update(int(d) for d in dofs)
 
     rows = np.concatenate(rows)

@@ -12,7 +12,6 @@ baseline is run instead (no level set, edge traction).
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,16 +112,11 @@ def analytic_rod_velocity(x, t, cfg):
 
 def build_bar_mesh(cfg):
     h = cfg.h
-    if cfg.conformal:
-        level_set = None
-        nx = cfg.elements_x
-    else:
-        level_set = geometry.half_plane(1.0, 0.0, cfg.lx)
-        nx = cfg.elements_x
+    level_set = None if cfg.conformal else geometry.half_plane(1.0, 0.0, cfg.lx)
     mesh = CartesianMesh(
-        lx=nx * h,
+        lx=cfg.elements_x * h,
         ly=cfg.ly,
-        nx=nx,
+        nx=cfg.elements_x,
         ny=1,
         p=cfg.order,
         level_set=level_set,
@@ -268,14 +262,7 @@ def run_bar_case(cfg):
     )
 
 
-def _map_cells(fn, cells, threads=1):
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
-def run_bar_convergence(base_cfg, elements_list, orders, fractions, schemes, epsilons, threads=1):
+def run_bar_convergence(base_cfg, elements_list, orders, fractions, schemes, epsilons):
     """Grid sweep; rows in deterministic grid order."""
     cells = []
     for p in orders:
@@ -298,7 +285,7 @@ def run_bar_convergence(base_cfg, elements_list, orders, fractions, schemes, eps
                         )
                     if frac >= 1.0:
                         break  # schemes coincide on a conformal mesh
-    return _map_cells(run_bar_case, cells, threads)
+    return [run_bar_case(c) for c in cells]
 
 
 CONVERGENCE_CSV_HEADER = "h,order,cut_fraction,scheme,epsilon,dofs,dt,error,wall_time"
@@ -317,17 +304,12 @@ def convergence_csv_rows(reports):
 DTCRIT_CSV_HEADER = "order,cut_fraction,scheme,epsilon,dt_ratio"
 
 
-def run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=4, threads=1):
+def run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=4):
     from .integrators import critical_dt_sweep
 
-    results = _map_cells(
-        lambda p: critical_dt_sweep(p, fractions, schemes, epsilons, depth=depth),
-        list(orders),
-        threads,
-    )
     rows = []
-    for per_order in results:
-        rows.extend(per_order)
+    for p in orders:
+        rows.extend(critical_dt_sweep(p, fractions, schemes, epsilons, depth=depth))
     return rows
 
 

@@ -116,7 +116,6 @@ def cmd_bar2d_sweep(args):
         grid["cut_fractions"],
         grid["schemes"],
         grid["epsilons"],
-        threads=args.threads,
     )
     _write_rows(convergence_csv_rows(reports), args.out)
     return 0
@@ -127,9 +126,7 @@ def cmd_dtcrit_sweep(args):
     fractions = _parse_floats(args.fractions)
     schemes = _parse_names(args.schemes)
     epsilons = _parse_floats(args.epsilons)
-    rows = run_dtcrit_sweep(
-        orders, fractions, schemes, epsilons, depth=args.depth, threads=args.threads
-    )
+    rows = run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=args.depth)
     _write_rows(dtcrit_csv_rows(rows), args.out)
     return 0
 
@@ -171,7 +168,6 @@ def build_parser():
         prog="cutsem", description="cut spectral-element wave benchmarks"
     )
     parser.add_argument("--version", action="version", version=f"cutsem {__version__}")
-    parser.add_argument("--threads", type=int, default=1, help="sweep worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bar2d", help="single cut-bar run")
@@ -215,12 +211,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise exc
+    # argparse exits with code 2 on a usage error by itself
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

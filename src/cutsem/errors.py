@@ -37,23 +37,11 @@ class SolverStall(NumericalError):
 
 
 class SingularMass(NumericalError):
-    """A free DOF received zero lumped mass during assembly."""
+    """A lumped mass entry is not positive (a free DOF or an element node)."""
 
 
 class DegenerateDiagonal(NumericalError):
     """Consistent-mass diagonal summed to a non-positive value."""
-
-
-class NoConvergence(NumericalError):
-    """Eigenvalue iteration cap reached.
-
-    Carries the best estimate and its residual.
-    """
-
-    def __init__(self, message, estimate=None, residual=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
 
 
 class Diverged(NumericalError):

@@ -1,5 +1,10 @@
 """Critical time step estimation and explicit time integration.
 
+Each element's critical step is dt_e = 2/omega_max, where omega_max^2 is
+the largest generalized eigenvalue of its stiffness and lumped mass, taken
+from the per-element operators that assembly builds once per mesh and
+found with LAPACK's `eigh`.
+
 Two integrators operate on the assembled system: the central difference
 method in displacement variables, and a second-order leap-frog scheme with
 local time stepping in mass-transformed variables z = M^(1/2) u. The LTS
@@ -9,114 +14,32 @@ degenerates to the standard leap-frog update.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import Diverged, NoConvergence
+from .assembly import element_operators
+from .errors import Diverged, SingularMass
 from .momentfit import MomentFitConfig, lump_element
 
 CFL_SAFETY = 0.95
-
-_EIG_TOL = 1e-10
-_EIG_MAXIT = 100_000
-_RQI_WARMUP = 30
-_RQI_INTERVAL = 20
 
 
 def element_max_eigenvalue(k_e, m_e_diag):
     """Largest generalized eigenvalue omega^2 of (K_e, M_e), M_e diagonal.
 
-    Power iteration on the symmetric similarity M^(-1/2) K M^(-1/2),
-    accelerated by periodic Rayleigh-quotient (inverse) iterations so that
-    clustered top eigenvalues still converge. A Rayleigh step is accepted
-    only when it does not decrease the quotient, which keeps the iterate
-    locked onto the top of the spectrum.
+    LAPACK's symmetric eigensolver on the similarity M^(-1/2) K M^(-1/2),
+    asked for the top eigenvalue only.
     """
     m_e_diag = np.asarray(m_e_diag, dtype=float)
-    if np.any(m_e_diag <= 0):
-        raise ValueError("element mass diagonal must be strictly positive")
+    if not np.all(m_e_diag > 0):
+        raise SingularMass("element mass diagonal must be strictly positive")
     inv_sqrt = 1.0 / np.sqrt(m_e_diag)
     s = inv_sqrt[:, None] * k_e * inv_sqrt[None, :]
     n = s.shape[0]
-    rng = np.random.default_rng(12345 + n)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    eye = np.eye(n)
-    deflated = []  # converged (theta, y) pairs below the top of the spectrum
-    best_deflated = -math.inf
-
-    def _deflate(vec):
-        for _, y in deflated:
-            vec = vec - (y @ vec) * y
-        nrm = np.linalg.norm(vec)
-        return vec / nrm if nrm > 0.0 else vec
-
-    def _is_top(theta):
-        """Inertia certificate: no eigenvalue above theta (to 1e-8 relative)."""
-        shift = theta + 1e-8 * abs(theta) + 1e-30
-        d = scipy.linalg.ldl(s - shift * eye)[1]
-        return not np.any(np.linalg.eigvalsh(0.5 * (d + d.T)) > 0.0)
-
-    def _accept_or_deflate(theta, vec):
-        cand = max(theta, best_deflated)
-        if _is_top(cand):
-            return cand
-        if len(deflated) < 64:
-            deflated.append((theta, vec))
-        return None
-
-    for it in range(_EIG_MAXIT):
-        sv = s @ v
-        lam_new = float(v @ sv)
-        norm = np.linalg.norm(sv)
-        if norm == 0.0:
-            return max(0.0, best_deflated)
-        v_new = _deflate(sv / norm)
-        if abs(lam_new - lam) <= _EIG_TOL * max(abs(lam_new), 1e-300):
-            resid = float(np.linalg.norm(s @ v_new - lam_new * v_new))
-            if resid <= 1e-8 * max(abs(lam_new), 1e-300):
-                out = _accept_or_deflate(lam_new, v_new)
-                if out is not None:
-                    return out
-                best_deflated = max(best_deflated, lam_new)
-                lam, v = 0.0, _deflate(v_new)
-                continue
-        lam = lam_new
-        v = v_new
-        if it >= _RQI_WARMUP and (it - _RQI_WARMUP) % _RQI_INTERVAL == 0 and lam > 0.0:
-            yv, theta, resid = v, lam, math.inf
-            for _ in range(8):
-                try:
-                    y = np.linalg.solve(s - theta * eye, yv)
-                except np.linalg.LinAlgError:
-                    break
-                ynorm = np.linalg.norm(y)
-                if ynorm == 0.0 or not np.all(np.isfinite(y)):
-                    break
-                yv = y / ynorm
-                theta = float(yv @ (s @ yv))
-                resid = float(np.linalg.norm(s @ yv - theta * yv))
-                if resid <= 1e-12 * max(abs(theta), 1e-300):
-                    break
-            if resid <= 1e-8 * max(abs(theta), 1e-300):
-                out = _accept_or_deflate(theta, yv)
-                if out is not None:
-                    return out
-                # a converged pair that is not the top: remove it from the
-                # iteration and keep hunting upward
-                best_deflated = max(best_deflated, theta)
-                lam, v = 0.0, _deflate(v)
-            elif theta >= lam * (1.0 - 1e-12):
-                lam, v = theta, _deflate(yv)
-    resid = float(np.linalg.norm(s @ v - lam * v))
-    raise NoConvergence(
-        f"power iteration did not converge (estimate {lam:g}, residual {resid:g})",
-        estimate=lam,
-        residual=resid,
-    )
+    top = scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return float(top[0])
 
 
 @dataclass(frozen=True)
@@ -129,42 +52,20 @@ class CriticalTimeStep:
 
 def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
     """Per-element dt_e = 2/omega_max and the global minimum."""
-    from .assembly import (
-        element_lumped_mass,
-        element_stiffness,
-        element_stiffness_quadrature,
-    )
-
-    cfg = cfg or MomentFitConfig()
-    jac = (mesh.hx / 2.0, mesh.hy / 2.0)
+    ops = element_operators(mesh, mat, scheme, cfg, stiffness_rule)
+    dt_of = {}  # one eigen-solve per distinct record; full elements share one
     per_element = {}
-    dt_uncut = math.inf
-    dt_cut = math.inf
-    full_dt = None
-    for ex, ey in mesh.elements():
-        cutq = mesh.cut_quadratures[(ex, ey)]
-        if cutq.is_void:
-            continue
-        if cutq.classification == "full" and full_dt is not None:
-            per_element[(ex, ey)] = full_dt
-            continue
-        lumped = lump_element(mesh.basis, cutq, scheme, cfg)
-        pts, wts = element_stiffness_quadrature(mesh, ex, ey, stiffness_rule, lumped)
-        k_e = element_stiffness(mesh.basis, mat, pts, wts, jac)
-        m_e = element_lumped_mass(lumped, mat, jac)
-        omega2 = element_max_eigenvalue(k_e, m_e)
-        dt_e = 2.0 / math.sqrt(omega2)
-        per_element[(ex, ey)] = dt_e
-        if cutq.classification == "full":
-            full_dt = dt_e
-            dt_uncut = min(dt_uncut, dt_e)
-        else:
-            dt_cut = min(dt_cut, dt_e)
-    if full_dt is not None:
-        dt_uncut = full_dt
-    dt_c = min(per_element.values())
+    for key, rec in ops.items():
+        if id(rec) not in dt_of:
+            dt_of[id(rec)] = 2.0 / math.sqrt(element_max_eigenvalue(rec.k_e, rec.m_e))
+        per_element[key] = dt_of[id(rec)]
+    cut = [dt for key, dt in per_element.items() if mesh.classification[key] == "cut"]
+    full = [dt for key, dt in per_element.items() if mesh.classification[key] == "full"]
     return CriticalTimeStep(
-        per_element=per_element, dt_c=dt_c, dt_uncut_min=dt_uncut, dt_cut_min=dt_cut
+        per_element=per_element,
+        dt_c=min(per_element.values()),
+        dt_uncut_min=min(full, default=math.inf),
+        dt_cut_min=min(cut, default=math.inf),
     )
 
 
@@ -183,9 +84,6 @@ class TimeHistory:
     u_curr: np.ndarray
     step: int
     dt: float
-
-    def velocity(self, u_next):
-        return (u_next - self.u_prev) / (2.0 * self.dt)
 
 
 def _check_divergence(u, scale):

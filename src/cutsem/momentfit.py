@@ -34,7 +34,7 @@ class MomentFitSystem:
     smallest_singular_value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentFitConfig:
     epsilon: float = 0.01
     low_volume_threshold: float = 0.1
@@ -67,13 +67,11 @@ def build_moment_system(basis, cutq):
     a_mat = np.array(
         [nodes[:, 0] ** a * nodes[:, 1] ** b for a, b in exps]
     )
-    if len(cutq.points):
-        qx, qy = cutq.points[:, 0], cutq.points[:, 1]
-        b_vec = np.array(
-            [np.dot(cutq.weights, qx**a * qy**b) for a, b in exps]
-        )
-    else:
-        b_vec = np.zeros(len(exps))
+    # every moment int x^a y^b from one product of the two power tables
+    vx = cutq.points[:, :1] ** np.arange(basis.p + 1)
+    vy = cutq.points[:, 1:] ** np.arange(basis.q + 1)
+    moments = (cutq.weights[:, None] * vx).T @ vy
+    b_vec = moments[tuple(np.array(exps).T)]
     smin = np.linalg.svd(a_mat, compute_uv=False)[-1]
     return MomentFitSystem(
         monomial_matrix=a_mat,

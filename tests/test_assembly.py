@@ -1,5 +1,7 @@
 """Mesh construction, element matrices, and global assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,15 @@ from cutsem.assembly import (
     assemble_global,
     assemble_interface_traction,
     element_lumped_mass,
+    element_operators,
     element_stiffness,
     plane_strain_d,
 )
 from cutsem.benchmark import HannPulse
 from cutsem.geometry import _gauss_square, half_plane
 from cutsem.gll import tensor_basis
-from cutsem.momentfit import LumpedElementMass
+from cutsem.integrators import critical_timestep_table
+from cutsem.momentfit import LumpedElementMass, MomentFitConfig
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -159,6 +163,47 @@ def test_stiffness_is_one_prebuilt_csr_matrix():
     # built once at assembly, and k_data is a view of its stored values
     assert system.k_csr() is system.k_csr()
     assert np.shares_memory(system.k_csr().data, system.k_data)
+
+
+def test_dt_table_reuses_the_assembly_element_pass(monkeypatch):
+    import cutsem.assembly as assembly
+
+    calls = {"lump": 0, "stiffness": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(assembly, "lump_element", counted("lump", assembly.lump_element))
+    monkeypatch.setattr(
+        assembly, "element_stiffness", counted("stiffness", assembly.element_stiffness)
+    )
+    ls = half_plane(1.0, 0.0, 0.7)
+    mesh = CartesianMesh(lx=1.0, ly=0.5, nx=5, ny=2, p=4, level_set=ls, depth=3)
+    assemble_global(mesh, MAT, cfg=MomentFitConfig(epsilon=0.05))
+    # one record for all full elements, one per cut element
+    assert calls == {"lump": 3, "stiffness": 3}
+    table = critical_timestep_table(mesh, MAT, cfg=MomentFitConfig(epsilon=0.05))
+    assert calls == {"lump": 3, "stiffness": 3}
+    assert math.isfinite(table.dt_cut_min)
+    # a different config is a different pass
+    critical_timestep_table(mesh, MAT, cfg=MomentFitConfig(epsilon=0.1))
+    assert calls == {"lump": 6, "stiffness": 6}
+
+
+def test_element_operator_records_are_read_only():
+    ls = half_plane(1.0, 0.0, 0.7)
+    mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=3, level_set=ls, depth=3)
+    ops = element_operators(mesh, MAT)
+    assert ops[(0, 0)] is ops[(1, 0)]  # full elements share one record
+    for rec in ops.values():
+        for a in (rec.k_e, rec.m_e, rec.lumped.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 def test_interface_traction_total_force():

@@ -15,11 +15,9 @@ from cutsem.benchmark import (
     build_bar_mesh,
     build_bar_system,
     convergence_csv_rows,
-    dtcrit_csv_rows,
     l2_velocity_error,
     run_bar_case,
     run_cdm_continue,
-    run_dtcrit_sweep,
 )
 from cutsem.errors import ConfigError, ReflectionRegime, ZeroReference
 from cutsem.integrators import run_cdm
@@ -118,14 +116,6 @@ def test_csv_rows_deterministic_excluding_wall_time():
     row1 = convergence_csv_rows([r1])[1].rsplit(",", 1)[0]
     row2 = convergence_csv_rows([r2])[1].rsplit(",", 1)[0]
     assert row1 == row2
-
-
-def test_dtcrit_sweep_deterministic_across_threads():
-    args = ([3], [0.3, 0.7], ["fitted"], [0.01])
-    rows_a = dtcrit_csv_rows(run_dtcrit_sweep(*args, depth=3, threads=1))
-    rows_b = dtcrit_csv_rows(run_dtcrit_sweep(*args, depth=3, threads=2))
-    assert rows_a == rows_b
-    assert rows_a[0] == "order,cut_fraction,scheme,epsilon,dt_ratio"
 
 
 def test_cdm_continue_matches_one_longer_run():

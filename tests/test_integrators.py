@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutsem.assembly import (
     CartesianMesh,
     Material,
     assemble_global,
+    element_operators,
     element_stiffness,
 )
-from cutsem.errors import Diverged
+from cutsem.errors import Diverged, SingularMass
 from cutsem.geometry import _gauss_square, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import (
@@ -38,33 +41,41 @@ def make_system(nx=6, ny=1, p=3, level_set=None, fix_left=True, **kwargs):
 def test_eigenvalue_diagonal_cases():
     assert element_max_eigenvalue(np.diag([4.0, 1.0]), np.ones(2)) == pytest.approx(4.0)
     assert element_max_eigenvalue(np.eye(2), np.full(2, 4.0)) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMass):
         element_max_eigenvalue(np.eye(2), np.array([1.0, 0.0]))
 
 
-def test_eigenvalue_matches_dense_oracle_full_element():
-    basis = tensor_basis(5)
-    pts, wts = _gauss_square(10)
-    ke = element_stiffness(basis, MAT, pts, wts, (0.5, 0.5))
-    me = np.repeat(basis.node_weights() * 0.25, 2)
-    got = element_max_eigenvalue(ke, me)
+def dense_oracle(ke, me):
+    """Largest eigenvalue of M^(-1/2) K M^(-1/2) from the full dense spectrum."""
     inv_sqrt = 1.0 / np.sqrt(me)
-    oracle = np.linalg.eigvalsh(inv_sqrt[:, None] * ke * inv_sqrt[None, :]).max()
-    assert abs(got - oracle) <= 1e-8 * oracle
+    return np.linalg.eigvalsh(inv_sqrt[:, None] * ke * inv_sqrt[None, :]).max()
+
+
+def test_eigenvalue_matches_dense_oracle_full_element():
+    for p in (5, 12):
+        basis = tensor_basis(p)
+        pts, wts = _gauss_square(2 * p)
+        ke = element_stiffness(basis, MAT, pts, wts, (0.5, 0.5))
+        me = np.repeat(basis.node_weights() * 0.25, 2)
+        got = element_max_eigenvalue(ke, me)
+        oracle = dense_oracle(ke, me)
+        assert abs(got - oracle) <= 1e-8 * oracle, p
 
 
 def test_eigenvalue_matches_dense_oracle_cut_element():
-    basis = tensor_basis(5)
     from cutsem.geometry import build_cut_quadrature
     from cutsem.momentfit import lump_element
 
-    cutq = build_cut_quadrature(half_plane(1.0, 0.0, 0.5), ((0.0, 1.0), (0.0, 1.0)), depth=4, gauss_degree=10)
-    ke = element_stiffness(basis, MAT, cutq.points, cutq.weights, (0.5, 0.5))
-    me = np.repeat(lump_element(basis, cutq, "fitted").weights * 0.25, 2)
-    got = element_max_eigenvalue(ke, me)
-    inv_sqrt = 1.0 / np.sqrt(me)
-    oracle = np.linalg.eigvalsh(inv_sqrt[:, None] * ke * inv_sqrt[None, :]).max()
-    assert abs(got - oracle) <= 1e-8 * oracle
+    for p, fraction in ((5, 0.5), (5, 0.05), (12, 0.5), (12, 0.05)):
+        basis = tensor_basis(p)
+        cutq = build_cut_quadrature(
+            half_plane(1.0, 0.0, fraction), ((0.0, 1.0), (0.0, 1.0)), depth=4, gauss_degree=2 * p
+        )
+        ke = element_stiffness(basis, MAT, cutq.points, cutq.weights, (0.5, 0.5))
+        me = np.repeat(lump_element(basis, cutq, "fitted").weights * 0.25, 2)
+        got = element_max_eigenvalue(ke, me)
+        oracle = dense_oracle(ke, me)
+        assert abs(got - oracle) <= 1e-8 * oracle, (p, fraction)
 
 
 def test_eigenvalue_clustered_tops():
@@ -99,6 +110,32 @@ def test_critical_timestep_table_uncut_vs_cut():
     table_cut = critical_timestep_table(mesh_cut, MAT)
     assert table_cut.dt_cut_min < table_cut.dt_uncut_min
     assert table_cut.dt_c == pytest.approx(table_cut.dt_cut_min)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    fraction=st.floats(min_value=0.05, max_value=0.95),
+    angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_fitted_cut_element_conserves_mass_and_matches_oracle_dt(fraction, angle):
+    # a half-plane with a random normal, placed at `fraction` of the unit
+    # element's extent along that normal: the corner furthest against the
+    # normal is always physical and the opposite corner always void
+    nx, ny = math.cos(angle), math.sin(angle)
+    lo = min(0.0, nx) + min(0.0, ny)
+    hi = max(0.0, nx) + max(0.0, ny)
+    mesh = CartesianMesh(
+        1.0, 1.0, 1, 1, 4, level_set=half_plane(nx, ny, lo + fraction * (hi - lo)), depth=3
+    )
+    assert mesh.classification[(0, 0)] == "cut"
+    cutq = mesh.cut_quadratures[(0, 0)]
+    table = critical_timestep_table(mesh, MAT)
+    rec = element_operators(mesh, MAT)[(0, 0)]
+    # the cut rule's physical mass, carried by each of the two DOFs per node
+    mass = MAT.density * cutq.weights.sum() * mesh.hx * mesh.hy / 4.0
+    assert abs(rec.m_e.sum() - 2.0 * mass) <= 1e-12 * mass
+    oracle_dt = 2.0 / math.sqrt(dense_oracle(rec.k_e, rec.m_e))
+    assert abs(table.dt_cut_min - oracle_dt) <= 1e-12 * oracle_dt
 
 
 def test_cdm_zero_load_stays_zero():

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .errors import SingularMass, VoidElement
+from .errors import ConfigError, SingularMass, VoidElement
 from .gll import tensor_basis
 from .momentfit import LumpedElementMass, MomentFitConfig, lump_element
 
@@ -27,9 +27,9 @@ class Material:
 
     def __post_init__(self):
         if self.youngs_modulus <= 0 or self.density <= 0:
-            raise ValueError("E and rho must be positive")
+            raise ConfigError("E and rho must be positive")
         if not 0.0 <= self.poisson_ratio < 0.5:
-            raise ValueError("nu must lie in [0, 0.5)")
+            raise ConfigError("nu must lie in [0, 0.5)")
 
 
 def plane_strain_d(mat):

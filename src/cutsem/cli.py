@@ -26,12 +26,19 @@ from .benchmark import (
 from .errors import ConfigError, NumericalError
 
 
+def _parse_list(text, convert):
+    try:
+        return [convert(v) for v in str(text).split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad list value: {exc}") from exc
+
+
 def _parse_floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return _parse_list(text, float)
 
 
 def _parse_ints(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return _parse_list(text, int)
 
 
 def _parse_names(text):
@@ -218,7 +225,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

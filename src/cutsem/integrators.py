@@ -10,7 +10,11 @@ method in displacement variables, and a second-order leap-frog scheme with
 local time stepping in mass-transformed variables z = M^(1/2) u. The LTS
 scheme advances a selected DOF subset (cut elements) with step dt/p_t while
 the rest of the domain keeps dt; with an empty selection or p_t = 1 it
-degenerates to the standard leap-frog update.
+degenerates to the standard leap-frog update. Each coarse step does one
+full stiffness matvec. The p_t sub-steps run only on nbhd(sel), the
+selected DOFs and the DOFs coupled to them, through A[nbhd, sel] =
+M^(-1/2) K[nbhd, sel] M^(-1/2), built once per solver; everywhere else the
+sub-step recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
 """
 
 import math
@@ -18,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .assembly import element_operators
-from .errors import Diverged, SingularMass
-from .momentfit import MomentFitConfig, lump_element
+from .errors import ConfigError, Diverged, SingularMass
+from .momentfit import MomentFitConfig, build_moment_system, lump_element, solve_fitted_weights
 
 CFL_SAFETY = 0.95
 
@@ -72,7 +77,7 @@ def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None, stiffness_rule
 def choose_pt(dt_coarse, cut_dt_min):
     """Smallest refinement ratio with dt_coarse/p_t <= CFL_SAFETY * cut_dt_min."""
     if dt_coarse <= 0 or cut_dt_min <= 0:
-        raise ValueError("time steps must be positive")
+        raise ConfigError("time steps must be positive")
     return max(1, math.ceil(dt_coarse / (CFL_SAFETY * cut_dt_min) - 1e-12))
 
 
@@ -135,7 +140,7 @@ class LtsConfig:
 
     def __init__(self, dt, p_t, selection):
         if p_t < 1:
-            raise ValueError("p_t must be >= 1")
+            raise ConfigError("p_t must be >= 1")
         self.dt = float(dt)
         self.p_t = int(p_t)
         self.selection = np.asarray(selection, dtype=bool)
@@ -154,17 +159,33 @@ class LtsState:
 class LtsSolver:
     """Leap-frog with local time stepping on the selected DOFs.
 
-    A = M^(-1/2) K M^(-1/2) is never materialized; applications bracket the
-    stiffness matvec with diagonal scalings. The selection P acts as a mask.
+    A = M^(-1/2) K M^(-1/2) is never materialized globally: the one full
+    application per coarse step brackets the stiffness matvec with diagonal
+    scalings. The sub-steps touch only nbhd(sel), the selected DOFs and the
+    DOFs their columns of K couple to, through A[nbhd, sel], built once here
+    from the column slice K[:, sel]. Outside nbhd(sel) the sub-step
+    recurrence has no A P q and no P r term, so it has the closed form
+    q_m = 2 z_n + m^2 h^2 w and the coarse update there is
+    z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
     """
 
     def __init__(self, system, cfg):
         self.system = system
         self.cfg = cfg
         if cfg.selection.shape != (system.dof_count,):
-            raise ValueError("selection mask must cover all DOFs")
+            raise ConfigError("selection mask must cover all DOFs")
         self.m_sqrt = np.sqrt(system.lumped_mass)
         self.m_inv_sqrt = 1.0 / self.m_sqrt
+        sel = np.flatnonzero(cfg.selection)
+        # the column slice, not the rows K[sel]: assembled K is not bitwise symmetric
+        k_cols = system.k[:, sel].tocsr()
+        self.nbhd = np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel)
+        self.fine = cfg.selection[self.nbhd]  # P restricted to nbhd(sel)
+        self.a_nbhd_sel = (
+            sp.diags(self.m_inv_sqrt[self.nbhd])
+            @ k_cols[self.nbhd]
+            @ sp.diags(self.m_inv_sqrt[sel])
+        ).tocsr()
 
     def a_apply(self, z):
         return self.m_inv_sqrt * self.system.k_matvec(self.m_inv_sqrt * z)
@@ -172,39 +193,57 @@ class LtsSolver:
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
 
+    def _sub_steps(self, z_n, t_n, r_of):
+        """q_{p_t} of the sub-step recurrence from q_0 = 2 z_n, loaded by r_of.
+
+        The next coarse state is z_{n+1} = q_{p_t} - z_{n-1}. One full
+        stiffness matvec, for w = (1-P) r_n - A (1-P) z_n; the p_t
+        sub-steps run on nbhd(sel)-sized vectors.
+        """
+        dt, p_t = self.cfg.dt, self.cfg.p_t
+        h = dt / p_t
+        sel, nb, fine, a = self.cfg.selection, self.nbhd, self.fine, self.a_nbhd_sel
+        r_n = r_of(t_n)
+        w = np.where(sel, 0.0, r_n) - self.a_apply(np.where(sel, 0.0, z_n))
+        q_end = 2.0 * z_n + dt * dt * w
+
+        w2 = 2.0 * w[nb]
+        q_prev = 2.0 * z_n[nb]
+        q = q_prev + 0.5 * h * h * (w2 + 2.0 * np.where(fine, r_n[nb], 0.0) - a @ q_prev[fine])
+        for m in range(1, p_t):
+            src = r_of(t_n + m * h)[nb] + r_of(t_n - m * h)[nb]
+            q_next = 2.0 * q - q_prev + h * h * (w2 + np.where(fine, src, 0.0) - a @ q[fine])
+            q_prev, q = q, q_next
+        q_end[nb] = q
+        return q_end
+
     def initial_state(self, u0=None, v0=None):
+        """z_{-1} from z_1 + z_{-1} = q(z_0) and z_1 - z_{-1} = 2 dt zdot_0.
+
+        q(z_0) is the unloaded sub-step result, so the refined DOFs start
+        from their own recurrence. The load enters only as the Taylor term
+        dt^2 r(0) / 2: a run from rest starts from the same z_{-1} whatever
+        the load does at the sub-step times.
+        """
         n = self.system.dof_count
         u0 = np.zeros(n) if u0 is None else u0
         v0 = np.zeros(n) if v0 is None else v0
         z0 = self.m_sqrt * u0
         zdot0 = self.m_sqrt * v0
         dt = self.cfg.dt
-        z_m1 = z0 - dt * zdot0 + 0.5 * dt * dt * (self.r_of(0.0) - self.a_apply(z0))
+        q0 = self._sub_steps(z0, 0.0, lambda t: np.zeros(n))
+        z_m1 = 0.5 * q0 - dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
         return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
 
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update."""
-        dt, p_t = self.cfg.dt, self.cfg.p_t
-        sel = self.cfg.selection
-        t_n = state.t
-        z_n = state.z_curr
-        r_n = self.r_of(t_n)
-        h = dt / p_t
-
-        coarse_z = np.where(sel, 0.0, z_n)
-        w = np.where(sel, 0.0, r_n) - self.a_apply(coarse_z)
-        q_prev = 2.0 * z_n
-        q = q_prev + 0.5 * h * h * (
-            2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - self.a_apply(np.where(sel, q_prev, 0.0))
+        q = self._sub_steps(state.z_curr, state.t, self.r_of)
+        return LtsState(
+            z_prev=state.z_curr,
+            z_curr=-state.z_prev + q,
+            step=state.step + 1,
+            t=state.t + self.cfg.dt,
         )
-        for m in range(1, p_t):
-            src = self.r_of(t_n + m * h) + self.r_of(t_n - m * h)
-            q_next = 2.0 * q - q_prev + h * h * (
-                2.0 * w + np.where(sel, src, 0.0) - self.a_apply(np.where(sel, q, 0.0))
-            )
-            q_prev, q = q, q_next
-        z_next = -state.z_prev + q
-        return LtsState(z_prev=z_n, z_curr=z_next, step=state.step + 1, t=t_n + dt)
 
     def displacement(self, state):
         return self.m_inv_sqrt * state.z_curr
@@ -249,17 +288,23 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     rows = []
     for frac in cut_fractions:
         if not 0.0 < frac < 1.0:
-            raise ValueError("cut fractions must lie in (0, 1)")
+            raise ConfigError("cut fractions must lie in (0, 1)")
         ls = geometry.half_plane(1.0, 0.0, frac)
         cutq = geometry.build_cut_quadrature(
             ls, box, depth=depth, gauss_degree=2 * p
         )
         k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac)
+        # one moment system per cut rule; only the QP depends on epsilon
+        moments = build_moment_system(basis, cutq) if "fitted" in schemes else None
         for scheme in schemes:
-            eps_list = epsilons if scheme == "fitted" else [0.0]
-            for eps in eps_list:
-                cfg = MomentFitConfig(epsilon=eps) if scheme == "fitted" else None
-                lumped = lump_element(basis, cutq, scheme, cfg)
+            if scheme == "fitted":
+                lumps = [
+                    (eps, solve_fitted_weights(moments, cutq, MomentFitConfig(epsilon=eps), basis))
+                    for eps in epsilons
+                ]
+            else:
+                lumps = [(0.0, lump_element(basis, cutq, scheme))]
+            for eps, lumped in lumps:
                 m_e = element_lumped_mass(lumped, mat, jac)
                 dt_e = 2.0 / math.sqrt(element_max_eigenvalue(k_cut, m_e))
                 rows.append((p, frac, scheme, eps, dt_e / dt0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import DegenerateDiagonal, Infeasible, SolverStall, VoidElement
+from .errors import ConfigError, DegenerateDiagonal, Infeasible, SolverStall, VoidElement
 
 _KKT_TOL = 1e-10
 
@@ -41,7 +41,7 @@ class MomentFitConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
+            raise ConfigError("epsilon must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -246,4 +246,4 @@ def lump_element(basis, cutq, scheme, cfg=None):
         return scaled_weights(basis, cutq.volume_ratio)
     if scheme == "hrz":
         return hrz_weights(basis, cutq)
-    raise ValueError(f"unknown lumping scheme: {scheme}")
+    raise ConfigError(f"unknown lumping scheme: {scheme}")

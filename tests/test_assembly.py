@@ -18,6 +18,7 @@ from cutsem.assembly import (
     plane_strain_d,
 )
 from cutsem.benchmark import HannPulse
+from cutsem.errors import ConfigError
 from cutsem.geometry import _gauss_square, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import critical_timestep_table
@@ -27,11 +28,11 @@ MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
 
 def test_material_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Material(youngs_modulus=0.0, poisson_ratio=0.0, density=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Material(youngs_modulus=1.0, poisson_ratio=0.5, density=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Material(youngs_modulus=1.0, poisson_ratio=0.0, density=-1.0)
 
 

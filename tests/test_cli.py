@@ -72,6 +72,10 @@ def test_bar2d_sweep_bad_section_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_bad_list_value_exits_2():
+    assert main(["dtcrit-sweep", "--orders", "x"]) == 2
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # a step far above the critical one must report a numerical failure
     rc = main(

@@ -9,24 +9,28 @@ from hypothesis import strategies as st
 
 from cutsem.assembly import (
     CartesianMesh,
+    GlobalSystem,
     Material,
     assemble_global,
     element_operators,
     element_stiffness,
 )
-from cutsem.errors import Diverged, SingularMass
+from cutsem.benchmark import BarBenchmarkConfig, build_bar_system
+from cutsem.errors import ConfigError, Diverged, SingularMass
 from cutsem.geometry import _gauss_square, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import (
     CFL_SAFETY,
     LtsConfig,
     LtsSolver,
+    LtsState,
     choose_pt,
     critical_dt_sweep,
     critical_timestep_table,
     element_max_eigenvalue,
     run_cdm,
 )
+from cutsem.momentfit import MomentFitConfig
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -96,7 +100,7 @@ def test_choose_pt():
     assert choose_pt(4e-8, 2.5e-9) == 17
     assert choose_pt(1.0, 2.0) == 1
     assert choose_pt(0.95, 1.0) == 1  # exact ratio must not round up
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         choose_pt(0.0, 1.0)
 
 
@@ -265,13 +269,139 @@ def test_lts_energy_bounded_at_half_cfl():
     assert np.max(np.abs(energies / energies[0] - 1.0)) < 0.02
 
 
+def full_mask_lts_step(solver, state):
+    """The sub-step recurrence on full-size vectors, as a reference.
+
+    Every sub-step applies the full stiffness; the selection acts as a mask.
+    """
+    dt, p_t = solver.cfg.dt, solver.cfg.p_t
+    sel = solver.cfg.selection
+    t_n, z_n = state.t, state.z_curr
+    r_n = solver.r_of(t_n)
+    h = dt / p_t
+    w = np.where(sel, 0.0, r_n) - solver.a_apply(np.where(sel, 0.0, z_n))
+    q_prev = 2.0 * z_n
+    q = q_prev + 0.5 * h * h * (
+        2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - solver.a_apply(np.where(sel, q_prev, 0.0))
+    )
+    for m in range(1, p_t):
+        src = solver.r_of(t_n + m * h) + solver.r_of(t_n - m * h)
+        q_next = 2.0 * q - q_prev + h * h * (
+            2.0 * w + np.where(sel, src, 0.0) - solver.a_apply(np.where(sel, q, 0.0))
+        )
+        q_prev, q = q, q_next
+    return LtsState(z_prev=z_n, z_curr=-state.z_prev + q, step=state.step + 1, t=t_n + dt)
+
+
+def cut_bar_lts_solvers():
+    """LTS solvers on the loaded cut bar: at choose_pt's ratio, and at p_t = 3."""
+    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=20, scheme="fitted")
+    mesh, system = build_bar_system(cfg)
+    table = critical_timestep_table(mesh, cfg.material, scheme="fitted", cfg=MomentFitConfig())
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    selection[system.dirichlet_dofs] = False
+    dt = CFL_SAFETY * table.dt_uncut_min
+    p_t = choose_pt(dt, table.dt_cut_min)
+    assert p_t > 3
+    # a coarse step at which p_t = 3 is the stable ratio
+    dt3 = 3.0 * CFL_SAFETY * table.dt_cut_min
+    assert choose_pt(dt3, table.dt_cut_min) == 3
+    return system, [
+        LtsSolver(system, LtsConfig(dt, p_t, selection)),
+        LtsSolver(system, LtsConfig(dt3, 3, selection)),
+    ]
+
+
+def test_lts_local_step_matches_full_mask_recurrence():
+    system, solvers = cut_bar_lts_solvers()
+    for solver in solvers:
+        assert solver.nbhd.size < system.dof_count // 4  # the sub-steps stay local
+        state = solver.initial_state()
+        ref = LtsState(state.z_prev.copy(), state.z_curr.copy(), 0, 0.0)
+        for _ in range(50):
+            state = solver.step(state)
+            ref = full_mask_lts_step(solver, ref)
+            scale = np.max(np.abs(ref.z_curr))
+            assert scale > 0.0  # the interface load is on from the first step
+            assert np.max(np.abs(state.z_curr - ref.z_curr)) <= 1e-12 * scale, solver.cfg.p_t
+
+
+def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
+    _, solvers = cut_bar_lts_solvers()
+    calls = []
+    original = GlobalSystem.k_matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(GlobalSystem, "k_matvec", counted)
+    for solver in solvers:
+        state = solver.initial_state()
+        calls.clear()
+        for _ in range(7):
+            state = solver.step(state)
+        assert len(calls) == 7, solver.cfg.p_t
+
+
+def test_lts_rejects_bad_config():
+    _, system = make_system(nx=3, p=2)
+    with pytest.raises(ConfigError):
+        LtsConfig(1e-4, 0, np.zeros(system.dof_count, dtype=bool))
+    with pytest.raises(ConfigError):
+        LtsSolver(system, LtsConfig(1e-4, 2, np.zeros(system.dof_count + 1, dtype=bool)))
+
+
+def centred_energy_drift(system, us, dt):
+    """max |E_n/E_0 - 1| of E = v^T M v / 2 + u^T K u / 2, v centred, u_0 at rest."""
+    k = system.k_csr()
+    e0 = 0.5 * us[0] @ (k @ us[0])
+    drift = 0.0
+    for n in range(1, len(us) - 1):
+        v = (us[n + 1] - us[n - 1]) / (2.0 * dt)
+        e = 0.5 * v @ (system.lumped_mass * v) + 0.5 * us[n] @ (k @ us[n])
+        drift = max(drift, abs(e / e0 - 1.0))
+    return drift
+
+
+def test_lts_released_from_displacement_conserves_energy():
+    # the refined DOFs start from the sub-step recurrence, not from a
+    # Taylor step over the whole coarse dt, which is unstable for them
+    for fraction, expected_pt in ((0.95, 5), (0.92, 11)):
+        mesh, system = make_system(nx=5, p=4, level_set=half_plane(1.0, 0.0, fraction))
+        table = critical_timestep_table(mesh, MAT)
+        dt = CFL_SAFETY * table.dt_uncut_min
+        p_t = choose_pt(dt, table.dt_cut_min)
+        assert p_t == expected_pt
+        ids = np.flatnonzero(mesh.node_active)
+        x = mesh.node_coords(ids)[:, 0]
+        u0 = np.zeros(system.dof_count)
+        u0[mesh.node_dofs(ids)[0::2]] = 1e-3 * np.sin(np.pi * x / fraction)
+        u0[system.dirichlet_dofs] = 0.0
+        selection = np.zeros(system.dof_count, dtype=bool)
+        selection[system.cut_element_dofs] = True
+        selection[system.dirichlet_dofs] = False
+
+        lts = [u0]
+        LtsSolver(system, LtsConfig(dt, p_t, selection)).run(
+            200, u0=u0, record=lambda s, t, u: lts.append(u.copy())
+        )
+        # reference: leap-frog at the fine step from the same u0, sampled at
+        # the coarse times; it wobbles by about 3 % on this mesh itself
+        cdm = [u0]
+        run_cdm(system, dt / p_t, 200 * p_t, u0=u0, record=lambda s, t, u: cdm.append(u.copy()))
+        ref = centred_energy_drift(system, cdm[::p_t], dt)
+        assert centred_energy_drift(system, lts, dt) <= 1.2 * ref, fraction
+
+
 def test_critical_dt_sweep_rows():
     rows = critical_dt_sweep(3, [0.3, 0.7], ["fitted", "scaled"], [0.01], depth=3)
     assert len(rows) == 4
     for p, frac, scheme, eps, ratio in rows:
         assert p == 3
         assert 0.0 < ratio <= 1.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         critical_dt_sweep(3, [1.0], ["fitted"], [0.01])
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cutsem.errors import DegenerateDiagonal, Infeasible, VoidElement
+from cutsem.errors import ConfigError, DegenerateDiagonal, Infeasible, VoidElement
 from cutsem.geometry import CutQuadrature, LevelSet, build_cut_quadrature, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.momentfit import (
@@ -175,14 +175,14 @@ def test_lump_element_dispatch():
     np.testing.assert_allclose(
         out.weights, scaled_weights(basis, cutq.volume_ratio).weights, atol=1e-15
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         lump_element(basis, cutq, "bogus")
 
 
 def test_config_validation_and_void_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MomentFitConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MomentFitConfig(epsilon=1.5)
     basis = tensor_basis(2)
     void = build_cut_quadrature(half_plane(1.0, 0.0, -1.0), UNIT_BOX, depth=2, gauss_degree=4)

@@ -75,7 +75,10 @@ class CartesianMesh:
         self.basis = tensor_basis(self.p, self.q)
         self.level_set = level_set
         self.depth = depth
-        self.gauss_degree = gauss_degree if gauss_degree is not None else 2 * max(p, q)
+        # one height-function leaf is exact to this total degree on a straight
+        # cut: that of the stiffness integrands, 2 (p + q) - 2; the mass
+        # moments need only p + q
+        self.gauss_degree = gauss_degree if gauss_degree is not None else 2 * (p + q) - 2
 
         self._build_nodes()
         self._classify_elements()
@@ -184,7 +187,7 @@ class GlobalSystem:
     dof_count: int
     dirichlet_dofs: np.ndarray
     cut_element_dofs: np.ndarray
-    load_assembler: object = None  # callable t -> force vector, or None
+    load: "_PulseLoad" = None  # f_shape * pulse(t), or None for no load
 
     @property
     def k_data(self):
@@ -198,9 +201,9 @@ class GlobalSystem:
         return self.k
 
     def force(self, t):
-        if self.load_assembler is None:
+        if self.load is None:
             return np.zeros(self.dof_count)
-        return self.load_assembler(t)
+        return self.load(t)
 
 
 def element_stiffness(basis, mat, points, weights, jacobian):
@@ -364,13 +367,12 @@ def assemble_interface_traction(mesh, pulse, direction):
         if not len(iq.points):
             continue
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
-        for (xi, eta), w_ref, tang in zip(iq.points, iq.weights, iq.tangents):
-            # reference arc length -> physical arc length along the tangent
-            scale = np.hypot(jx * tang[0], jy * tang[1])
-            vals, _ = mesh.basis.shape_eval_2d(xi, eta)
-            contrib = w_ref * scale * vals
-            f_shape[dofs[0::2]] += contrib * direction[0]
-            f_shape[dofs[1::2]] += contrib * direction[1]
+        # reference arc length -> physical arc length along the tangent
+        scale = np.hypot(jx * iq.tangents[:, 0], jy * iq.tangents[:, 1])
+        vals, _ = mesh.basis.shape_eval_2d_batch(iq.points)
+        contrib = (iq.weights * scale) @ vals
+        f_shape[dofs[0::2]] += contrib * direction[0]
+        f_shape[dofs[1::2]] += contrib * direction[1]
     return _PulseLoad(f_shape, pulse)
 
 

@@ -79,6 +79,8 @@ class BarBenchmarkConfig:
             raise ConfigError("cut_fraction must lie in (0, 1]")
         if self.elements_x < 2:
             raise ConfigError("need at least 2 elements along the bar")
+        if not (self.dt > 0 and self.t_end > 0):
+            raise ConfigError("dt and t_end must be positive")
 
     @property
     def h(self):
@@ -138,7 +140,7 @@ def build_bar_system(cfg):
     else:
         load = assemble_interface_traction(mesh, cfg.pulse, direction)
     load = apply_dirichlet_to_load(load, system.dirichlet_dofs)
-    system.load_assembler = load
+    system.load = load
     return mesh, system
 
 

@@ -57,6 +57,8 @@ def _write_rows(rows, out):
 def _bar_cfg_from_args(args):
     kwargs = {}
     if args.h is not None:
+        if not args.h > 0:
+            raise ConfigError("h must be positive")
         n = max(2, int(round(1.0 / args.h + 1.0 - args.cut_fraction)))
         kwargs["elements_x"] = n
     if args.elements is not None:

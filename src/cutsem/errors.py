@@ -20,10 +20,6 @@ class NonBracketing(NumericalError):
     """Root search endpoints do not bracket the zero iso-line."""
 
 
-class AmbiguousTopology(NumericalError):
-    """A quadtree leaf at maximum depth has an unresolvable cut topology."""
-
-
 class VoidElement(NumericalError):
     """Operation requested on an element with no physical volume."""
 

@@ -135,6 +135,10 @@ def _advance_cdm(system, hist, n_steps, record=None):
     return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=end, dt=dt)
 
 
+def _no_pulse(t):
+    return 0.0
+
+
 class LtsConfig:
     """Coarse step, refinement ratio, and the fine-DOF selection mask."""
 
@@ -186,6 +190,13 @@ class LtsSolver:
             @ k_cols[self.nbhd]
             @ sp.diags(self.m_inv_sqrt[sel])
         ).tocsr()
+        # r(t) = M^(-1/2) f_shape pulse(t): the shape is scaled once, split
+        # into its unrefined part and its refined part on nbhd(sel)
+        load = system.load
+        self._pulse = _no_pulse if load is None else load.pulse
+        r_shape = self.m_inv_sqrt * (0.0 if load is None else load.f_shape)
+        self._r_coarse = np.where(cfg.selection, 0.0, r_shape)
+        self._r_fine = np.where(self.fine, r_shape[self.nbhd], 0.0)
 
     def a_apply(self, z):
         return self.m_inv_sqrt * self.system.k_matvec(self.m_inv_sqrt * z)
@@ -193,8 +204,8 @@ class LtsSolver:
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
 
-    def _sub_steps(self, z_n, t_n, r_of):
-        """q_{p_t} of the sub-step recurrence from q_0 = 2 z_n, loaded by r_of.
+    def _sub_steps(self, z_n, t_n, pulse):
+        """q_{p_t} of the sub-step recurrence from q_0 = 2 z_n, loaded by pulse.
 
         The next coarse state is z_{n+1} = q_{p_t} - z_{n-1}. One full
         stiffness matvec, for w = (1-P) r_n - A (1-P) z_n; the p_t
@@ -203,16 +214,16 @@ class LtsSolver:
         dt, p_t = self.cfg.dt, self.cfg.p_t
         h = dt / p_t
         sel, nb, fine, a = self.cfg.selection, self.nbhd, self.fine, self.a_nbhd_sel
-        r_n = r_of(t_n)
-        w = np.where(sel, 0.0, r_n) - self.a_apply(np.where(sel, 0.0, z_n))
+        p_n = pulse(t_n)
+        w = p_n * self._r_coarse - self.a_apply(np.where(sel, 0.0, z_n))
         q_end = 2.0 * z_n + dt * dt * w
 
         w2 = 2.0 * w[nb]
         q_prev = 2.0 * z_n[nb]
-        q = q_prev + 0.5 * h * h * (w2 + 2.0 * np.where(fine, r_n[nb], 0.0) - a @ q_prev[fine])
+        q = q_prev + 0.5 * h * h * (w2 + 2.0 * p_n * self._r_fine - a @ q_prev[fine])
         for m in range(1, p_t):
-            src = r_of(t_n + m * h)[nb] + r_of(t_n - m * h)[nb]
-            q_next = 2.0 * q - q_prev + h * h * (w2 + np.where(fine, src, 0.0) - a @ q[fine])
+            src = (pulse(t_n + m * h) + pulse(t_n - m * h)) * self._r_fine
+            q_next = 2.0 * q - q_prev + h * h * (w2 + src - a @ q[fine])
             q_prev, q = q, q_next
         q_end[nb] = q
         return q_end
@@ -231,13 +242,13 @@ class LtsSolver:
         z0 = self.m_sqrt * u0
         zdot0 = self.m_sqrt * v0
         dt = self.cfg.dt
-        q0 = self._sub_steps(z0, 0.0, lambda t: np.zeros(n))
+        q0 = self._sub_steps(z0, 0.0, _no_pulse)
         z_m1 = 0.5 * q0 - dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
         return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
 
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update."""
-        q = self._sub_steps(state.z_curr, state.t, self.r_of)
+        q = self._sub_steps(state.z_curr, state.t, self._pulse)
         return LtsState(
             z_prev=state.z_curr,
             z_curr=-state.z_prev + q,

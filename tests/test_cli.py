@@ -76,6 +76,18 @@ def test_bad_list_value_exits_2():
     assert main(["dtcrit-sweep", "--orders", "x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--dt", "-1", "dt"), ("--dt", "0", "dt"), ("--t-end", "0", "t_end"), ("--h", "0", "h")],
+)
+def test_bar2d_rejects_non_positive_step_and_size(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.csv"
+    rc = main(["bar2d", "--elements", "4", "--order", "2", flag, value, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # a step far above the critical one must report a numerical failure
     rc = main(

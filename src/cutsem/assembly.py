@@ -2,10 +2,10 @@
 
 Elements are axis-aligned rectangles of uniform size, so the element map
 is affine with a constant diagonal Jacobian. Stiffness uses tensor GLL
-quadrature on full elements and the raw cut rule on cut elements (the
-fitted weights serve the mass matrix; a config flag can reroute stiffness
-through them). Dirichlet DOFs are eliminated symmetrically: zeroed rows
-and columns with a unit diagonal, mass left untouched.
+quadrature on full elements and the raw cut rule on cut elements; the
+fitted weights serve the mass matrix only. Dirichlet DOFs are eliminated
+symmetrically: zeroed rows and columns with a unit diagonal, mass left
+untouched.
 """
 
 from dataclasses import dataclass, field
@@ -123,22 +123,16 @@ class CartesianMesh:
     def _classify_elements(self):
         self.cut_quadratures = {}
         self.classification = {}
+        if self.level_set is None:
+            ls = geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
+            depth = 0
+        else:
+            ls, depth = self.level_set, self.depth
         for ey in range(self.ny):
             for ex in range(self.nx):
-                if self.level_set is None:
-                    cutq = geometry.build_cut_quadrature(
-                        geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float))),
-                        self.element_box(ex, ey),
-                        depth=0,
-                        gauss_degree=self.gauss_degree,
-                    )
-                else:
-                    cutq = geometry.build_cut_quadrature(
-                        self.level_set,
-                        self.element_box(ex, ey),
-                        depth=self.depth,
-                        gauss_degree=self.gauss_degree,
-                    )
+                cutq = geometry.build_cut_quadrature(
+                    ls, self.element_box(ex, ey), depth=depth, gauss_degree=self.gauss_degree
+                )
                 self.cut_quadratures[(ex, ey)] = cutq
                 self.classification[(ex, ey)] = cutq.classification
 
@@ -253,16 +247,15 @@ class ElementOperators:
     m_e: np.ndarray
 
 
-def element_operators(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
+def element_operators(mesh, mat, scheme="fitted", cfg=None):
     """{(ex, ey): ElementOperators} for the non-void elements of the mesh.
 
     Full elements share one record. Cut elements get the stiffness of their
-    cut rule, or of the fitted weights at the GLL nodes when stiffness_rule
-    is "fitted". The result is memoised on the mesh and keyed by value, so
+    cut rule. The result is memoised on the mesh and keyed by value, so
     equal but distinct configs reuse one pass.
     """
     cfg = cfg or MomentFitConfig()
-    key = (mat, scheme, cfg, stiffness_rule)
+    key = (mat, scheme, cfg)
     if key in mesh.operator_cache:
         return mesh.operator_cache[key]
     basis = mesh.basis
@@ -272,8 +265,6 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"
         lumped = lump_element(basis, cutq, scheme, cfg)
         if cutq.classification == "full":
             pts, wts = basis.node_coords(), basis.node_weights()
-        elif stiffness_rule == "fitted":
-            pts, wts = basis.node_coords(), lumped.weights
         else:
             pts, wts = cutq.points, cutq.weights
         rec = ElementOperators(
@@ -300,14 +291,14 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"
     return ops
 
 
-def assemble_global(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
+def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     """Scatter-add the element operators in deterministic element order."""
     ndof = mesh.dof_count
     rows, cols, vals = [], [], []
     mass = np.zeros(ndof)
     cut_dofs = set()
 
-    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg, stiffness_rule).items():
+    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         mass[dofs] += rec.m_e
         dd = np.broadcast_to(dofs, (len(dofs), len(dofs)))
@@ -376,12 +367,10 @@ def assemble_interface_traction(mesh, pulse, direction):
     return _PulseLoad(f_shape, pulse)
 
 
-def assemble_edge_traction(mesh, pulse, direction, edge="right"):
-    """Conforming traction on a mesh boundary edge (the uncut baseline)."""
+def assemble_edge_traction(mesh, pulse, direction):
+    """Conforming traction on the right mesh edge (the uncut baseline)."""
     direction = np.asarray(direction, dtype=float)
     f_shape = np.zeros(mesh.dof_count)
-    if edge != "right":
-        raise NotImplementedError("only the right edge is needed by the benchmarks")
     jy = mesh.hy / 2.0
     by = mesh.basis.basis_eta
     for ey in range(mesh.ny):

@@ -136,7 +136,7 @@ def build_bar_system(cfg):
     # traction orientation along +x on the cut plane
     direction = (1.0, 0.0)
     if cfg.conformal:
-        load = assemble_edge_traction(mesh, cfg.pulse, direction, edge="right")
+        load = assemble_edge_traction(mesh, cfg.pulse, direction)
     else:
         load = assemble_interface_traction(mesh, cfg.pulse, direction)
     load = apply_dirichlet_to_load(load, system.dirichlet_dofs)

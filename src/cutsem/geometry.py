@@ -12,7 +12,8 @@ each outer Gauss point gets its root along k and Gauss points on the
 physical part of its line. A leaf with no height direction is split in
 four, at most `depth` times. A straight cut is integrated exactly by one
 leaf, a curved one converges spectrally, and the interface rule comes
-from the same roots. All emitted points/weights live in the parent
+from the same roots, plus Gauss points on any face of a full leaf where
+every sample of Phi is zero. All emitted points/weights live in the parent
 element's reference frame, so weights measure reference area (resp. arc
 length) and the affine element Jacobian is applied at assembly time.
 """
@@ -270,6 +271,22 @@ class _HeightRule:
             pts, wts = _gauss_square(self.degree)
             self.vol_points.append(lo + (pts + 1.0) * (0.5 * (hi - lo)))
             self.vol_weights.append(wts * np.prod(0.5 * (hi - lo)))
+            # a face where Phi vanishes is interface that no other leaf emits
+            # (the leaf across it is void)
+            for k, at, face in (
+                (0, lo, vals[:, 0]),
+                (0, hi, vals[:, -1]),
+                (1, lo, vals[0]),
+                (1, hi, vals[-1]),
+            ):
+                if np.all(face == 0.0):
+                    o = 1 - k
+                    u, wu = _gauss_on(lo[o:o + 1], hi[o:o + 1], self.n)
+                    on_face = np.empty((self.n, 2))
+                    on_face[:, k], on_face[:, o] = at[k], u[0]
+                    self.roots.append(on_face)
+                    self.root_weights.append(wu[0])
+                    self.root_axes.append(np.full(self.n, k))
             return
         if np.all(vals <= 0):
             return

@@ -1,134 +1,34 @@
 """Gauss-Lobatto-Legendre rules and tensor-product Lagrange bases.
 
-1D nodes are the endpoints of [-1, 1] plus the roots of the Lobatto
-polynomial (the derivative of the Legendre polynomial of the element
-order). 2D quadrilateral bases are plain tensor products, with node k
-mapped to the index pair (i, j) through k = j*(p+1) + i.
+1D nodes are the endpoints of [-1, 1] plus the roots of P'_p, the
+derivative of the Legendre polynomial of the element order; both the
+roots and the weights 2 / (p (p+1) P_p(x_j)^2) come from numpy's
+Legendre series. Shape-function derivatives go through the nodal
+differentiation matrix D[j, i] = N_i'(x_j), built once per rule from the
+barycentric weights (Berrut & Trefethen, SIAM Review 46 (2004) 501):
+N_i' has degree p, so N_i'(x) = sum_j N_j(x) D[j, i] exactly. 2D
+quadrilateral bases are plain tensor products, with node k mapped to the
+index pair (i, j) through k = j*(p+1) + i.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import ConfigError
 
 MAX_ORDER = 12
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAXIT = 100
-
-
-def legendre_with_derivs(p, x):
-    """P_p(x), P'_p(x), P''_p(x) by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    pk_m1 = np.ones_like(x)
-    pk = x.copy()
-    if p == 0:
-        pk = pk_m1
-    for k in range(1, p):
-        pk, pk_m1 = ((2 * k + 1) * x * pk - k * pk_m1) / (k + 1), pk
-    # derivatives from the standard identities; guard the endpoints where
-    # (1 - x^2) vanishes by the closed forms there
-    dp = np.empty_like(x)
-    ddp = np.empty_like(x)
-    interior = np.abs(x) < 1.0
-    xi = x[interior]
-    pi = pk[interior] if p > 0 else pk_m1[interior]
-    pim1 = pk_m1[interior]
-    one_m_x2 = 1.0 - xi * xi
-    dpi = p * (pim1 - xi * pi) / one_m_x2 if p > 0 else np.zeros_like(xi)
-    dp[interior] = dpi
-    # Legendre ODE: (1-x^2) P'' - 2x P' + p(p+1) P = 0
-    ddp[interior] = (2 * xi * dpi - p * (p + 1) * pi) / one_m_x2
-    ends = ~interior
-    if np.any(ends):
-        s = np.sign(x[ends])
-        dp[ends] = s ** (p + 1) * p * (p + 1) / 2.0
-        ddp[ends] = s**p * (p - 1) * p * (p + 1) * (p + 2) / 8.0
-    return pk, dp, ddp
-
-
-def _lobatto_interior_nodes(p):
-    """Roots of P'_p via Newton from Chebyshev-Lobatto seeds, bisection fallback."""
-    if p < 2:
-        return np.empty(0)
-    seeds = np.cos(np.pi * np.arange(1, p) / p)[::-1]
-    roots = []
-    for x0 in seeds:
-        x = x0
-        ok = False
-        for _ in range(_NEWTON_MAXIT):
-            _, dp, ddp = legendre_with_derivs(p, np.array([x]))
-            step = dp[0] / ddp[0]
-            x -= step
-            if abs(step) < _NEWTON_TOL:
-                ok = True
-                break
-        if not ok or abs(x - x0) > 2.0 * np.pi / p:
-            x = _bisect_dlegendre(p, x0)
-        roots.append(x)
-    roots = np.array(sorted(roots))
-    # enforce exact antisymmetry
-    roots = 0.5 * (roots - roots[::-1])
-    return roots
-
-
-def _bisect_dlegendre(p, seed):
-    half = 0.45 * np.pi / p
-    a, b = seed - half, seed + half
-    fa = legendre_with_derivs(p, np.array([a]))[1][0]
-    fb = legendre_with_derivs(p, np.array([b]))[1][0]
-    if fa * fb > 0:
-        raise ConfigError(f"bisection bracket failed for order {p}")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = legendre_with_derivs(p, np.array([m]))[1][0]
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if b - a < 1e-16:
-            break
-    return 0.5 * (a + b)
-
 
 @dataclass(frozen=True)
 class GllBasis1d:
-    """GLL nodes/weights of one direction plus Lagrange evaluators."""
+    """GLL nodes/weights of one direction plus batch Lagrange evaluators."""
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-
-    def shape_eval(self, i, xi):
-        """N_{p,i}(xi) by the Lagrange product formula."""
-        xs = self.nodes
-        val = 1.0
-        for j in range(self.order + 1):
-            if j != i:
-                val *= (xi - xs[j]) / (xs[i] - xs[j])
-        return val
-
-    def shape_deriv(self, i, xi):
-        """dN_{p,i}/dxi from the derivative of the product."""
-        xs = self.nodes
-        total = 0.0
-        for j in range(self.order + 1):
-            if j == i:
-                continue
-            term = 1.0 / (xs[i] - xs[j])
-            for k in range(self.order + 1):
-                if k != i and k != j:
-                    term *= (xi - xs[k]) / (xs[i] - xs[k])
-            total += term
-        return total
-
-    def eval_all(self, xi):
-        """Vector of all shape functions at xi."""
-        return np.array([self.shape_eval(i, xi) for i in range(self.order + 1)])
-
-    def eval_all_deriv(self, xi):
-        return np.array([self.shape_deriv(i, xi) for i in range(self.order + 1)])
+    diff_matrix: np.ndarray  # D[j, i] = N_i'(x_j)
 
     def eval_matrix(self, x):
         """Shape-function values at many points: (npts, p+1)."""
@@ -146,31 +46,19 @@ class GllBasis1d:
         return out
 
     def deriv_matrix(self, x):
-        """Shape-function derivatives at many points: (npts, p+1).
+        """Shape-function derivatives at many points: (npts, p+1)."""
+        return self.eval_matrix(x) @ self.diff_matrix
 
-        Uses prefix/suffix products of the Lagrange factors so the
-        leave-one-out products need no divisions by possibly-zero terms.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xs = self.nodes
-        n = self.order + 1
-        diff = x[:, None] - xs[None, :]
-        out = np.empty((x.size, n))
-        pref = np.empty((x.size, n))
-        suf = np.empty((x.size, n))
-        for i in range(n):
-            denom = xs[i] - xs
-            denom[i] = 1.0
-            ratio = diff / denom
-            ratio[:, i] = 1.0
-            pref[:, 0] = 1.0
-            np.cumprod(ratio[:, :-1], axis=1, out=pref[:, 1:])
-            suf[:, -1] = 1.0
-            np.cumprod(ratio[:, :0:-1], axis=1, out=suf[:, -2::-1])
-            coef = 1.0 / denom
-            coef[i] = 0.0
-            out[:, i] = (pref * suf) @ coef
-        return out
+
+def _diff_matrix(nodes):
+    """D[j, i] = N_i'(x_j) from the barycentric weights; each row sums to zero."""
+    dx = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(dx, 1.0)
+    bary = 1.0 / np.prod(dx, axis=1)
+    d = bary[None, :] / bary[:, None] / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
 
 
 def gll_rule(p):
@@ -179,12 +67,14 @@ def gll_rule(p):
         raise ConfigError("GLL rule needs order p >= 1 (p = 0 is degenerate)")
     if p > MAX_ORDER:
         raise ConfigError(f"order {p} exceeds the supported maximum {MAX_ORDER}")
-    nodes = np.concatenate(([-1.0], _lobatto_interior_nodes(p), [1.0]))
-    pk, _, _ = legendre_with_derivs(p, nodes)
-    weights = 2.0 / (p * (p + 1) * pk**2)
-    # symmetrize weights exactly
+    e_p = np.zeros(p + 1)
+    e_p[p] = 1.0
+    nodes = np.concatenate(([-1.0], legendre.legroots(legendre.legder(e_p)), [1.0]))
+    # enforce exact antisymmetry of the nodes and symmetry of the weights
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 2.0 / (p * (p + 1) * legendre.legval(nodes, e_p) ** 2)
     weights = 0.5 * (weights + weights[::-1])
-    return GllBasis1d(order=p, nodes=nodes, weights=weights)
+    return GllBasis1d(order=p, nodes=nodes, weights=weights, diff_matrix=_diff_matrix(nodes))
 
 
 @dataclass(frozen=True)
@@ -218,25 +108,13 @@ class TensorBasis2d:
         """Tensor GLL quadrature weights in node order."""
         return np.outer(self.basis_eta.weights, self.basis_xi.weights).ravel()
 
-    def shape_eval_2d(self, xi, eta):
-        """Values (n,) and reference gradients (n, 2) of all shape functions."""
-        nx = self.basis_xi.eval_all(xi)
-        ny = self.basis_eta.eval_all(eta)
-        dnx = self.basis_xi.eval_all_deriv(xi)
-        dny = self.basis_eta.eval_all_deriv(eta)
-        values = np.outer(ny, nx).ravel()
-        grads = np.column_stack(
-            [np.outer(ny, dnx).ravel(), np.outer(dny, nx).ravel()]
-        )
-        return values, grads
-
     def shape_eval_2d_batch(self, points):
         """Values (m, n) and reference gradients (m, n, 2) at m points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         nx = self.basis_xi.eval_matrix(pts[:, 0])
-        dnx = self.basis_xi.deriv_matrix(pts[:, 0])
         ny = self.basis_eta.eval_matrix(pts[:, 1])
-        dny = self.basis_eta.deriv_matrix(pts[:, 1])
+        dnx = nx @ self.basis_xi.diff_matrix
+        dny = ny @ self.basis_eta.diff_matrix
         m = pts.shape[0]
         values = (ny[:, :, None] * nx[:, None, :]).reshape(m, -1)
         gx = (ny[:, :, None] * dnx[:, None, :]).reshape(m, -1)

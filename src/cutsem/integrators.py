@@ -55,9 +55,9 @@ class CriticalTimeStep:
     dt_cut_min: float  # min over cut elements (inf if none)
 
 
-def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None, stiffness_rule="cut"):
+def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None):
     """Per-element dt_e = 2/omega_max and the global minimum."""
-    ops = element_operators(mesh, mat, scheme, cfg, stiffness_rule)
+    ops = element_operators(mesh, mat, scheme, cfg)
     dt_of = {}  # one eigen-solve per distinct record; full elements share one
     per_element = {}
     for key, rec in ops.items():

@@ -31,7 +31,6 @@ class MomentFitSystem:
     monomial_matrix: np.ndarray  # (m, n), m = n
     rhs: np.ndarray  # (m,)
     exponents: list  # [(a, b)] in graded lexicographic order
-    smallest_singular_value: float
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,7 @@ def build_moment_system(basis, cutq):
     vy = cutq.points[:, 1:] ** np.arange(basis.q + 1)
     moments = (cutq.weights[:, None] * vx).T @ vy
     b_vec = moments[tuple(np.array(exps).T)]
-    smin = np.linalg.svd(a_mat, compute_uv=False)[-1]
-    return MomentFitSystem(
-        monomial_matrix=a_mat,
-        rhs=b_vec,
-        exponents=exps,
-        smallest_singular_value=float(smin),
-    )
+    return MomentFitSystem(monomial_matrix=a_mat, rhs=b_vec, exponents=exps)
 
 
 def lumping_residual(sys, weights):

@@ -222,7 +222,7 @@ def test_interface_traction_total_force():
 
 def test_edge_traction_total_force():
     mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=3)
-    load = assemble_edge_traction(mesh, lambda t: 2.0, (1.0, 0.0), edge="right")
+    load = assemble_edge_traction(mesh, lambda t: 2.0, (1.0, 0.0))
     f = load(0.0)
     assert abs(f[0::2].sum() - 0.2) < 1e-12
     assert np.max(np.abs(f[1::2])) == 0.0

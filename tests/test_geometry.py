@@ -176,6 +176,20 @@ def test_leaf_aligned_cut_keeps_interface():
         assert abs(iq.weights.sum() - 2.0) < 1e-9, depth
 
 
+def test_corner_interface_on_a_split_line_is_kept():
+    # the corner of [0, 0.5]^2 sits on the first split: the leaf below it is
+    # full, the others void, and the interface is two of the full leaf's faces
+    ls = union_of_voids([half_plane(1.0, 0.0, 0.5), half_plane(0.0, 1.0, 0.5)])
+    for depth in (1, 2, 3):
+        iq = build_interface_quadrature(ls, UNIT_BOX, depth=depth, gauss_degree=4)
+        assert abs(iq.weights.sum() - 2.0) < 1e-12, depth
+        on_x = np.abs(iq.points[:, 0]) < 1e-15
+        on_y = np.abs(iq.points[:, 1]) < 1e-15
+        assert np.all(on_x ^ on_y)
+        np.testing.assert_allclose(iq.normals[on_x], [[1.0, 0.0]] * on_x.sum(), atol=1e-15)
+        np.testing.assert_allclose(iq.normals[on_y], [[0.0, 1.0]] * on_y.sum(), atol=1e-15)
+
+
 def test_rectangular_box_scaling():
     # non-square element: weights stay in the reference frame
     box = ((0.0, 2.0), (0.0, 0.5))

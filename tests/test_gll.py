@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
+from scipy.special import roots_jacobi
 
 from cutsem.errors import ConfigError
-from cutsem.gll import MAX_ORDER, gll_rule, legendre_with_derivs, tensor_basis
+from cutsem.gll import MAX_ORDER, gll_rule, tensor_basis
 
 
 def exact_power_integral(k):
@@ -46,13 +48,12 @@ def test_node_symmetry_and_weight_positivity():
 
 
 def test_nodes_match_independent_root_finder():
-    # interior nodes are the roots of P'_p; use numpy's Legendre series
-    # differentiation/root machinery as the independent oracle
-    for p in range(2, 11):
+    # interior nodes are the roots of P'_p, i.e. of the Jacobi polynomial
+    # P^(1,1)_{p-1}; scipy's Golub-Welsch eigenvalue rule is the oracle
+    for p in range(2, 13):
         rule = gll_rule(p)
-        oracle = np.polynomial.legendre.Legendre.basis(p).deriv().roots()
-        oracle = np.sort(np.real(oracle))
-        np.testing.assert_allclose(rule.nodes[1:-1], oracle, atol=1e-13)
+        oracle, _ = roots_jacobi(p - 1, 1.0, 1.0)
+        np.testing.assert_allclose(rule.nodes[1:-1], np.sort(oracle), atol=1e-13)
 
 
 def test_order_validation():
@@ -62,29 +63,49 @@ def test_order_validation():
         gll_rule(MAX_ORDER + 1)
 
 
+def lagrange_oracle(nodes, x):
+    """Values and derivatives of every N_i at x, from numpy's power series."""
+    vals, ders = [], []
+    for i in range(len(nodes)):
+        others = np.delete(nodes, i)
+        n_i = Polynomial.fromroots(others) / np.prod(nodes[i] - others)
+        vals.append(n_i(x))
+        ders.append(n_i.deriv()(x))
+    return np.array(vals).T, np.array(ders).T
+
+
 def test_shape_functions_cardinal_and_midpoint():
     rule = gll_rule(2)
     # quadratic bubble at the midpoint of [0, 1] in reference coordinates
-    assert abs(rule.shape_eval(1, 0.5) - 0.75) < 1e-14
+    assert abs(rule.eval_matrix(0.5)[0, 1] - 0.75) < 1e-14
     for p in (3, 5):
         r = gll_rule(p)
         for i in range(p + 1):
-            vals = r.eval_all(r.nodes[i])
+            vals = r.eval_matrix(r.nodes[i])[0]
             expect = np.zeros(p + 1)
             expect[i] = 1.0
             np.testing.assert_allclose(vals, expect, atol=1e-12)
 
 
-def test_batch_evaluators_match_scalar_paths():
+def test_batch_evaluators_match_lagrange_oracle():
     rng = np.random.default_rng(7)
-    for p in (1, 4, 8):
+    for p in (1, 4, 8, 12):
         rule = gll_rule(p)
         xs = rng.uniform(-1, 1, size=40)
-        vals = rule.eval_matrix(xs)
+        vals, ders = lagrange_oracle(rule.nodes, xs)
+        np.testing.assert_allclose(rule.eval_matrix(xs), vals, atol=1e-13)
+        np.testing.assert_allclose(rule.deriv_matrix(xs), ders, atol=5e-12)
+
+
+def test_derivatives_are_exact_on_monomials():
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(-1, 1, size=50)
+    for p in range(1, MAX_ORDER + 1):
+        rule = gll_rule(p)
         ders = rule.deriv_matrix(xs)
-        for j, x in enumerate(xs):
-            np.testing.assert_allclose(vals[j], rule.eval_all(x), atol=1e-13)
-            np.testing.assert_allclose(ders[j], rule.eval_all_deriv(x), atol=5e-12)
+        for k in range(p + 1):
+            exact = k * xs ** (k - 1) if k else np.zeros_like(xs)
+            np.testing.assert_allclose(ders @ rule.nodes**k, exact, atol=1e-12, err_msg=f"{p} {k}")
 
 
 def test_tensor_basis_partition_of_unity():
@@ -92,22 +113,22 @@ def test_tensor_basis_partition_of_unity():
     rng = np.random.default_rng(11)
     for _ in range(10):
         xi, eta = rng.uniform(-1, 1, size=2)
-        vals, grads = basis.shape_eval_2d(xi, eta)
-        assert abs(vals.sum() - 1.0) < 1e-12
-        np.testing.assert_allclose(grads.sum(axis=0), [0.0, 0.0], atol=1e-11)
+        vals, grads = basis.shape_eval_2d_batch([xi, eta])
+        assert abs(vals[0].sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(grads[0].sum(axis=0), [0.0, 0.0], atol=1e-11)
 
 
 def test_tensor_basis_cardinal_and_bilinear_center():
     basis = tensor_basis(3)
     coords = basis.node_coords()
     for k in (0, 5, basis.node_count - 1):
-        vals, _ = basis.shape_eval_2d(coords[k, 0], coords[k, 1])
+        vals, _ = basis.shape_eval_2d_batch(coords[k])
         expect = np.zeros(basis.node_count)
         expect[k] = 1.0
-        np.testing.assert_allclose(vals, expect, atol=1e-12)
+        np.testing.assert_allclose(vals[0], expect, atol=1e-12)
     b1 = tensor_basis(1)
-    vals, _ = b1.shape_eval_2d(0.0, 0.0)
-    np.testing.assert_allclose(vals, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
+    vals, _ = b1.shape_eval_2d_batch([0.0, 0.0])
+    np.testing.assert_allclose(vals[0], [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
 
 def test_tensor_interpolation_reproduces_monomials():
@@ -129,15 +150,11 @@ def test_tensor_weights_and_batch_gradients():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(7, 2))
     vals, grads = basis.shape_eval_2d_batch(pts)
-    for j, (xi, eta) in enumerate(pts):
-        v, g = basis.shape_eval_2d(xi, eta)
-        np.testing.assert_allclose(vals[j], v, atol=1e-13)
+    nodes = basis.basis_xi.nodes
+    nx, dnx = lagrange_oracle(nodes, pts[:, 0])
+    ny, dny = lagrange_oracle(nodes, pts[:, 1])
+    for j in range(len(pts)):
+        # node k = b*(p+1) + a carries N_a(xi) N_b(eta)
+        np.testing.assert_allclose(vals[j], np.outer(ny[j], nx[j]).ravel(), atol=1e-13)
+        g = np.column_stack([np.outer(ny[j], dnx[j]).ravel(), np.outer(dny[j], nx[j]).ravel()])
         np.testing.assert_allclose(grads[j], g, atol=5e-12)
-
-
-def test_legendre_endpoint_derivatives():
-    for p in (3, 6):
-        x = np.array([-1.0, 1.0])
-        _, dp, _ = legendre_with_derivs(p, x)
-        expect = np.array([(-1.0) ** (p + 1), 1.0]) * p * (p + 1) / 2.0
-        np.testing.assert_allclose(dp, expect, atol=1e-12)

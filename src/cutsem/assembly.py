@@ -6,6 +6,11 @@ quadrature on full elements and the raw cut rule on cut elements; the
 fitted weights serve the mass matrix only. Dirichlet DOFs are eliminated
 symmetrically: zeroed rows and columns with a unit diagonal, mass left
 untouched.
+
+The time loop applies K as one GEMM over the stiffness that every full
+element shares, scattered back by DOF, plus a sparse remainder for the
+other elements (the matrix-free element operator of Deville, Fischer &
+Mund, 2002). `k_csr()` is the assembled matrix, kept for slicing and checks.
 """
 
 from dataclasses import dataclass, field
@@ -174,7 +179,14 @@ class CartesianMesh:
 
 @dataclass
 class GlobalSystem:
-    """Assembled explicit-dynamics system with diagonal mass."""
+    """Assembled explicit-dynamics system with diagonal mass.
+
+    K = batch + k_rest. The batch is the full elements that hold no Dirichlet
+    DOF: row e of `batch_dofs` is element e's DOFs, and all of them share the
+    stiffness `batch_k_e`. `k_rest` holds the cut elements, the full elements
+    that touch a Dirichlet DOF and the unit Dirichlet diagonal. Built without
+    a batch, the system has an empty one and k_rest = k.
+    """
 
     k: sp.csr_matrix
     lumped_mass: np.ndarray
@@ -182,14 +194,28 @@ class GlobalSystem:
     dirichlet_dofs: np.ndarray
     cut_element_dofs: np.ndarray
     load: "_PulseLoad" = None  # f_shape * pulse(t), or None for no load
+    batch_dofs: np.ndarray = None  # (n_batch, 2n) DOF table
+    batch_k_e: np.ndarray = None  # (2n, 2n)
+    k_rest: sp.csr_matrix = None
+
+    def __post_init__(self):
+        if self.k_rest is None:
+            self.batch_dofs = np.empty((0, 0), dtype=np.int64)
+            self.batch_k_e = np.empty((0, 0))
+            self.k_rest = self.k
+        for a in (self.batch_dofs, self.batch_k_e):
+            a.flags.writeable = False
 
     @property
     def k_data(self):
-        """Stored values of K; edits in place reach every product."""
+        """Stored values of k_csr(); edits in place reach k_csr(), not k_matvec."""
         return self.k.data
 
     def k_matvec(self, x):
-        return self.k @ x
+        """K x as one GEMM over the batch's shared k_e plus the sparse remainder."""
+        g = self.batch_dofs
+        batch = np.bincount(g.ravel(), weights=(x[g] @ self.batch_k_e).ravel(), minlength=len(x))
+        return batch + self.k_rest @ x
 
     def k_csr(self):
         return self.k
@@ -291,49 +317,65 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
     return ops
 
 
-def assemble_global(mesh, mat, scheme="fitted", cfg=None):
-    """Scatter-add the element operators in deterministic element order."""
-    ndof = mesh.dof_count
-    rows, cols, vals = [], [], []
-    mass = np.zeros(ndof)
-    cut_dofs = set()
-
-    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
-        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
-        mass[dofs] += rec.m_e
-        dd = np.broadcast_to(dofs, (len(dofs), len(dofs)))
-        rows.append(dd.T.ravel())
-        cols.append(dd.ravel())
-        vals.append(rec.k_e.ravel())
-        if mesh.classification[(ex, ey)] == "cut":
-            cut_dofs.update(int(d) for d in dofs)
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    dirichlet = np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64)
+def _scatter_csr(pairs, width, constrained, dirichlet):
+    """CSR sum of (dofs, k_e) pairs, Dirichlet rows and columns eliminated."""
+    ndof = len(constrained)
+    table = np.array([dofs for dofs, _ in pairs], dtype=np.int64).reshape(len(pairs), width)
+    # element by element, rows run i-major and columns j-minor over k_e[i, j]
+    rows = np.repeat(table, width, axis=1).ravel()
+    cols = np.tile(table, width).ravel()
+    vals = np.array([k_e for _, k_e in pairs], dtype=float).ravel()
     if len(dirichlet):
-        constrained = np.zeros(ndof, dtype=bool)
-        constrained[dirichlet] = True
         keep = ~(constrained[rows] | constrained[cols])
         rows = np.concatenate([rows[keep], dirichlet])
         cols = np.concatenate([cols[keep], dirichlet])
         vals = np.concatenate([vals[keep], np.ones(len(dirichlet))])
-        free = np.flatnonzero(~constrained)
-    else:
-        free = np.arange(ndof)
-
     k = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
     k.sum_duplicates()
-    if np.any(mass[free] <= 0):
+    return k
+
+
+def assemble_global(mesh, mat, scheme="fitted", cfg=None):
+    """Scatter-add the element operators in deterministic element order.
+
+    Besides K, builds the split that k_matvec applies: the batch of full
+    elements free of Dirichlet DOFs and the sparse remainder (GlobalSystem).
+    """
+    ndof = mesh.dof_count
+    width = 2 * mesh.basis.node_count
+    mass = np.zeros(ndof)
+    cut_dofs = set()
+    dirichlet = np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64)
+    constrained = np.zeros(ndof, dtype=bool)
+    constrained[dirichlet] = True
+    pairs, rest, batch = [], [], []
+    batch_k_e = np.zeros((width, width))
+
+    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
+        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
+        mass[dofs] += rec.m_e
+        pairs.append((dofs, rec.k_e))
+        if mesh.classification[(ex, ey)] == "cut":
+            cut_dofs.update(int(d) for d in dofs)
+            rest.append(pairs[-1])
+        elif constrained[dofs].any():
+            rest.append(pairs[-1])
+        else:
+            batch.append(dofs)
+            batch_k_e = rec.k_e  # the one record every full element shares
+
+    if np.any(mass[~constrained] <= 0):
         raise SingularMass("a free DOF received zero lumped mass")
 
     return GlobalSystem(
-        k=k,
+        k=_scatter_csr(pairs, width, constrained, dirichlet),
         lumped_mass=mass,
         dof_count=ndof,
         dirichlet_dofs=dirichlet,
         cut_element_dofs=np.array(sorted(cut_dofs), dtype=np.int64),
+        batch_dofs=np.array(batch, dtype=np.int64).reshape(len(batch), width),
+        batch_k_e=batch_k_e,
+        k_rest=_scatter_csr(rest, width, constrained, dirichlet),
     )
 
 

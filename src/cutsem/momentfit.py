@@ -98,9 +98,16 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     target = float(b_vec[0])  # integral of g_1 = 1 over the physical part
     slack = target - n * w_min
     # GLL weights sum to the full reference area >= target, so for eps <= 1
-    # the box {w >= w_min, sum w = target} is never empty
-    if slack <= 0:
+    # the box {w >= w_min, sum w = target} is never empty. With no slack
+    # (bilinear elements below the low-volume threshold or at eps = 1) it is
+    # the single point target / n, and rounding may leave slack a few ulps
+    # either side of zero.
+    tol = 8.0 * np.finfo(float).eps * target
+    if slack < -tol:
         raise Infeasible("n * w_min exceeds the conservation target")
+    if slack <= tol:
+        w = np.full(n, target / n)
+        return LumpedElementMass(scheme="fitted", weights=w, residual_norm=lumping_residual(sys, w))
 
     w_gll = basis.node_weights()
     w = w_min + slack * (w_gll / w_gll.sum())  # strictly feasible start

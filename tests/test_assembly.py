@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cutsem.assembly import (
     CartesianMesh,
+    GlobalSystem,
     Material,
     apply_dirichlet_to_load,
     assemble_edge_traction,
@@ -19,7 +23,7 @@ from cutsem.assembly import (
 )
 from cutsem.benchmark import HannPulse
 from cutsem.errors import ConfigError
-from cutsem.geometry import _gauss_square, half_plane
+from cutsem.geometry import _gauss_square, circle, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import critical_timestep_table
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
@@ -154,16 +158,79 @@ def test_cut_mesh_mass_conservation():
     assert len(system.cut_element_dofs) > 0
 
 
-def test_stiffness_is_one_prebuilt_csr_matrix():
-    ls = half_plane(1.0, 0.0, 0.7)
-    mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=4, level_set=ls, depth=3)
-    mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
+def assert_matvec_matches_csr(system, seed=4):
+    # the batch sums in another order than the CSR product: agreement to
+    # rounding, relative to the largest entry of K x
+    x = np.random.default_rng(seed).standard_normal(system.dof_count)
+    expect = system.k_csr() @ x
+    assert np.abs(system.k_matvec(x) - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def batched_elements(mesh, system):
+    """Sorted DOF rows of the full elements free of Dirichlet DOFs, and of the batch."""
+    expect = []
+    for key in mesh.elements():
+        if mesh.classification[key] != "full":
+            continue
+        dofs = mesh.node_dofs(mesh.element_nodes(*key))
+        if not mesh.dirichlet_dofs.intersection(dofs.tolist()):
+            expect.append(tuple(dofs))
+    return sorted(expect), sorted(map(tuple, system.batch_dofs))
+
+
+@pytest.mark.parametrize(
+    "level_set, ny, clamp",
+    [
+        (half_plane(1.0, 0.0, 0.7), 1, True),  # cut bar with a clamped edge
+        (circle(0.5, 0.15, 0.1), 3, False),  # free mesh around a circular void
+        (None, 3, False),  # uncut
+    ],
+    ids=["clamped_cut_bar", "free_circular_void", "uncut"],
+)
+def test_batched_stiffness_matches_assembled_csr(level_set, ny, clamp):
+    mesh = CartesianMesh(lx=1.0, ly=0.1 * ny, nx=5, ny=ny, p=4, level_set=level_set, depth=3)
+    if clamp:
+        mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
     system = assemble_global(mesh, MAT)
-    x = np.random.default_rng(4).standard_normal(system.dof_count)
-    assert np.array_equal(system.k_matvec(x), system.k_csr() @ x)
+    assert_matvec_matches_csr(system)
+    expect, batch = batched_elements(mesh, system)
+    assert batch == expect and len(batch) > 0
+    for a in (system.batch_dofs, system.batch_k_e):
+        assert not a.flags.writeable
     # built once at assembly, and k_data is a view of its stored values
     assert system.k_csr() is system.k_csr()
     assert np.shares_memory(system.k_csr().data, system.k_data)
+
+
+def test_bare_global_system_has_an_empty_batch():
+    k = sp.random(7, 7, density=0.5, random_state=3, format="csr")
+    empty = np.array([], dtype=np.int64)
+    system = GlobalSystem(
+        k=k, lumped_mass=np.ones(7), dof_count=7, dirichlet_dofs=empty, cut_element_dofs=empty
+    )
+    assert system.batch_dofs.size == 0 and system.k_rest is k
+    assert_matvec_matches_csr(system)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 4),
+    ny=st.integers(1, 4),
+    p=st.integers(1, 5),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    offset=st.floats(-0.2, 1.2),
+    clamp=st.booleans(),
+)
+def test_fuzzed_batched_stiffness_matches_assembled_csr(nx, ny, p, angle, offset, clamp):
+    ls = half_plane(math.cos(angle), math.sin(angle), offset)
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=nx, ny=ny, p=p, level_set=ls, depth=2)
+    assume(mesh.dof_count > 0)
+    if clamp:
+        mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
+    system = assemble_global(mesh, MAT)
+    assert_matvec_matches_csr(system)
+    expect, batch = batched_elements(mesh, system)
+    assert batch == expect
 
 
 def test_dt_table_reuses_the_assembly_element_pass(monkeypatch):

@@ -1,10 +1,12 @@
 """Command-line driver: subcommands, config files, and exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cutsem
 from cutsem import __version__
 from cutsem.cli import main
 
@@ -133,10 +135,14 @@ def test_quadrature_check_subcommand(tmp_path):
 
 
 def test_module_entrypoint_smoke():
+    # the child imports the cutsem under test, whether installed or on a path
+    src = os.path.dirname(os.path.dirname(cutsem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cutsem.cli", "--version"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout

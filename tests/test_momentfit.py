@@ -180,13 +180,13 @@ def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, q, epsi
     sys = build_moment_system(basis, cutq)
     cfg = MomentFitConfig(epsilon=epsilon)
     w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
+    out = solve_fitted_weights(sys, cutq, cfg, basis)
     if basis.node_count * w_min >= sys.rhs[0]:
         # bilinear with eps = 1 or below the low-volume threshold: the bound
-        # leaves no slack for the conservation constraint
-        with pytest.raises(Infeasible):
-            solve_fitted_weights(sys, cutq, cfg, basis)
+        # leaves one feasible point, the scaled weights
+        expect = scaled_weights(basis, cutq.volume_ratio).weights
+        np.testing.assert_allclose(out.weights, expect, rtol=1e-15, atol=0.0)
         return
-    out = solve_fitted_weights(sys, cutq, cfg, basis)
     assert np.all(out.weights >= w_min)
     assert abs(out.weights.sum() - sys.rhs[0]) <= 1e-12
     oracle = brute_force_fitted_weights(sys.monomial_matrix, sys.rhs, w_min)
@@ -224,6 +224,18 @@ def test_config_validation_and_void_errors():
         lump_element(basis, void, "fitted")
     with pytest.raises(VoidElement):
         hrz_weights(basis, void)
+
+
+def test_bilinear_fitted_weights_at_epsilon_one_are_the_scaled_weights():
+    # p = 1, eps = 1: w_min = v_e and four nodes must sum to 4 v_e, so the
+    # bound leaves the single feasible point w = v_e
+    basis = tensor_basis(1)
+    cutq = cut_quadrature(0.37, 1)
+    sys = build_moment_system(basis, cutq)
+    out = solve_fitted_weights(sys, cutq, MomentFitConfig(epsilon=1.0), basis)
+    expect = scaled_weights(basis, cutq.volume_ratio).weights
+    np.testing.assert_allclose(out.weights, expect, rtol=1e-15, atol=0.0)
+    assert out.residual_norm == lumping_residual(sys, out.weights)
 
 
 def test_fitted_weights_raise_infeasible_when_bound_exceeds_target():

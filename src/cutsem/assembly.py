@@ -13,7 +13,7 @@ other elements (the matrix-free element operator of Deville, Fischer &
 Mund, 2002). `k_csr()` is the assembled matrix, kept for slicing and checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

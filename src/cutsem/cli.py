@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__, geometry
 from .benchmark import (
     BarBenchmarkConfig,
-    HannPulse,
     convergence_csv_rows,
     dtcrit_csv_rows,
     run_bar_case,

@@ -6,20 +6,22 @@ the nodes and b their integrals over the physical portion of the element,
 subject to a lower bound on every weight and exact conservation of the
 physical reference area. The bound adapts to the volume ratio: eps*v_e*w_std
 above the low-volume threshold, v_e*w_std below it (w_std = smallest tensor
-GLL weight). The QP is solved by a primal active-set method on the bounds
-with the single equality constraint eliminated through a null-space basis;
-subproblems are solved as least squares on A itself to avoid squaring the
-monomial Vandermonde's condition number.
+GLL weight). The QP is solved by a primal active-set method on the bounds.
+Each iteration's subproblem, least squares on the free weights subject to
+the one equality, is a single call of LAPACK's dgglse, which uses a
+generalized RQ (GRQ) factorization of A and the constraint row. It works on
+A itself, so the monomial Vandermonde's condition number is never squared,
+and a rank-deficient subproblem (dgglse info != 0) raises SolverStall.
 
 Comparators: "scaled" multiplies the GLL weights by v_e; "hrz" rescales the
 consistent-mass diagonal computed with the cut rule so the total matches
 the physical reference area.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg.lapack import dgglse
 
 from .errors import ConfigError, DegenerateDiagonal, Infeasible, SolverStall, VoidElement
 
@@ -116,49 +118,45 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     max_iter = 50 * n + 50
     for _ in range(max_iter):
         free = ~active
-        nf = free.sum()
+        # min ||A_f w_f - (b - w_min A_a 1)|| s.t. sum w_f = target - w_min |a|
+        *_, w_free, info = dgglse(
+            a_mat[:, free],
+            np.ones((1, free.sum())),
+            b_vec - a_mat[:, active].sum(axis=1) * w_min,
+            [target - w_min * active.sum()],
+        )
+        if info != 0:
+            raise SolverStall(f"moment-fit subproblem is rank deficient (dgglse info {info})")
         w_star = np.full(n, w_min)
-        if nf == 1:
-            w_star[free] = target - w_min * active.sum()
-        else:
-            vf = target - w_min * active.sum()
-            rhs_eff = b_vec - a_mat[:, active].sum(axis=1) * w_min
-            af = a_mat[:, free]
-            base = np.full(nf, vf / nf)
-            z = null_space(np.ones((1, nf)))
-            y, *_ = np.linalg.lstsq(af @ z, rhs_eff - af @ base, rcond=None)
-            w_star[free] = base + z @ y
+        w_star[free] = w_free
 
         d = w_star - w
         step_norm = np.max(np.abs(d))
         if step_norm <= 1e-14 * max(1.0, np.max(np.abs(w))):
-            lam, mu, stat = _kkt_terms(a_mat, b_vec, w, active, w_min)
-            if active.sum() == 0 or np.min(mu) >= -_KKT_TOL:
+            mu, stat = _kkt_terms(a_mat, b_vec, w, active)
+            if not active.any() or np.min(mu) >= -_KKT_TOL:
                 return LumpedElementMass(
                     scheme="fitted",
                     weights=w,
                     residual_norm=lumping_residual(sys, w),
                 )
-            active[_most_negative_multiplier(mu, active)] = False
+            active[np.flatnonzero(active)[np.argmin(mu)]] = False
             continue
 
-        # step toward the subproblem optimum, blocked by inactive bounds
-        alpha = 1.0
-        block = -1
-        for i in np.flatnonzero(free):
-            if d[i] < -1e-16:
-                a_i = (w_min - w[i]) / d[i]
-                if a_i < alpha:
-                    alpha, block = a_i, i
-        w = w + alpha * d
-        if block >= 0:
+        # step toward the subproblem optimum, blocked by the first free bound
+        falling = free & (d < -1e-16)
+        ratio = np.full(n, np.inf)
+        ratio[falling] = (w_min - w[falling]) / d[falling]
+        block = int(np.argmin(ratio))
+        w = w + min(1.0, ratio[block]) * d
+        if ratio[block] < 1.0:
             w[block] = w_min
             active[block] = True
         # keep the equality exact against rounding drift
         free = ~active
         w[free] += (target - w.sum()) / free.sum()
 
-    lam, mu, stat = _kkt_terms(a_mat, b_vec, w, active, w_min)
+    mu, stat = _kkt_terms(a_mat, b_vec, w, active)
     kkt = max(stat, float(-np.min(mu)) if mu.size else 0.0)
     if kkt > _KKT_TOL:
         raise SolverStall(f"active-set QP stalled with KKT residual {kkt:g}")
@@ -167,18 +165,17 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     )
 
 
-def _kkt_terms(a_mat, b_vec, w, active, w_min):
+def _kkt_terms(a_mat, b_vec, w, active):
+    """Bound multipliers of the active weights and the stationarity residual
+    of the free ones, under the equality multiplier the free ones fix."""
     g = a_mat.T @ (a_mat @ w - b_vec)
     free = ~active
-    lam = g[free].mean() if free.any() else 0.0
+    # with no free weight the feasible set is one point and any lam <= min g
+    # makes every bound multiplier non-negative
+    lam = g[free].mean() if free.any() else g.min()
     mu = g[active] - lam
     stat = float(np.max(np.abs(g[free] - lam))) if free.any() else 0.0
-    return lam, mu, stat
-
-
-def _most_negative_multiplier(mu, active):
-    idx_active = np.flatnonzero(active)
-    return idx_active[int(np.argmin(mu))]
+    return mu, stat
 
 
 def kkt_report(sys, lumped, cutq, cfg, basis):
@@ -186,22 +183,14 @@ def kkt_report(sys, lumped, cutq, cfg, basis):
     w = lumped.weights
     w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
     at_bound = np.abs(w - w_min) <= 1e-12 * max(1.0, w_min)
-    lam, mu, stat = _kkt_terms(sys.monomial_matrix, sys.rhs, w, at_bound, w_min)
-    comp = float(np.max(np.abs((w - w_min) * _full_multipliers(sys, w, at_bound, lam)))) if len(w) else 0.0
+    mu, stat = _kkt_terms(sys.monomial_matrix, sys.rhs, w, at_bound)
     return {
         "projected_gradient": stat,
         "dual_feasibility": float(-np.min(mu)) if mu.size else 0.0,
-        "complementary_slackness": comp,
+        "complementary_slackness": float(np.max(np.abs((w[at_bound] - w_min) * mu), initial=0.0)),
         "equality_gap": float(abs(w.sum() - sys.rhs[0])),
         "bound_violation": float(max(0.0, np.max(w_min - w))),
     }
-
-
-def _full_multipliers(sys, w, active, lam):
-    g = sys.monomial_matrix.T @ (sys.monomial_matrix @ w - sys.rhs)
-    mu = np.zeros_like(w)
-    mu[active] = g[active] - lam
-    return mu
 
 
 def nodal_gll_weights(basis):

@@ -1,17 +1,29 @@
 """Moment-fitted mass lumping and the comparator schemes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutsem.errors import ConfigError, DegenerateDiagonal, Infeasible, VoidElement
-from cutsem.geometry import CutQuadrature, LevelSet, build_cut_quadrature, half_plane
+import cutsem
+from cutsem.errors import (
+    ConfigError,
+    DegenerateDiagonal,
+    Infeasible,
+    NumericalError,
+    SolverStall,
+    VoidElement,
+)
+from cutsem.geometry import CutQuadrature, LevelSet, build_cut_quadrature, circle, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.momentfit import (
     MomentFitConfig,
+    MomentFitSystem,
     build_moment_system,
     hrz_weights,
     kkt_report,
@@ -194,6 +206,73 @@ def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, q, epsi
     assert abs(out.residual_norm - lumping_residual(sys, oracle)) <= 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(["half_plane", "circle"]),
+    point=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    size=st.floats(0.0, 1.0),
+    p=st.integers(3, 8),
+    q=st.integers(3, 8),
+    epsilon=st.floats(0.01, 1.0),
+)
+def test_fuzzed_high_order_fitted_weights_satisfy_kkt(shape, point, size, p, q, epsilon):
+    if shape == "half_plane":
+        nx, ny = math.cos(2.0 * math.pi * size), math.sin(2.0 * math.pi * size)
+        ls = half_plane(nx, ny, nx * point[0] + ny * point[1])
+    else:
+        # centre inside the element and r <= 0.5: the corners stay physical
+        ls = circle(point[0], point[1], 0.05 + 0.45 * size)
+    cutq = build_cut_quadrature(ls, UNIT_BOX, depth=4, gauss_degree=2 * max(p, q))
+    basis = tensor_basis(p, q)
+    sys = build_moment_system(basis, cutq)
+    cfg = MomentFitConfig(epsilon=epsilon)
+    out = solve_fitted_weights(sys, cutq, cfg, basis)
+    assert np.all(out.weights >= min_weight_bound(basis, cutq.volume_ratio, cfg))
+    assert abs(out.weights.sum() - sys.rhs[0]) <= 1e-12
+    report = kkt_report(sys, out, cutq, cfg, basis)
+    assert max(report.values()) <= 1e-9, report
+
+
+def test_rank_deficient_subproblem_raises_solver_stall():
+    # dgglse flags rank deficiency only on an exactly zero pivot, which two
+    # equal columns of a rounded moment matrix do not give; equal columns of
+    # ones, a moment matrix of the constant monomial alone, do
+    basis = tensor_basis(1)
+    cutq = cut_quadrature(0.5, 1)
+    sys = build_moment_system(basis, cutq)
+    a_mat = np.ones_like(sys.monomial_matrix)
+    twins = MomentFitSystem(monomial_matrix=a_mat, rhs=sys.rhs, exponents=sys.exponents)
+    with pytest.raises(SolverStall, match="info 2") as err:
+        solve_fitted_weights(twins, cutq, MomentFitConfig(), basis)
+    assert isinstance(err.value, NumericalError)  # the CLI's exit code 3
+
+
+def test_fitted_lumping_does_not_import_scipy_optimize():
+    # scipy.optimize costs every run about 19 MB of peak RSS and 0.2 s
+    code = "\n".join([
+        "import sys",
+        "import cutsem",
+        "from cutsem.geometry import build_cut_quadrature, half_plane",
+        "from cutsem.gll import tensor_basis",
+        "from cutsem.momentfit import lump_element",
+        "box = ((0.0, 1.0), (0.0, 1.0))",
+        "cutq = build_cut_quadrature(half_plane(1.0, 0.0, 0.4), box, depth=2, gauss_degree=8)",
+        "lump_element(tensor_basis(4), cutq, 'fitted')",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    # the child imports the cutsem under test, whether installed or on a path
+    src = os.path.dirname(os.path.dirname(cutsem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_lump_element_dispatch():
     basis = tensor_basis(3)
     cutq = cut_quadrature(0.5, 3)
@@ -230,12 +309,17 @@ def test_bilinear_fitted_weights_at_epsilon_one_are_the_scaled_weights():
     # p = 1, eps = 1: w_min = v_e and four nodes must sum to 4 v_e, so the
     # bound leaves the single feasible point w = v_e
     basis = tensor_basis(1)
-    cutq = cut_quadrature(0.37, 1)
-    sys = build_moment_system(basis, cutq)
-    out = solve_fitted_weights(sys, cutq, MomentFitConfig(epsilon=1.0), basis)
-    expect = scaled_weights(basis, cutq.volume_ratio).weights
-    np.testing.assert_allclose(out.weights, expect, rtol=1e-15, atol=0.0)
-    assert out.residual_norm == lumping_residual(sys, out.weights)
+    cfg = MomentFitConfig(epsilon=1.0)
+    for frac in (0.37, 0.5):
+        cutq = cut_quadrature(frac, 1)
+        sys = build_moment_system(basis, cutq)
+        out = solve_fitted_weights(sys, cutq, cfg, basis)
+        expect = scaled_weights(basis, cutq.volume_ratio).weights
+        np.testing.assert_allclose(out.weights, expect, rtol=1e-15, atol=0.0)
+        assert out.residual_norm == lumping_residual(sys, out.weights)
+        # no weight is free, so the point is optimal and certified as such
+        report = kkt_report(sys, out, cutq, cfg, basis)
+        assert max(report.values()) <= 1e-9, report
 
 
 def test_fitted_weights_raise_infeasible_when_bound_exceeds_target():

@@ -7,7 +7,7 @@ cut elements, and a leap-frog solver with local time stepping.
 
 __version__ = "0.1.0"
 
-from .assembly import CartesianMesh, GlobalSystem, Material, assemble_global
+from .assembly import CartesianMesh, ElementBatches, GlobalSystem, Material, assemble_global
 from .benchmark import BarBenchmarkConfig, HannPulse, analytic_rod_velocity, l2_velocity_error
 from .geometry import (
     CutQuadrature,

@@ -7,16 +7,18 @@ fitted weights serve the mass matrix only. Dirichlet DOFs are eliminated
 symmetrically: zeroed rows and columns with a unit diagonal, mass left
 untouched.
 
-The time loop applies K as one GEMM over the stiffness that every full
-element shares, scattered back by DOF, plus a sparse remainder for the
-other elements (the matrix-free element operator of Deville, Fischer &
-Mund, 2002). `k_csr()` is the assembled matrix, kept for slicing and checks.
+K is never assembled on the run path. It is a set of element batches (the
+matrix-free element operator of Deville, Fischer & Mund, 2002): one GEMM
+over the stiffness that every full element free of Dirichlet DOFs shares,
+one stacked product over every other element with its own stiffness, and
+the unit Dirichlet diagonal, all scattered back by one `np.bincount`.
+`GlobalSystem.k_csr()` builds the sparse matrix from the same batches on
+its first call, for tests and checks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .errors import ConfigError, SingularMass, VoidElement
@@ -177,48 +179,133 @@ class CartesianMesh:
             self.dirichlet_dofs.add(int(d))
 
 
-@dataclass
-class GlobalSystem:
-    """Assembled explicit-dynamics system with diagonal mass.
+class ElementBatches:
+    """K x as a sum of element batches, scattered back by one bincount.
 
-    K = batch + k_rest. The batch is the full elements that hold no Dirichlet
-    DOF: row e of `batch_dofs` is element e's DOFs, and all of them share the
-    stiffness `batch_k_e`. `k_rest` holds the cut elements, the full elements
-    that touch a Dirichlet DOF and the unit Dirichlet diagonal. Built without
-    a batch, the system has an empty one and k_rest = k.
+    `batch_dofs` (n_b, 2n) are elements that all share the stiffness
+    `batch_k_e` (2n, 2n), applied as one GEMM. `stack_dofs` (n_s, 2n) are
+    elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
+    stacked product. `diag_dofs` get a unit diagonal. The caller eliminates
+    the Dirichlet DOFs: no batch element holds one, their rows and columns of
+    the stacked stiffnesses are zero, and they are `diag_dofs`. The arrays
+    are read-only.
     """
 
-    k: sp.csr_matrix
+    def __init__(
+        self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None, diag_dofs=None
+    ):
+        def frozen(a, ndim, dtype):
+            a = np.empty((0,) * ndim, dtype) if a is None else np.asarray(a, dtype)
+            a.flags.writeable = False
+            return a
+
+        self.size = int(size)
+        self.batch_dofs = frozen(batch_dofs, 2, np.int64)
+        self.batch_k_e = frozen(batch_k_e, 2, float)
+        self.stack_dofs = frozen(stack_dofs, 2, np.int64)
+        self.stack_k_e = frozen(stack_k_e, 3, float)
+        self.diag_dofs = frozen(diag_dofs, 1, np.int64)
+        self._index = np.concatenate(
+            [self.batch_dofs.ravel(), self.stack_dofs.ravel(), self.diag_dofs]
+        )
+
+    def apply(self, x):
+        """K x."""
+        vals = np.concatenate(
+            [
+                (x[self.batch_dofs] @ self.batch_k_e.T).ravel(),
+                (self.stack_k_e @ x[self.stack_dofs][:, :, None]).ravel(),
+                x[self.diag_dofs],
+            ]
+        )
+        return np.bincount(self._index, weights=vals, minlength=self.size)
+
+    def restrict(self, cols):
+        """(nbhd, op): op x = K[nbhd, cols] x[cols], on the DOFs nbhd coupled to cols.
+
+        cols is a boolean mask. nbhd is cols plus every DOF, Dirichlet DOFs
+        apart, of the elements that hold a free DOF of cols. op works in the
+        numbering of nbhd, plus one last slot for the Dirichlet DOFs of those
+        elements outside nbhd: x is zero there and off cols, and op's result
+        is meaningful on nbhd only.
+        """
+        free = cols.copy()
+        free[self.diag_dofs] = False
+        in_batch = free[self.batch_dofs].any(axis=1)
+        in_stack = free[self.stack_dofs].any(axis=1)
+        keep = np.zeros(self.size, dtype=bool)
+        keep[self.batch_dofs[in_batch]] = True
+        keep[self.stack_dofs[in_stack]] = True
+        keep[self.diag_dofs] = False
+        keep |= cols
+        nbhd = np.flatnonzero(keep)
+        local = np.full(self.size, len(nbhd))
+        local[nbhd] = np.arange(len(nbhd))
+        op = ElementBatches(
+            len(nbhd) + 1,
+            local[self.batch_dofs[in_batch]],
+            self.batch_k_e,
+            local[self.stack_dofs[in_stack]],
+            self.stack_k_e[in_stack],
+            local[self.diag_dofs[cols[self.diag_dofs]]],
+        )
+        return nbhd, op
+
+    def to_csr(self):
+        """The assembled sparse matrix, summed in batch order."""
+        import scipy.sparse as sp
+
+        shared = np.broadcast_to(self.batch_k_e, (len(self.batch_dofs),) + self.batch_k_e.shape)
+        parts = [(self.batch_dofs, shared), (self.stack_dofs, self.stack_k_e)]
+        # element by element, rows run i-major and columns j-minor over k_e[i, j]
+        rows = [np.repeat(g, g.shape[1], axis=1).ravel() for g, _ in parts]
+        cols = [np.tile(g, g.shape[1]).ravel() for g, _ in parts]
+        vals = [k.ravel() for _, k in parts]
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        constrained = np.zeros(self.size, dtype=bool)
+        constrained[self.diag_dofs] = True
+        # the zeroed Dirichlet rows and columns are not stored
+        keep = ~(constrained[rows] | constrained[cols])
+        rows = np.concatenate([rows[keep], self.diag_dofs])
+        cols = np.concatenate([cols[keep], self.diag_dofs])
+        vals = np.concatenate([vals[keep], np.ones(len(self.diag_dofs))])
+        k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.size)).tocsr()
+        k.sum_duplicates()
+        return k
+
+
+@dataclass
+class GlobalSystem:
+    """Explicit-dynamics system with diagonal mass and K as element batches.
+
+    `stiffness` is K (ElementBatches): the full elements that hold no
+    Dirichlet DOF share one stiffness, the cut elements and the clamped full
+    elements each have their own, and the Dirichlet DOFs carry a unit
+    diagonal. k_matvec applies it; k_csr() is built from it on first call.
+    """
+
+    stiffness: ElementBatches
     lumped_mass: np.ndarray
     dof_count: int
     dirichlet_dofs: np.ndarray
     cut_element_dofs: np.ndarray
     load: "_PulseLoad" = None  # f_shape * pulse(t), or None for no load
-    batch_dofs: np.ndarray = None  # (n_batch, 2n) DOF table
-    batch_k_e: np.ndarray = None  # (2n, 2n)
-    k_rest: sp.csr_matrix = None
-
-    def __post_init__(self):
-        if self.k_rest is None:
-            self.batch_dofs = np.empty((0, 0), dtype=np.int64)
-            self.batch_k_e = np.empty((0, 0))
-            self.k_rest = self.k
-        for a in (self.batch_dofs, self.batch_k_e):
-            a.flags.writeable = False
+    _k_csr: object = field(default=None, init=False, repr=False)
 
     @property
     def k_data(self):
         """Stored values of k_csr(); edits in place reach k_csr(), not k_matvec."""
-        return self.k.data
+        return self.k_csr().data
 
     def k_matvec(self, x):
-        """K x as one GEMM over the batch's shared k_e plus the sparse remainder."""
-        g = self.batch_dofs
-        batch = np.bincount(g.ravel(), weights=(x[g] @ self.batch_k_e).ravel(), minlength=len(x))
-        return batch + self.k_rest @ x
+        """K x, from the element batches."""
+        return self.stiffness.apply(x)
 
     def k_csr(self):
-        return self.k
+        """The assembled scipy.sparse matrix, built once, on the first call."""
+        if self._k_csr is None:
+            self._k_csr = self.stiffness.to_csr()
+        return self._k_csr
 
     def force(self, t):
         if self.load is None:
@@ -317,29 +404,12 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
     return ops
 
 
-def _scatter_csr(pairs, width, constrained, dirichlet):
-    """CSR sum of (dofs, k_e) pairs, Dirichlet rows and columns eliminated."""
-    ndof = len(constrained)
-    table = np.array([dofs for dofs, _ in pairs], dtype=np.int64).reshape(len(pairs), width)
-    # element by element, rows run i-major and columns j-minor over k_e[i, j]
-    rows = np.repeat(table, width, axis=1).ravel()
-    cols = np.tile(table, width).ravel()
-    vals = np.array([k_e for _, k_e in pairs], dtype=float).ravel()
-    if len(dirichlet):
-        keep = ~(constrained[rows] | constrained[cols])
-        rows = np.concatenate([rows[keep], dirichlet])
-        cols = np.concatenate([cols[keep], dirichlet])
-        vals = np.concatenate([vals[keep], np.ones(len(dirichlet))])
-    k = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
-    k.sum_duplicates()
-    return k
-
-
 def assemble_global(mesh, mat, scheme="fitted", cfg=None):
-    """Scatter-add the element operators in deterministic element order.
+    """Lumped mass and the element batches of K, in deterministic element order.
 
-    Besides K, builds the split that k_matvec applies: the batch of full
-    elements free of Dirichlet DOFs and the sparse remainder (GlobalSystem).
+    Dirichlet DOFs are eliminated: full elements that hold one join the
+    stacked batch with the cut elements, with their constrained rows and
+    columns zeroed, and the Dirichlet DOFs get a unit diagonal.
     """
     ndof = mesh.dof_count
     width = 2 * mesh.basis.node_count
@@ -348,18 +418,18 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     dirichlet = np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64)
     constrained = np.zeros(ndof, dtype=bool)
     constrained[dirichlet] = True
-    pairs, rest, batch = [], [], []
+    batch, stack, stack_k_e = [], [], []
     batch_k_e = np.zeros((width, width))
 
     for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         mass[dofs] += rec.m_e
-        pairs.append((dofs, rec.k_e))
-        if mesh.classification[(ex, ey)] == "cut":
+        cut = mesh.classification[(ex, ey)] == "cut"
+        if cut:
             cut_dofs.update(int(d) for d in dofs)
-            rest.append(pairs[-1])
-        elif constrained[dofs].any():
-            rest.append(pairs[-1])
+        if cut or constrained[dofs].any():
+            stack.append(dofs)
+            stack_k_e.append(rec.k_e)
         else:
             batch.append(dofs)
             batch_k_e = rec.k_e  # the one record every full element shares
@@ -367,15 +437,23 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     if np.any(mass[~constrained] <= 0):
         raise SingularMass("a free DOF received zero lumped mass")
 
+    stack = np.array(stack, dtype=np.int64).reshape(len(stack), width)
+    free = ~constrained[stack]
+    stack_k_e = np.array(stack_k_e).reshape(len(stack), width, width)
+    stack_k_e = stack_k_e * (free[:, :, None] & free[:, None, :])
     return GlobalSystem(
-        k=_scatter_csr(pairs, width, constrained, dirichlet),
+        stiffness=ElementBatches(
+            ndof,
+            np.array(batch, dtype=np.int64).reshape(len(batch), width),
+            batch_k_e,
+            stack,
+            stack_k_e,
+            dirichlet,
+        ),
         lumped_mass=mass,
         dof_count=ndof,
         dirichlet_dofs=dirichlet,
         cut_element_dofs=np.array(sorted(cut_dofs), dtype=np.int64),
-        batch_dofs=np.array(batch, dtype=np.int64).reshape(len(batch), width),
-        batch_k_e=batch_k_e,
-        k_rest=_scatter_csr(rest, width, constrained, dirichlet),
     )
 
 

@@ -12,9 +12,10 @@ scheme advances a selected DOF subset (cut elements) with step dt/p_t while
 the rest of the domain keeps dt; with an empty selection or p_t = 1 it
 degenerates to the standard leap-frog update. Each coarse step does one
 full stiffness matvec. The p_t sub-steps run only on nbhd(sel), the
-selected DOFs and the DOFs coupled to them, through A[nbhd, sel] =
-M^(-1/2) K[nbhd, sel] M^(-1/2), built once per solver; everywhere else the
-sub-step recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
+selected DOFs and the DOFs coupled to them, applying A[nbhd, sel] =
+M^(-1/2) K[nbhd, sel] M^(-1/2) as the stiffness's own element batches,
+restricted once per solver to the elements that touch sel; everywhere else
+the sub-step recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
 """
 
 import math
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .assembly import element_operators
 from .errors import ConfigError, Diverged, SingularMass
@@ -163,13 +163,14 @@ class LtsState:
 class LtsSolver:
     """Leap-frog with local time stepping on the selected DOFs.
 
-    A = M^(-1/2) K M^(-1/2) is never materialized globally: the one full
-    application per coarse step brackets the stiffness matvec with diagonal
-    scalings. The sub-steps touch only nbhd(sel), the selected DOFs and the
-    DOFs their columns of K couple to, through A[nbhd, sel], built once here
-    from the column slice K[:, sel]. Outside nbhd(sel) the sub-step
-    recurrence has no A P q and no P r term, so it has the closed form
-    q_m = 2 z_n + m^2 h^2 w and the coarse update there is
+    A = M^(-1/2) K M^(-1/2) is never materialized: the one full application
+    per coarse step brackets the stiffness matvec with diagonal scalings. The
+    sub-steps touch only nbhd(sel), the selected DOFs and the DOFs of the
+    elements that hold a free selected DOF. They apply the element batches of
+    those elements, renumbered onto nbhd(sel) once here, to M^(-1/2) q
+    zeroed off sel, and scale the result by M^(-1/2). Outside nbhd(sel) the
+    sub-step recurrence has no A P q and no P r term, so it has the closed
+    form q_m = 2 z_n + m^2 h^2 w and the coarse update there is
     z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
     """
 
@@ -180,16 +181,13 @@ class LtsSolver:
             raise ConfigError("selection mask must cover all DOFs")
         self.m_sqrt = np.sqrt(system.lumped_mass)
         self.m_inv_sqrt = 1.0 / self.m_sqrt
-        sel = np.flatnonzero(cfg.selection)
-        # the column slice, not the rows K[sel]: assembled K is not bitwise symmetric
-        k_cols = system.k[:, sel].tocsr()
-        self.nbhd = np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel)
+        self.nbhd, self._k_local = system.stiffness.restrict(cfg.selection)
         self.fine = cfg.selection[self.nbhd]  # P restricted to nbhd(sel)
-        self.a_nbhd_sel = (
-            sp.diags(self.m_inv_sqrt[self.nbhd])
-            @ k_cols[self.nbhd]
-            @ sp.diags(self.m_inv_sqrt[sel])
-        ).tocsr()
+        # a_local's input M^(-1/2) P q, in a buffer with one more slot: the
+        # one restrict() maps the Dirichlet DOFs outside nbhd(sel) to, kept 0
+        self._in_scale = np.where(self.fine, self.m_inv_sqrt[self.nbhd], 0.0)
+        self._out_scale = self.m_inv_sqrt[self.nbhd]
+        self._x_local = np.zeros(len(self.nbhd) + 1)
         # r(t) = M^(-1/2) f_shape pulse(t): the shape is scaled once, split
         # into its unrefined part and its refined part on nbhd(sel)
         load = system.load
@@ -200,6 +198,12 @@ class LtsSolver:
 
     def a_apply(self, z):
         return self.m_inv_sqrt * self.system.k_matvec(self.m_inv_sqrt * z)
+
+    def a_local(self, q):
+        """A[nbhd, sel] q[fine] for q on nbhd(sel)."""
+        x = self._x_local
+        np.multiply(self._in_scale, q, out=x[:-1])
+        return self._out_scale * self._k_local.apply(x)[:-1]
 
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
@@ -213,17 +217,17 @@ class LtsSolver:
         """
         dt, p_t = self.cfg.dt, self.cfg.p_t
         h = dt / p_t
-        sel, nb, fine, a = self.cfg.selection, self.nbhd, self.fine, self.a_nbhd_sel
+        sel, nb, a_local = self.cfg.selection, self.nbhd, self.a_local
         p_n = pulse(t_n)
         w = p_n * self._r_coarse - self.a_apply(np.where(sel, 0.0, z_n))
         q_end = 2.0 * z_n + dt * dt * w
 
         w2 = 2.0 * w[nb]
         q_prev = 2.0 * z_n[nb]
-        q = q_prev + 0.5 * h * h * (w2 + 2.0 * p_n * self._r_fine - a @ q_prev[fine])
+        q = q_prev + 0.5 * h * h * (w2 + 2.0 * p_n * self._r_fine - a_local(q_prev))
         for m in range(1, p_t):
             src = (pulse(t_n + m * h) + pulse(t_n - m * h)) * self._r_fine
-            q_next = 2.0 * q - q_prev + h * h * (w2 + src - a @ q[fine])
+            q_next = 2.0 * q - q_prev + h * h * (w2 + src - a_local(q))
             q_prev, q = q, q_next
         q_end[nb] = q
         return q_end

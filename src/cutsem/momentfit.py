@@ -11,7 +11,9 @@ Each iteration's subproblem, least squares on the free weights subject to
 the one equality, is a single call of LAPACK's dgglse, which uses a
 generalized RQ (GRQ) factorization of A and the constraint row. It works on
 A itself, so the monomial Vandermonde's condition number is never squared,
-and a rank-deficient subproblem (dgglse info != 0) raises SolverStall.
+and a rank-deficient subproblem raises SolverStall: dgglse reports an
+exactly zero pivot, or the smallest pivot of its triangular factor is below
+n eps times the largest.
 
 Comparators: "scaled" multiplies the GLL weights by v_e; "hrz" rescales the
 consistent-mass diagonal computed with the cut rule so the total matches
@@ -115,18 +117,28 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     w = w_min + slack * (w_gll / w_gll.sum())  # strictly feasible start
     active = np.zeros(n, dtype=bool)
 
+    rank_tol = n * np.finfo(float).eps
     max_iter = 50 * n + 50
     for _ in range(max_iter):
         free = ~active
+        n_free = int(free.sum())
         # min ||A_f w_f - (b - w_min A_a 1)|| s.t. sum w_f = target - w_min |a|
-        *_, w_free, info = dgglse(
+        t, _, _, w_free, info = dgglse(
             a_mat[:, free],
-            np.ones((1, free.sum())),
+            np.ones((1, n_free)),
             b_vec - a_mat[:, active].sum(axis=1) * w_min,
-            [target - w_min * active.sum()],
+            [target - w_min * (n - n_free)],
         )
         if info != 0:
             raise SolverStall(f"moment-fit subproblem is rank deficient (dgglse info {info})")
+        # rounding hides most rank deficiency from dgglse's exact-zero pivot
+        # test; the diagonal of its triangular factor T11 shows it
+        pivots = np.abs(t.diagonal()[: n_free - 1])
+        if pivots.size and pivots.min() < rank_tol * pivots.max():
+            raise SolverStall(
+                f"moment-fit subproblem is rank deficient (pivot ratio "
+                f"{pivots.min() / pivots.max():.1e})"
+            )
         w_star = np.full(n, w_min)
         w_star[free] = w_free
 

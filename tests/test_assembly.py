@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cutsem.assembly import (
     CartesianMesh,
+    ElementBatches,
     GlobalSystem,
     Material,
     apply_dirichlet_to_load,
@@ -25,7 +26,7 @@ from cutsem.benchmark import HannPulse
 from cutsem.errors import ConfigError
 from cutsem.geometry import _gauss_square, circle, half_plane
 from cutsem.gll import tensor_basis
-from cutsem.integrators import critical_timestep_table
+from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
@@ -175,7 +176,22 @@ def batched_elements(mesh, system):
         dofs = mesh.node_dofs(mesh.element_nodes(*key))
         if not mesh.dirichlet_dofs.intersection(dofs.tolist()):
             expect.append(tuple(dofs))
-    return sorted(expect), sorted(map(tuple, system.batch_dofs))
+    return sorted(expect), sorted(map(tuple, system.stiffness.batch_dofs))
+
+
+def assert_lts_sub_step_matches_csr(system, selection):
+    """The sub-step operator is M^(-1/2) K[nbhd, sel] M^(-1/2), on the CSR's nbhd."""
+    solver = LtsSolver(system, LtsConfig(1e-3, 2, selection))
+    sel = np.flatnonzero(selection)
+    # nbhd(sel) as the rows that the CSR's columns of sel store
+    k_cols = system.k_csr()[:, sel].tocsr()
+    assert np.array_equal(solver.nbhd, np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel))
+    m_inv_sqrt = 1.0 / np.sqrt(system.lumped_mass)
+    a = m_inv_sqrt[solver.nbhd, None] * k_cols.toarray()[solver.nbhd] * m_inv_sqrt[sel]
+    q = np.random.default_rng(5).standard_normal(len(solver.nbhd))
+    expect = a @ q[solver.fine]
+    err = np.abs(solver.a_local(q) - expect).max(initial=0.0)
+    assert err <= 1e-14 * np.abs(expect).max(initial=0.0)
 
 
 @pytest.mark.parametrize(
@@ -195,20 +211,30 @@ def test_batched_stiffness_matches_assembled_csr(level_set, ny, clamp):
     assert_matvec_matches_csr(system)
     expect, batch = batched_elements(mesh, system)
     assert batch == expect and len(batch) > 0
-    for a in (system.batch_dofs, system.batch_k_e):
+    # every other element is stacked, with its Dirichlet rows and columns zeroed
+    k = system.stiffness
+    assert len(k.batch_dofs) + len(k.stack_dofs) == len(element_operators(mesh, MAT))
+    clamped = np.isin(k.stack_dofs, system.dirichlet_dofs)
+    assert not np.any(k.stack_k_e[clamped]) and not np.any(k.stack_k_e.transpose(0, 2, 1)[clamped])
+    assert np.array_equal(k.diag_dofs, system.dirichlet_dofs)
+    for a in (k.batch_dofs, k.batch_k_e, k.stack_dofs, k.stack_k_e, k.diag_dofs):
         assert not a.flags.writeable
-    # built once at assembly, and k_data is a view of its stored values
+    # built once, on the first call, and k_data is a view of its stored values
     assert system.k_csr() is system.k_csr()
     assert np.shares_memory(system.k_csr().data, system.k_data)
 
 
 def test_bare_global_system_has_an_empty_batch():
-    k = sp.random(7, 7, density=0.5, random_state=3, format="csr")
+    k = sp.random(7, 7, density=0.5, random_state=3, format="csr").toarray()
     empty = np.array([], dtype=np.int64)
     system = GlobalSystem(
-        k=k, lumped_mass=np.ones(7), dof_count=7, dirichlet_dofs=empty, cut_element_dofs=empty
+        stiffness=ElementBatches(7, stack_dofs=[np.arange(7)], stack_k_e=[k]),
+        lumped_mass=np.ones(7),
+        dof_count=7,
+        dirichlet_dofs=empty,
+        cut_element_dofs=empty,
     )
-    assert system.batch_dofs.size == 0 and system.k_rest is k
+    assert system.stiffness.batch_dofs.size == 0 and np.array_equal(system.k_csr().toarray(), k)
     assert_matvec_matches_csr(system)
 
 
@@ -220,8 +246,11 @@ def test_bare_global_system_has_an_empty_batch():
     angle=st.floats(0.0, 2.0 * math.pi),
     offset=st.floats(-0.2, 1.2),
     clamp=st.booleans(),
+    density=st.floats(0.0, 1.0),
 )
-def test_fuzzed_batched_stiffness_matches_assembled_csr(nx, ny, p, angle, offset, clamp):
+def test_fuzzed_batched_stiffness_matches_assembled_csr(
+    nx, ny, p, angle, offset, clamp, density
+):
     ls = half_plane(math.cos(angle), math.sin(angle), offset)
     mesh = CartesianMesh(lx=1.0, ly=1.0, nx=nx, ny=ny, p=p, level_set=ls, depth=2)
     assume(mesh.dof_count > 0)
@@ -231,6 +260,9 @@ def test_fuzzed_batched_stiffness_matches_assembled_csr(nx, ny, p, angle, offset
     assert_matvec_matches_csr(system)
     expect, batch = batched_elements(mesh, system)
     assert batch == expect
+    # an LTS selection of any DOFs, Dirichlet ones included
+    selection = np.random.default_rng(nx + 5 * ny).random(mesh.dof_count) < density
+    assert_lts_sub_step_matches_csr(system, selection)
 
 
 def test_dt_table_reuses_the_assembly_element_pass(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cutsem.assembly import (
     CartesianMesh,
+    ElementBatches,
     GlobalSystem,
     Material,
     assemble_global,
@@ -149,15 +150,10 @@ def test_cdm_zero_load_stays_zero():
 
 
 def test_cdm_harmonic_oscillator_period_error():
-    # single DOF: M = 1, K = omega^2
-    import scipy.sparse as sp
-
-    from cutsem.assembly import GlobalSystem
-
+    # single DOF: M = 1, K = omega^2, one element of one DOF
     omega = 2.0 * math.pi
-    k = sp.csr_matrix(np.array([[omega**2]]))
     system = GlobalSystem(
-        k=k,
+        stiffness=ElementBatches(1, stack_dofs=[[0]], stack_k_e=[[[omega**2]]]),
         lumped_mass=np.ones(1),
         dof_count=1,
         dirichlet_dofs=np.array([], dtype=np.int64),

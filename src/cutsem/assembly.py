@@ -1,11 +1,12 @@
 """Cartesian spectral-element mesh and global system assembly.
 
-Elements are axis-aligned rectangles of uniform size, so the element map
+Elements are axis-aligned rectangles of uniform size tiling [0, lx] x
+[0, ly], each of order p in both directions (N_{p,p}), so the element map
 is affine with a constant diagonal Jacobian. Stiffness uses tensor GLL
-quadrature on full elements and the raw cut rule on cut elements; the
-fitted weights serve the mass matrix only. Dirichlet DOFs are eliminated
-symmetrically: zeroed rows and columns with a unit diagonal, mass left
-untouched.
+quadrature on full elements and the raw cut rule, exact to degree 4p - 2
+on a straight cut, on cut elements; the fitted weights serve the mass
+matrix only. Dirichlet DOFs are eliminated symmetrically: zeroed rows and
+columns with a unit diagonal, mass left untouched.
 
 K is never assembled on the run path. It is a set of element batches (the
 matrix-free element operator of Deville, Fischer & Mund, 2002): one GEMM
@@ -52,40 +53,28 @@ def plane_strain_d(mat):
 
 
 class CartesianMesh:
-    """Structured mesh of (nx x ny) rectangular spectral elements.
+    """Structured mesh of (nx x ny) rectangular N_{p,p} spectral elements.
 
-    Global nodes live on the shared GLL tensor grid: (nx*p + 1) x (ny*q + 1)
+    Global nodes live on the shared GLL tensor grid: (nx*p + 1) x (ny*p + 1)
     positions, numbered lexicographically (x fastest). Each node carries two
     interleaved DOFs (ux, uy). Nodes touched only by void elements are pruned.
+    The mesh covers [0, lx] x [0, ly]. `depth` caps the splits of the cut
+    quadrature: a straight cut needs none, a curved one converges with it.
     """
 
-    def __init__(
-        self,
-        lx,
-        ly,
-        nx,
-        ny,
-        p,
-        q=None,
-        level_set=None,
-        depth=geometry.DEFAULT_DEPTH,
-        gauss_degree=None,
-        origin=(0.0, 0.0),
-    ):
-        q = p if q is None else q
+    def __init__(self, lx, ly, nx, ny, p, level_set=None, depth=geometry.DEFAULT_DEPTH):
         self.lx, self.ly = float(lx), float(ly)
         self.nx, self.ny = int(nx), int(ny)
-        self.p, self.q = int(p), int(q)
+        self.p = int(p)
         self.hx = self.lx / self.nx
         self.hy = self.ly / self.ny
-        self.origin = origin
-        self.basis = tensor_basis(self.p, self.q)
+        self.basis = tensor_basis(self.p)
         self.level_set = level_set
         self.depth = depth
         # one height-function leaf is exact to this total degree on a straight
-        # cut: that of the stiffness integrands, 2 (p + q) - 2; the mass
-        # moments need only p + q
-        self.gauss_degree = gauss_degree if gauss_degree is not None else 2 * (p + q) - 2
+        # cut: that of the stiffness integrands, 4p - 2; the mass moments need
+        # only 2p
+        self.gauss_degree = 4 * self.p - 2
 
         self._build_nodes()
         self._classify_elements()
@@ -96,35 +85,27 @@ class CartesianMesh:
     # -- construction -------------------------------------------------
 
     def _build_nodes(self):
-        gx = self.basis.basis_xi.nodes
-        gy = self.basis.basis_eta.nodes
-        x0, y0 = self.origin
-        xs = np.concatenate(
-            [x0 + (e + (gx[:-1] + 1) / 2) * self.hx for e in range(self.nx)]
-            + [[x0 + self.lx]]
+        g = self.basis.rule.nodes[:-1]
+        self.node_x = np.concatenate(
+            [(e + (g + 1) / 2) * self.hx for e in range(self.nx)] + [[self.lx]]
         )
-        ys = np.concatenate(
-            [y0 + (e + (gy[:-1] + 1) / 2) * self.hy for e in range(self.ny)]
-            + [[y0 + self.ly]]
+        self.node_y = np.concatenate(
+            [(e + (g + 1) / 2) * self.hy for e in range(self.ny)] + [[self.ly]]
         )
-        self.node_x = xs
-        self.node_y = ys
-        self.n_nodes_x = len(xs)
-        self.n_nodes_y = len(ys)
+        self.n_nodes_x = len(self.node_x)
+        self.n_nodes_y = len(self.node_y)
 
     def element_box(self, ex, ey):
-        x0, y0 = self.origin
         return (
-            (x0 + ex * self.hx, x0 + (ex + 1) * self.hx),
-            (y0 + ey * self.hy, y0 + (ey + 1) * self.hy),
+            (ex * self.hx, (ex + 1) * self.hx),
+            (ey * self.hy, (ey + 1) * self.hy),
         )
 
     def element_nodes(self, ex, ey):
         """Global node indices of element (ex, ey), lexicographic (xi fastest)."""
-        i0 = ex * self.p
-        j0 = ey * self.q
-        cols = i0 + np.arange(self.p + 1)
-        rows = j0 + np.arange(self.q + 1)
+        local = np.arange(self.p + 1)
+        cols = ex * self.p + local
+        rows = ey * self.p + local
         return (rows[:, None] * self.n_nodes_x + cols[None, :]).ravel()
 
     def _classify_elements(self):
@@ -492,14 +473,14 @@ def assemble_edge_traction(mesh, pulse, direction):
     direction = np.asarray(direction, dtype=float)
     f_shape = np.zeros(mesh.dof_count)
     jy = mesh.hy / 2.0
-    by = mesh.basis.basis_eta
+    by = mesh.basis.rule
     for ey in range(mesh.ny):
         ex = mesh.nx - 1
         if mesh.cut_quadratures[(ex, ey)].is_void:
             continue
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         # right edge: xi = 1, nodes i = p within each eta row
-        for j in range(mesh.q + 1):
+        for j in range(mesh.p + 1):
             k = j * (mesh.p + 1) + mesh.p
             w = by.weights[j] * jy
             f_shape[dofs[2 * k]] += w * direction[0]

@@ -32,6 +32,7 @@ from .integrators import (
     LtsSolver,
     _advance_cdm,
     choose_pt,
+    critical_dt_sweep,
     critical_timestep_table,
     run_cdm,
 )
@@ -72,7 +73,6 @@ class BarBenchmarkConfig:
     t_end: float = 0.4
     scheme: str = "fitted"
     epsilon: float = 0.01
-    depth: int = geometry.DEFAULT_DEPTH
 
     def __post_init__(self):
         if not 0.0 < self.cut_fraction <= 1.0:
@@ -122,7 +122,6 @@ def build_bar_mesh(cfg):
         ny=1,
         p=cfg.order,
         level_set=level_set,
-        depth=cfg.depth,
     )
     mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-9 * h)
     return mesh
@@ -204,20 +203,21 @@ def l2_velocity_error(mesh, nodal_velocity, cfg, t=None, reference=None):
     detj = jx * jy
     num = 0.0
     den = 0.0
-    full_rule = _gauss_square(2 * max(mesh.p, mesh.q) + 2)
+    full_pts, full_wts = _gauss_square(2 * mesh.p + 2)
+    full_vals, _ = basis.shape_eval_2d_batch(full_pts)
     for ex, ey in mesh.elements():
         cutq = mesh.cut_quadratures[(ex, ey)]
         if cutq.is_void:
             continue
         if cutq.classification == "full":
-            pts, wts = full_rule
+            pts, wts, vals = full_pts, full_wts, full_vals
         else:
             pts, wts = cutq.points, cutq.weights
+            vals, _ = basis.shape_eval_2d_batch(pts)
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         vx = nodal_velocity[dofs[0::2]]
         vy = nodal_velocity[dofs[1::2]]
         (x0, _), (y0, _) = mesh.element_box(ex, ey)
-        vals, _ = basis.shape_eval_2d_batch(pts)
         uhx = vals @ vx
         uhy = vals @ vy
         px = x0 + (pts[:, 0] + 1.0) * jx
@@ -307,8 +307,6 @@ DTCRIT_CSV_HEADER = "order,cut_fraction,scheme,epsilon,dt_ratio"
 
 
 def run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=4):
-    from .integrators import critical_dt_sweep
-
     rows = []
     for p in orders:
         rows.extend(critical_dt_sweep(p, fractions, schemes, epsilons, depth=depth))

@@ -69,7 +69,6 @@ def _bar_cfg_from_args(args):
         epsilon=args.epsilon,
         dt=args.dt,
         t_end=args.t_end,
-        depth=args.depth,
         **kwargs,
     )
 
@@ -98,10 +97,14 @@ def _read_sweep_config(path):
             "epsilons": _parse_floats(sec.get("epsilons", "0.01")),
             "dt": sec.getfloat("dt", 1e-5),
             "t_end": sec.getfloat("t_end", 0.4),
-            "depth": sec.getint("depth", geometry.DEFAULT_DEPTH),
         }
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    # the grid's keys are the documented ones; a misspelt key must not fall
+    # back to its default silently
+    unknown = sorted(set(sec) - set(grid))
+    if unknown:
+        raise ConfigError(f"unknown [bar2d] key: {', '.join(unknown)}")
     return grid
 
 
@@ -116,7 +119,7 @@ def cmd_bar2d_sweep(args):
         grid["schemes"] = _parse_names(args.schemes)
     if args.epsilons:
         grid["epsilons"] = _parse_floats(args.epsilons)
-    base = BarBenchmarkConfig(dt=grid["dt"], t_end=grid["t_end"], depth=grid["depth"])
+    base = BarBenchmarkConfig(dt=grid["dt"], t_end=grid["t_end"])
     reports = run_bar_convergence(
         base,
         grid["elements"],
@@ -134,18 +137,18 @@ def cmd_dtcrit_sweep(args):
     fractions = _parse_floats(args.fractions)
     schemes = _parse_names(args.schemes)
     epsilons = _parse_floats(args.epsilons)
-    rows = run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=args.depth)
+    rows = run_dtcrit_sweep(orders, fractions, schemes, epsilons)
     _write_rows(dtcrit_csv_rows(rows), args.out)
     return 0
 
 
 def cmd_quadrature_check(args):
     rows = ["check,parameter,value,reference,abs_error"]
-    # straight-cut monomial exactness on the unit element
+    # straight-cut monomial exactness on the unit element: one leaf, no split
     for frac in (0.25, 0.5, 0.76):
         ls = geometry.half_plane(1.0, 0.0, frac)
         cutq = geometry.build_cut_quadrature(
-            ls, ((0.0, 1.0), (0.0, 1.0)), depth=args.depth, gauss_degree=args.degree
+            ls, ((0.0, 1.0), (0.0, 1.0)), gauss_degree=args.degree
         )
         xc = 2.0 * frac - 1.0
         worst = 0.0
@@ -179,15 +182,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bar2d", help="single cut-bar run")
-    p.add_argument("--h", type=float, default=None, help="target element size")
-    p.add_argument("--elements", type=int, default=None, help="element columns (alternative to --h)")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--h", type=float, default=None, help="target element size")
+    size.add_argument("--elements", type=int, default=None, help="element columns")
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--cut-fraction", dest="cut_fraction", type=float, default=0.5)
-    p.add_argument("--scheme", default="fitted", choices=["fitted", "hrz", "scaled", "nodal_gll"])
+    p.add_argument("--scheme", default="fitted", choices=["fitted", "hrz", "scaled"])
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--dt", type=float, default=1e-5)
     p.add_argument("--t-end", dest="t_end", type=float, default=0.4)
-    p.add_argument("--depth", type=int, default=geometry.DEFAULT_DEPTH)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bar2d)
 
@@ -205,12 +208,10 @@ def build_parser():
     p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--schemes", default="fitted,hrz,scaled")
     p.add_argument("--epsilons", default="0.01,0.1")
-    p.add_argument("--depth", type=int, default=4)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_dtcrit_sweep)
 
     p = sub.add_parser("quadrature-check", help="geometry exactness report")
-    p.add_argument("--depth", type=int, default=4)
     p.add_argument("--degree", type=int, default=8)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_quadrature_check)

@@ -6,12 +6,12 @@ roots and the weights 2 / (p (p+1) P_p(x_j)^2) come from numpy's
 Legendre series. Shape-function derivatives go through the nodal
 differentiation matrix D[j, i] = N_i'(x_j), built once per rule from the
 barycentric weights (Berrut & Trefethen, SIAM Review 46 (2004) 501):
-N_i' has degree p, so N_i'(x) = sum_j N_j(x) D[j, i] exactly. 2D
-quadrilateral bases are plain tensor products, with node k mapped to the
-index pair (i, j) through k = j*(p+1) + i.
+N_i' has degree p, so N_i'(x) = sum_j N_j(x) D[j, i] exactly. 2D bases are
+the tensor product of one rule with itself (square N_{p,p} elements), with
+node k mapped to the index pair (i, j) through k = j*(p+1) + i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -79,42 +79,34 @@ def gll_rule(p):
 
 @dataclass(frozen=True)
 class TensorBasis2d:
-    """Tensor-product basis on [-1,1]^2, lexicographic node order (xi fastest)."""
+    """Tensor product of one GLL rule with itself on [-1,1]^2, xi fastest."""
 
-    basis_xi: GllBasis1d
-    basis_eta: GllBasis1d
-    node_count: int = field(init=False)
-
-    def __post_init__(self):
-        n = (self.basis_xi.order + 1) * (self.basis_eta.order + 1)
-        object.__setattr__(self, "node_count", n)
+    rule: GllBasis1d
 
     @property
     def p(self):
-        return self.basis_xi.order
+        return self.rule.order
 
     @property
-    def q(self):
-        return self.basis_eta.order
+    def node_count(self):
+        return (self.rule.order + 1) ** 2
 
     def node_coords(self):
         """(n, 2) array of tensor node reference coordinates."""
-        xi = self.basis_xi.nodes
-        eta = self.basis_eta.nodes
-        XI, ETA = np.meshgrid(xi, eta)  # rows vary eta, cols vary xi
+        XI, ETA = np.meshgrid(self.rule.nodes, self.rule.nodes)  # rows vary eta
         return np.column_stack([XI.ravel(), ETA.ravel()])
 
     def node_weights(self):
         """Tensor GLL quadrature weights in node order."""
-        return np.outer(self.basis_eta.weights, self.basis_xi.weights).ravel()
+        return np.outer(self.rule.weights, self.rule.weights).ravel()
 
     def shape_eval_2d_batch(self, points):
         """Values (m, n) and reference gradients (m, n, 2) at m points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        nx = self.basis_xi.eval_matrix(pts[:, 0])
-        ny = self.basis_eta.eval_matrix(pts[:, 1])
-        dnx = nx @ self.basis_xi.diff_matrix
-        dny = ny @ self.basis_eta.diff_matrix
+        nx = self.rule.eval_matrix(pts[:, 0])
+        ny = self.rule.eval_matrix(pts[:, 1])
+        dnx = nx @ self.rule.diff_matrix
+        dny = ny @ self.rule.diff_matrix
         m = pts.shape[0]
         values = (ny[:, :, None] * nx[:, None, :]).reshape(m, -1)
         gx = (ny[:, :, None] * dnx[:, None, :]).reshape(m, -1)
@@ -122,9 +114,6 @@ class TensorBasis2d:
         return values, np.stack([gx, gy], axis=2)
 
 
-def tensor_basis(p, q=None):
-    if q is None:
-        q = p
-    bx = gll_rule(p)
-    by = bx if q == p else gll_rule(q)
-    return TensorBasis2d(basis_xi=bx, basis_eta=by)
+def tensor_basis(p):
+    """The N_{p,p} basis: order p in both directions."""
+    return TensorBasis2d(rule=gll_rule(p))

@@ -24,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import element_operators
-from .errors import ConfigError, Diverged, SingularMass
+from . import geometry
+from .assembly import Material, element_lumped_mass, element_operators, element_stiffness
+from .errors import ConfigError, Diverged, SingularMass, VoidElement
+from .geometry import _gauss_square
+from .gll import tensor_basis
 from .momentfit import MomentFitConfig, build_moment_system, lump_element, solve_fitted_weights
 
 CFL_SAFETY = 0.95
@@ -58,6 +61,8 @@ class CriticalTimeStep:
 def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None):
     """Per-element dt_e = 2/omega_max and the global minimum."""
     ops = element_operators(mesh, mat, scheme, cfg)
+    if not ops:
+        raise VoidElement("no physical element: the mesh has no critical time step")
     dt_of = {}  # one eigen-solve per distinct record; full elements share one
     per_element = {}
     for key, rec in ops.items():
@@ -281,12 +286,6 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     Returns rows (p, fraction, scheme, epsilon, dt_ratio); epsilon is only
     meaningful for the fitted scheme and reported as 0 otherwise.
     """
-    from . import geometry
-    from .assembly import Material, element_lumped_mass, element_stiffness
-    from .gll import tensor_basis
-
-    from .geometry import _gauss_square
-
     basis = tensor_basis(p)
     mat = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
     jac = (0.5, 0.5)

@@ -49,14 +49,14 @@ class MomentFitConfig:
 
 @dataclass(frozen=True)
 class LumpedElementMass:
-    scheme: str  # nodal_gll | fitted | scaled | hrz
+    scheme: str  # nodal_gll (full elements) | fitted | scaled | hrz
     weights: np.ndarray
     residual_norm: float = 0.0
 
 
-def monomial_exponents(p, q):
-    """Tensor exponent set {xi^a eta^b : a <= p, b <= q}, graded lex, 1 first."""
-    exps = [(a, b) for a in range(p + 1) for b in range(q + 1)]
+def monomial_exponents(p):
+    """Tensor exponent set {xi^a eta^b : a, b <= p}, graded lex, 1 first."""
+    exps = [(a, b) for a in range(p + 1) for b in range(p + 1)]
     exps.sort(key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
     return exps
 
@@ -65,14 +65,15 @@ def build_moment_system(basis, cutq):
     """Monomials at the GLL tensor nodes vs. their cut-domain integrals."""
     if cutq.is_void:
         raise VoidElement("cannot build a moment system for a void element")
-    exps = monomial_exponents(basis.p, basis.q)
+    exps = monomial_exponents(basis.p)
     nodes = basis.node_coords()
     a_mat = np.array(
         [nodes[:, 0] ** a * nodes[:, 1] ** b for a, b in exps]
     )
     # every moment int x^a y^b from one product of the two power tables
-    vx = cutq.points[:, :1] ** np.arange(basis.p + 1)
-    vy = cutq.points[:, 1:] ** np.arange(basis.q + 1)
+    powers = np.arange(basis.p + 1)
+    vx = cutq.points[:, :1] ** powers
+    vy = cutq.points[:, 1:] ** powers
     moments = (cutq.weights[:, None] * vx).T @ vy
     b_vec = moments[tuple(np.array(exps).T)]
     return MomentFitSystem(monomial_matrix=a_mat, rhs=b_vec, exponents=exps)
@@ -206,6 +207,7 @@ def kkt_report(sys, lumped, cutq, cfg, basis):
 
 
 def nodal_gll_weights(basis):
+    """The tensor GLL weights, which every full element gets."""
     return LumpedElementMass(scheme="nodal_gll", weights=basis.node_weights())
 
 
@@ -230,11 +232,7 @@ def hrz_weights(basis, cutq):
 
 
 def lump_element(basis, cutq, scheme, cfg=None):
-    """Scheme dispatch for one element; full elements always get GLL weights.
-
-    The nodal_gll scheme degenerates to "scaled" on cut elements so that
-    every scheme conserves the physical mass.
-    """
+    """Scheme dispatch for one element; full elements always get GLL weights."""
     cfg = cfg or MomentFitConfig()
     if cutq.is_void:
         raise VoidElement("no lumped mass for a void element")
@@ -243,7 +241,7 @@ def lump_element(basis, cutq, scheme, cfg=None):
     if scheme == "fitted":
         sys = build_moment_system(basis, cutq)
         return solve_fitted_weights(sys, cutq, cfg, basis)
-    if scheme in ("scaled", "nodal_gll"):
+    if scheme == "scaled":
         return scaled_weights(basis, cutq.volume_ratio)
     if scheme == "hrz":
         return hrz_weights(basis, cutq)

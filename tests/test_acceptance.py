@@ -295,7 +295,7 @@ def test_criterion_9_mass_conservation():
             for cq in mesh.cut_quadratures.values()
             if not cq.is_void
         )
-        for scheme in ("fitted", "hrz", "scaled", "nodal_gll"):
+        for scheme in ("fitted", "hrz", "scaled"):
             system = assemble_global(mesh, MAT, scheme=scheme)
             total = system.lumped_mass.sum()
             expect = 2.0 * MAT.density * area

@@ -152,7 +152,7 @@ def test_patch_linear_field_loads_boundary_only():
 def test_cut_mesh_mass_conservation():
     ls = half_plane(1.0, 0.0, 0.7)
     mesh = CartesianMesh(lx=1.0, ly=0.5, nx=5, ny=2, p=4, level_set=ls, depth=3)
-    for scheme in ("fitted", "hrz", "scaled", "nodal_gll"):
+    for scheme in ("fitted", "hrz", "scaled"):
         system = assemble_global(mesh, MAT, scheme=scheme)
         expect = 2.0 * MAT.density * 0.7 * 0.5
         assert abs(system.lumped_mass.sum() - expect) < 1e-8, scheme

@@ -74,6 +74,23 @@ def test_bar2d_sweep_bad_section_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line", ["order = 7", "depth = 4"])
+def test_bar2d_sweep_unknown_key_exits_2(tmp_path, capsys, line):
+    # a misspelt key (order for orders) or a removed one must not be ignored
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"[bar2d]\nelements = 3\n{line}\n")
+    rc = main(["bar2d-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bar2d_h_and_elements_are_exclusive():
+    with pytest.raises(SystemExit) as exc:
+        main(["bar2d", "--h", "0.5", "--elements", "3"])
+    assert exc.value.code == 2
+
+
 def test_bad_list_value_exits_2():
     assert main(["dtcrit-sweep", "--orders", "x"]) == 2
 
@@ -84,7 +101,8 @@ def test_bad_list_value_exits_2():
 )
 def test_bar2d_rejects_non_positive_step_and_size(tmp_path, capsys, flag, value, message):
     out = tmp_path / "x.csv"
-    rc = main(["bar2d", "--elements", "4", "--order", "2", flag, value, "--out", str(out)])
+    size = [] if flag == "--h" else ["--elements", "4"]  # --h and --elements are exclusive
+    rc = main(["bar2d", *size, "--order", "2", flag, value, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -115,7 +133,6 @@ def test_dtcrit_sweep_subcommand(tmp_path):
             "--fractions", "0.3,0.7",
             "--schemes", "fitted,scaled",
             "--epsilons", "0.01",
-            "--depth", "3",
             "--out", str(out),
         ]
     )
@@ -127,7 +144,7 @@ def test_dtcrit_sweep_subcommand(tmp_path):
 
 def test_quadrature_check_subcommand(tmp_path):
     out = tmp_path / "quad.csv"
-    rc = main(["quadrature-check", "--depth", "3", "--degree", "4", "--out", str(out)])
+    rc = main(["quadrature-check", "--degree", "4", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("check,")

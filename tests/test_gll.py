@@ -109,7 +109,7 @@ def test_derivatives_are_exact_on_monomials():
 
 
 def test_tensor_basis_partition_of_unity():
-    basis = tensor_basis(4, 3)
+    basis = tensor_basis(4)
     rng = np.random.default_rng(11)
     for _ in range(10):
         xi, eta = rng.uniform(-1, 1, size=2)
@@ -132,7 +132,7 @@ def test_tensor_basis_cardinal_and_bilinear_center():
 
 
 def test_tensor_interpolation_reproduces_monomials():
-    basis = tensor_basis(5, 4)
+    basis = tensor_basis(5)
     coords = basis.node_coords()
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(100, 2))
@@ -150,7 +150,7 @@ def test_tensor_weights_and_batch_gradients():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(7, 2))
     vals, grads = basis.shape_eval_2d_batch(pts)
-    nodes = basis.basis_xi.nodes
+    nodes = basis.rule.nodes
     nx, dnx = lagrange_oracle(nodes, pts[:, 0])
     ny, dny = lagrange_oracle(nodes, pts[:, 1])
     for j in range(len(pts)):

@@ -17,7 +17,7 @@ from cutsem.assembly import (
     element_stiffness,
 )
 from cutsem.benchmark import BarBenchmarkConfig, build_bar_system
-from cutsem.errors import ConfigError, Diverged, SingularMass
+from cutsem.errors import ConfigError, Diverged, SingularMass, VoidElement
 from cutsem.geometry import _gauss_square, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import (
@@ -115,6 +115,12 @@ def test_critical_timestep_table_uncut_vs_cut():
     table_cut = critical_timestep_table(mesh_cut, MAT)
     assert table_cut.dt_cut_min < table_cut.dt_uncut_min
     assert table_cut.dt_c == pytest.approx(table_cut.dt_cut_min)
+
+
+def test_critical_timestep_table_of_all_void_mesh_raises_void_element():
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=2, ny=2, p=2, level_set=half_plane(1.0, 0.0, -1.0))
+    with pytest.raises(VoidElement):
+        critical_timestep_table(mesh, MAT)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

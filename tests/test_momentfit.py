@@ -51,9 +51,9 @@ def cut_quadrature(frac, p, depth=4):
 
 
 def test_monomial_exponents_graded_lex():
-    assert monomial_exponents(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    exps = monomial_exponents(3, 2)
-    assert len(exps) == 12
+    assert monomial_exponents(1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    exps = monomial_exponents(3)
+    assert len(exps) == 16
     degrees = [a + b for a, b in exps]
     assert degrees == sorted(degrees)
 
@@ -181,14 +181,13 @@ def test_fitted_matches_brute_force_oracle(p, frac):
     point=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
     angle=st.floats(0.0, 2.0 * math.pi),
     p=st.integers(1, 2),
-    q=st.integers(1, 2),
     epsilon=st.floats(0.01, 1.0),
 )
-def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, q, epsilon):
+def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, epsilon):
     nx, ny = math.cos(angle), math.sin(angle)
     ls = half_plane(nx, ny, nx * point[0] + ny * point[1])
     cutq = build_cut_quadrature(ls, UNIT_BOX, depth=4, gauss_degree=4)
-    basis = tensor_basis(p, q)
+    basis = tensor_basis(p)
     sys = build_moment_system(basis, cutq)
     cfg = MomentFitConfig(epsilon=epsilon)
     w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
@@ -212,18 +211,17 @@ def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, q, epsi
     point=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
     size=st.floats(0.0, 1.0),
     p=st.integers(3, 8),
-    q=st.integers(3, 8),
     epsilon=st.floats(0.01, 1.0),
 )
-def test_fuzzed_high_order_fitted_weights_satisfy_kkt(shape, point, size, p, q, epsilon):
+def test_fuzzed_high_order_fitted_weights_satisfy_kkt(shape, point, size, p, epsilon):
     if shape == "half_plane":
         nx, ny = math.cos(2.0 * math.pi * size), math.sin(2.0 * math.pi * size)
         ls = half_plane(nx, ny, nx * point[0] + ny * point[1])
     else:
         # centre inside the element and r <= 0.5: the corners stay physical
         ls = circle(point[0], point[1], 0.05 + 0.45 * size)
-    cutq = build_cut_quadrature(ls, UNIT_BOX, depth=4, gauss_degree=2 * max(p, q))
-    basis = tensor_basis(p, q)
+    cutq = build_cut_quadrature(ls, UNIT_BOX, depth=4, gauss_degree=2 * p)
+    basis = tensor_basis(p)
     sys = build_moment_system(basis, cutq)
     cfg = MomentFitConfig(epsilon=epsilon)
     out = solve_fitted_weights(sys, cutq, cfg, basis)
@@ -303,16 +301,13 @@ def test_lump_element_dispatch():
     cutq = cut_quadrature(0.5, 3)
     full = full_quadrature(degree=6)
     # full elements always get the raw GLL weights regardless of scheme
-    for scheme in ("fitted", "hrz", "scaled", "nodal_gll"):
+    for scheme in ("fitted", "hrz", "scaled"):
         out = lump_element(basis, full, scheme)
         np.testing.assert_allclose(out.weights, basis.node_weights(), atol=1e-15)
-    # nodal_gll degenerates to scaled on cut elements so mass stays conserved
-    out = lump_element(basis, cutq, "nodal_gll")
-    np.testing.assert_allclose(
-        out.weights, scaled_weights(basis, cutq.volume_ratio).weights, atol=1e-15
-    )
-    with pytest.raises(ConfigError):
-        lump_element(basis, cutq, "bogus")
+    # nodal_gll labels the full-element weights; it is no scheme for a cut element
+    for scheme in ("nodal_gll", "bogus"):
+        with pytest.raises(ConfigError):
+            lump_element(basis, cutq, scheme)
 
 
 def test_config_validation_and_void_errors():

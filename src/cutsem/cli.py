@@ -25,23 +25,14 @@ from .benchmark import (
 from .errors import ConfigError, NumericalError
 
 
-def _parse_list(text, convert):
+def _parse_list(text, convert, key):
     try:
-        return [convert(v) for v in str(text).split(",") if v != ""]
+        values = [convert(v) for v in str(text).split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list value: {exc}") from exc
-
-
-def _parse_floats(text):
-    return _parse_list(text, float)
-
-
-def _parse_ints(text):
-    return _parse_list(text, int)
-
-
-def _parse_names(text):
-    return [v.strip() for v in str(text).split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"{key} lists no values")
+    return values
 
 
 def _write_rows(rows, out):
@@ -90,11 +81,11 @@ def _read_sweep_config(path):
     sec = parser["bar2d"]
     try:
         grid = {
-            "elements": _parse_ints(sec.get("elements", "10,20,40")),
-            "orders": _parse_ints(sec.get("orders", "5")),
-            "cut_fractions": _parse_floats(sec.get("cut_fractions", "1.0")),
-            "schemes": _parse_names(sec.get("schemes", "fitted")),
-            "epsilons": _parse_floats(sec.get("epsilons", "0.01")),
+            "elements": _parse_list(sec.get("elements", "10,20,40"), int, "elements"),
+            "orders": _parse_list(sec.get("orders", "5"), int, "orders"),
+            "cut_fractions": _parse_list(sec.get("cut_fractions", "1.0"), float, "cut_fractions"),
+            "schemes": _parse_list(sec.get("schemes", "fitted"), str.strip, "schemes"),
+            "epsilons": _parse_list(sec.get("epsilons", "0.01"), float, "epsilons"),
             "dt": sec.getfloat("dt", 1e-5),
             "t_end": sec.getfloat("t_end", 0.4),
         }
@@ -111,14 +102,14 @@ def _read_sweep_config(path):
 def cmd_bar2d_sweep(args):
     grid = _read_sweep_config(args.config)
     # CLI overrides config-file keys
-    if args.orders:
-        grid["orders"] = _parse_ints(args.orders)
-    if args.fractions:
-        grid["cut_fractions"] = _parse_floats(args.fractions)
-    if args.schemes:
-        grid["schemes"] = _parse_names(args.schemes)
-    if args.epsilons:
-        grid["epsilons"] = _parse_floats(args.epsilons)
+    if args.orders is not None:
+        grid["orders"] = _parse_list(args.orders, int, "--orders")
+    if args.fractions is not None:
+        grid["cut_fractions"] = _parse_list(args.fractions, float, "--fractions")
+    if args.schemes is not None:
+        grid["schemes"] = _parse_list(args.schemes, str.strip, "--schemes")
+    if args.epsilons is not None:
+        grid["epsilons"] = _parse_list(args.epsilons, float, "--epsilons")
     base = BarBenchmarkConfig(dt=grid["dt"], t_end=grid["t_end"])
     reports = run_bar_convergence(
         base,
@@ -133,10 +124,10 @@ def cmd_bar2d_sweep(args):
 
 
 def cmd_dtcrit_sweep(args):
-    orders = _parse_ints(args.orders)
-    fractions = _parse_floats(args.fractions)
-    schemes = _parse_names(args.schemes)
-    epsilons = _parse_floats(args.epsilons)
+    orders = _parse_list(args.orders, int, "--orders")
+    fractions = _parse_list(args.fractions, float, "--fractions")
+    schemes = _parse_list(args.schemes, str.strip, "--schemes")
+    epsilons = _parse_list(args.epsilons, float, "--epsilons")
     rows = run_dtcrit_sweep(orders, fractions, schemes, epsilons)
     _write_rows(dtcrit_csv_rows(rows), args.out)
     return 0

@@ -6,14 +6,20 @@ the nodes and b their integrals over the physical portion of the element,
 subject to a lower bound on every weight and exact conservation of the
 physical reference area. The bound adapts to the volume ratio: eps*v_e*w_std
 above the low-volume threshold, v_e*w_std below it (w_std = smallest tensor
-GLL weight). The QP is solved by a primal active-set method on the bounds.
-Each iteration's subproblem, least squares on the free weights subject to
-the one equality, is a single call of LAPACK's dgglse, which uses a
-generalized RQ (GRQ) factorization of A and the constraint row. It works on
-A itself, so the monomial Vandermonde's condition number is never squared,
-and a rank-deficient subproblem raises SolverStall: dgglse reports an
-exactly zero pivot, or the smallest pivot of its triangular factor is below
-n eps times the largest.
+GLL weight). The QP is solved by an active-set method on the bounds with
+block activation, as in Portugal, Judice and Vicente (1994): every free
+weight below the bound becomes active at once, and at a feasible point the
+most negative bound multiplier is released. Should an active set repeat,
+Murty's single-index rule (exchange only the largest infeasible index)
+takes over. A is square and non-singular, so the KKT point reached is the
+unique optimum.
+Each subproblem, least squares on the free weights subject to the one
+equality, is a single call of LAPACK's dgglse, which uses a generalized RQ
+(GRQ) factorization of A and the constraint row. It works on A itself, so
+the monomial Vandermonde's condition number is never squared, and a
+rank-deficient subproblem raises SolverStall: dgglse reports an exactly
+zero pivot, or the smallest pivot of its triangular factor is below n eps
+times the largest.
 
 Comparators: "scaled" multiplies the GLL weights by v_e; "hrz" rescales the
 consistent-mass diagonal computed with the cut rule so the total matches
@@ -52,6 +58,7 @@ class LumpedElementMass:
     scheme: str  # nodal_gll (full elements) | fitted | scaled | hrz
     weights: np.ndarray
     residual_norm: float = 0.0
+    iterations: int = 0  # dgglse subproblems solved by the fitted QP
 
 
 def monomial_exponents(p):
@@ -114,13 +121,14 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
         w = np.full(n, target / n)
         return LumpedElementMass(scheme="fitted", weights=w, residual_norm=lumping_residual(sys, w))
 
-    w_gll = basis.node_weights()
-    w = w_min + slack * (w_gll / w_gll.sum())  # strictly feasible start
     active = np.zeros(n, dtype=bool)
-
+    seen, cycled = set(), False
     rank_tol = n * np.finfo(float).eps
     max_iter = 50 * n + 50
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
+        # block pivoting can cycle; a repeated set switches to Murty's rule
+        cycled = cycled or active.tobytes() in seen
+        seen.add(active.tobytes())
         free = ~active
         n_free = int(free.sum())
         # min ||A_f w_f - (b - w_min A_a 1)|| s.t. sum w_f = target - w_min |a|
@@ -140,42 +148,31 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
                 f"moment-fit subproblem is rank deficient (pivot ratio "
                 f"{pivots.min() / pivots.max():.1e})"
             )
-        w_star = np.full(n, w_min)
-        w_star[free] = w_free
-
-        d = w_star - w
-        step_norm = np.max(np.abs(d))
-        if step_norm <= 1e-14 * max(1.0, np.max(np.abs(w))):
-            mu, stat = _kkt_terms(a_mat, b_vec, w, active)
-            if not active.any() or np.min(mu) >= -_KKT_TOL:
-                return LumpedElementMass(
-                    scheme="fitted",
-                    weights=w,
-                    residual_norm=lumping_residual(sys, w),
-                )
-            active[np.flatnonzero(active)[np.argmin(mu)]] = False
+        w = np.full(n, w_min)
+        w[free] = w_free
+        # activate every violated bound at once; the free weights sum to
+        # slack + n_free w_min with slack > 0, so one always stays free
+        low = np.flatnonzero(free & (w < w_min))
+        if low.size and not cycled:
+            active[low] = True
             continue
-
-        # step toward the subproblem optimum, blocked by the first free bound
-        falling = free & (d < -1e-16)
-        ratio = np.full(n, np.inf)
-        ratio[falling] = (w_min - w[falling]) / d[falling]
-        block = int(np.argmin(ratio))
-        w = w + min(1.0, ratio[block]) * d
-        if ratio[block] < 1.0:
-            w[block] = w_min
-            active[block] = True
-        # keep the equality exact against rounding drift
-        free = ~active
-        w[free] += (target - w.sum()) / free.sum()
+        mu, _ = _kkt_terms(a_mat, b_vec, w, active)
+        release = np.flatnonzero(active)[mu < -_KKT_TOL]
+        if not (low.size or release.size):
+            return LumpedElementMass(
+                scheme="fitted",
+                weights=w,
+                residual_norm=lumping_residual(sys, w),
+                iterations=iteration,
+            )
+        if cycled:
+            active[max(low.max(initial=-1), release.max(initial=-1))] ^= True
+        else:
+            active[np.flatnonzero(active)[np.argmin(mu)]] = False
 
     mu, stat = _kkt_terms(a_mat, b_vec, w, active)
-    kkt = max(stat, float(-np.min(mu)) if mu.size else 0.0)
-    if kkt > _KKT_TOL:
-        raise SolverStall(f"active-set QP stalled with KKT residual {kkt:g}")
-    return LumpedElementMass(
-        scheme="fitted", weights=w, residual_norm=lumping_residual(sys, w)
-    )
+    kkt = max(stat, -float(np.min(mu, initial=0.0)), float(np.max(w_min - w, initial=0.0)))
+    raise SolverStall(f"active-set QP stalled with KKT residual {kkt:g}")
 
 
 def _kkt_terms(a_mat, b_vec, w, active):

@@ -17,6 +17,8 @@ def brute_force_fitted_weights(a_mat, b_vec, w_min):
     n = a_mat.shape[1]
     target = float(b_vec[0])
     best_res, best_w = np.inf, None
+    # one orthonormal basis of {sum z = 0} per free count
+    null_bases = {nf: null_space(np.ones((1, nf))) for nf in range(2, n + 1)}
     for pattern in itertools.product((False, True), repeat=n):
         active = np.array(pattern)
         free = ~active
@@ -31,7 +33,7 @@ def brute_force_fitted_weights(a_mat, b_vec, w_min):
             rhs = b_vec - a_mat[:, active].sum(axis=1) * w_min
             af = a_mat[:, free]
             base = np.full(nf, vf / nf)
-            z = null_space(np.ones((1, nf)))
+            z = null_bases[nf]
             y, *_ = np.linalg.lstsq(af @ z, rhs - af @ base, rcond=None)
             w[free] = base + z @ y
         if np.any(w < w_min - 1e-12):

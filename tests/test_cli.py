@@ -95,6 +95,28 @@ def test_bad_list_value_exits_2():
     assert main(["dtcrit-sweep", "--orders", "x"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--orders", "--epsilons"])
+def test_dtcrit_sweep_empty_list_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    assert main(["dtcrit-sweep", flag, "", "--out", str(out)]) == 2
+    assert f"{flag} lists no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [("epsilons =\nschemes = hrz", "epsilons"), ("orders = ,", "orders"), ("elements =", "elements")],
+)
+def test_bar2d_sweep_empty_list_exits_2(tmp_path, capsys, lines, key):
+    # an empty list is a config error, not an IndexError or a header-only CSV
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"[bar2d]\n{lines}\n")
+    out = tmp_path / "x.csv"
+    assert main(["bar2d-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} lists no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--dt", "-1", "dt"), ("--dt", "0", "dt"), ("--t-end", "0", "t_end"), ("--h", "0", "h")],

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutsem
+from cutsem import integrators, momentfit
 from cutsem.errors import (
     ConfigError,
     DegenerateDiagonal,
@@ -176,16 +177,114 @@ def test_fitted_matches_brute_force_oracle(p, frac):
     np.testing.assert_allclose(out.weights, oracle, atol=1e-8)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def test_straight_cut_qp_solves_at_most_three_subproblems():
+    # block activation fixes every weight below the bound at once
+    basis = tensor_basis(7)
+    cutq = cut_quadrature(0.5, 7)
+    sys = build_moment_system(basis, cutq)
+    out = solve_fitted_weights(sys, cutq, MomentFitConfig(epsilon=0.01), basis)
+    assert 1 <= out.iterations <= 3
+
+
+def test_dtcrit_grid_qp_subproblem_count(monkeypatch):
+    # the CLI's default critical-time-step sweep: 72 QPs that end with 1,278
+    # weights at the bound, which block activation fixes a block at a time
+    lumps = []
+
+    def recording(*args):
+        lumps.append(solve_fitted_weights(*args))
+        return lumps[-1]
+
+    monkeypatch.setattr(integrators, "solve_fitted_weights", recording)
+    fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    for p in range(4, 8):
+        integrators.critical_dt_sweep(p, fractions, ["fitted"], [0.01, 0.1])
+    assert len(lumps) == 72
+    assert sum(lump.iterations for lump in lumps) <= 250
+
+
+def test_circle_cut_qp_releases_a_bound_and_matches_brute_force_oracle(monkeypatch):
+    # activating every weight below the bound at once fixes one weight too
+    # many here: the fourth subproblem is feasible but a multiplier is
+    # negative, and the fifth frees that weight again
+    free_counts = []
+    real = momentfit.dgglse
+
+    def spy(a_free, *args):
+        free_counts.append(a_free.shape[1])
+        return real(a_free, *args)
+
+    monkeypatch.setattr(momentfit, "dgglse", spy)
+    basis = tensor_basis(3)
+    cutq = build_cut_quadrature(circle(0.8, 0.6, 0.6), UNIT_BOX, depth=4, gauss_degree=6)
+    sys = build_moment_system(basis, cutq)
+    cfg = MomentFitConfig(epsilon=0.4)
+    out = solve_fitted_weights(sys, cutq, cfg, basis)
+    assert out.iterations == len(free_counts)
+    assert free_counts[-1] == free_counts[-2] + 1
+    w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
+    oracle = brute_force_fitted_weights(sys.monomial_matrix, sys.rhs, w_min)
+    np.testing.assert_allclose(out.weights, oracle, atol=1e-8)
+
+
+def test_qp_that_revisits_an_active_set_still_converges():
+    # block activation alone returns to an earlier active set at its 37th
+    # subproblem here and would cycle to the iteration cap; Murty's rule
+    # takes over from the repeat and ends at the certified optimum
+    basis = tensor_basis(7)
+    cutq = build_cut_quadrature(circle(0.2392, -0.0327, 0.557), UNIT_BOX, depth=4, gauss_degree=14)
+    sys = build_moment_system(basis, cutq)
+    cfg = MomentFitConfig(epsilon=1.0)
+    out = solve_fitted_weights(sys, cutq, cfg, basis)
+    assert out.iterations > 37
+    report = kkt_report(sys, out, cutq, cfg, basis)
+    assert max(report.values()) <= 1e-9, report
+
+
+def test_qp_that_never_certifies_stalls_at_the_iteration_cap(monkeypatch):
+    # a multiplier that always reads negative keeps releasing bounds; the
+    # loop must stop at its cap and report the last iterate's KKT residual,
+    # whose only other term here is that iterate's bound violation
+    basis = tensor_basis(7)
+    cutq = cut_quadrature(0.5, 7)
+    sys = build_moment_system(basis, cutq)
+    cfg = MomentFitConfig(epsilon=0.01)
+    w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
+    monkeypatch.setattr(
+        momentfit, "_kkt_terms", lambda a, b, w, active: (np.full(active.sum(), -2e-10), 0.0)
+    )
+    solutions = []
+    real = momentfit.dgglse
+
+    def spy(*args):
+        out = real(*args)
+        solutions.append(out[3])
+        return out
+
+    monkeypatch.setattr(momentfit, "dgglse", spy)
+    with pytest.raises(SolverStall, match="KKT residual") as err:
+        solve_fitted_weights(sys, cutq, cfg, basis)
+    assert len(solutions) == 50 * basis.node_count + 50
+    violation = max(0.0, float(np.max(w_min - solutions[-1])))
+    assert violation > 2e-10
+    residual = float(str(err.value).rsplit(" ", 1)[1])
+    assert residual == pytest.approx(violation, rel=1e-5)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
+    shape=st.sampled_from(["half_plane", "circle"]),
     point=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
-    angle=st.floats(0.0, 2.0 * math.pi),
+    size=st.floats(0.0, 1.0),
     p=st.integers(1, 2),
     epsilon=st.floats(0.01, 1.0),
 )
-def test_fuzzed_fitted_weights_match_brute_force_oracle(point, angle, p, epsilon):
-    nx, ny = math.cos(angle), math.sin(angle)
-    ls = half_plane(nx, ny, nx * point[0] + ny * point[1])
+def test_fuzzed_fitted_weights_match_brute_force_oracle(shape, point, size, p, epsilon):
+    if shape == "half_plane":
+        nx, ny = math.cos(2.0 * math.pi * size), math.sin(2.0 * math.pi * size)
+        ls = half_plane(nx, ny, nx * point[0] + ny * point[1])
+    else:
+        ls = circle(point[0], point[1], 0.05 + 0.45 * size)
     cutq = build_cut_quadrature(ls, UNIT_BOX, depth=4, gauss_degree=4)
     basis = tensor_basis(p)
     sys = build_moment_system(basis, cutq)

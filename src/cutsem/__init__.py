@@ -14,7 +14,9 @@ from .geometry import (
     InterfaceQuadrature,
     LevelSet,
     build_cut_quadrature,
+    build_cut_quadratures,
     build_interface_quadrature,
+    build_interface_quadratures,
     circle,
     classify_element,
     find_interface_root,

@@ -63,6 +63,12 @@ class CartesianMesh:
     """
 
     def __init__(self, lx, ly, nx, ny, p, level_set=None, depth=geometry.DEFAULT_DEPTH):
+        if int(nx) < 1 or int(ny) < 1:
+            raise ConfigError(f"element counts must be >= 1, got nx = {nx}, ny = {ny}")
+        if not (float(lx) > 0 and float(ly) > 0):
+            raise ConfigError(f"mesh lengths must be positive, got lx = {lx}, ly = {ly}")
+        if depth < 0:
+            raise ConfigError(f"quadrature depth must be >= 0, got {depth}")
         self.lx, self.ly = float(lx), float(ly)
         self.nx, self.ny = int(nx), int(ny)
         self.p = int(p)
@@ -109,20 +115,17 @@ class CartesianMesh:
         return (rows[:, None] * self.n_nodes_x + cols[None, :]).ravel()
 
     def _classify_elements(self):
-        self.cut_quadratures = {}
-        self.classification = {}
         if self.level_set is None:
             ls = geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
             depth = 0
         else:
             ls, depth = self.level_set, self.depth
-        for ey in range(self.ny):
-            for ex in range(self.nx):
-                cutq = geometry.build_cut_quadrature(
-                    ls, self.element_box(ex, ey), depth=depth, gauss_degree=self.gauss_degree
-                )
-                self.cut_quadratures[(ex, ey)] = cutq
-                self.classification[(ex, ey)] = cutq.classification
+        keys = list(self.elements())
+        rules = geometry.build_cut_quadratures(
+            ls, [self.element_box(*key) for key in keys], depth=depth, gauss_degree=self.gauss_degree
+        )
+        self.cut_quadratures = dict(zip(keys, rules))
+        self.classification = {key: cutq.classification for key, cutq in zip(keys, rules)}
 
     def _number_dofs(self):
         active = np.zeros(self.n_nodes_x * self.n_nodes_y, dtype=bool)
@@ -447,15 +450,14 @@ def assemble_interface_traction(mesh, pulse, direction):
     direction = np.asarray(direction, dtype=float)
     jx, jy = mesh.hx / 2.0, mesh.hy / 2.0
     f_shape = np.zeros(mesh.dof_count)
-    for ex, ey in mesh.elements():
-        if mesh.classification[(ex, ey)] != "cut":
-            continue
-        iq = geometry.build_interface_quadrature(
-            mesh.level_set,
-            mesh.element_box(ex, ey),
-            depth=mesh.depth,
-            gauss_degree=mesh.gauss_degree,
-        )
+    cut = [key for key in mesh.elements() if mesh.classification[key] == "cut"]
+    rules = geometry.build_interface_quadratures(
+        mesh.level_set,
+        [mesh.element_box(*key) for key in cut],
+        depth=mesh.depth,
+        gauss_degree=mesh.gauss_degree,
+    )
+    for (ex, ey), iq in zip(cut, rules):
         if not len(iq.points):
             continue
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))

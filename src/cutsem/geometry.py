@@ -16,14 +16,26 @@ from the same roots, plus Gauss points on any face of a full leaf where
 every sample of Phi is zero. All emitted points/weights live in the parent
 element's reference frame, so weights measure reference area (resp. arc
 length) and the affine element Jacobian is applied at assembly time.
+
+The rules of a whole mesh come from one pass (`build_cut_quadratures`,
+`build_interface_quadratures`): one level-set call classifies every
+element, each quadtree level evaluates Phi and grad Phi once for all its
+pending leaves, and the leaves that split no further are emitted together,
+with one root solve for all their face segments and one for all their line
+segments. Phi is always evaluated through each element's own map, in
+reference coordinates, and each element's points are put back in
+depth-first leaf order, so an element's rule does not depend on the other
+elements of the call: the one-element functions are the same pass on one
+box.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonBracketing
+from .errors import ConfigError, NonBracketing
 
 DEFAULT_DEPTH = 3
 SLIVER_VOLUME_RATIO = 1e-10
@@ -130,19 +142,28 @@ class InterfaceQuadrature:
     tangents: np.ndarray  # (nq, 2) reference unit tangents (for arc mapping)
 
 
+_VOID, _CUT, _FULL = 0, 1, 2
+_CLASSES = ("void", "cut", "full")
+
+
+def _as_boxes(boxes):
+    """Boxes ((x0, x1), (y0, y1)) as a (B, 2, 2) float array."""
+    return np.asarray(boxes, dtype=float).reshape(-1, 2, 2)
+
+
+def _classify(ls, boxes, sample_depth):
+    """_VOID / _CUT / _FULL of every box, from one call of ls on their sample grids."""
+    n = 2**sample_depth + 1
+    xs = np.linspace(boxes[:, :, 0], boxes[:, :, 1], n, axis=-1)
+    x, y = np.empty((2, len(boxes), n, n))
+    x[:], y[:] = xs[:, 0, None, :], xs[:, 1, :, None]
+    vals = np.asarray(ls(x, y)).reshape(len(boxes), -1)
+    return np.where((vals > 0).all(axis=1), _FULL, np.where((vals < 0).all(axis=1), _VOID, _CUT))
+
+
 def classify_element(ls, box, sample_depth=3):
     """full / cut / void from a (2^d + 1)^2 corner-inclusive sample grid."""
-    (x0, x1), (y0, y1) = box
-    n = 2**sample_depth + 1
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    X, Y = np.meshgrid(xs, ys)
-    vals = ls(X, Y)
-    if np.all(vals > 0):
-        return "full"
-    if np.all(vals < 0):
-        return "void"
-    return "cut"
+    return _CLASSES[_classify(ls, _as_boxes(box), sample_depth)[0]]
 
 
 def find_interface_root(ls, a, b):
@@ -153,9 +174,21 @@ def find_interface_root(ls, a, b):
     """
     a = np.asarray(a, dtype=float)
     pa, pb = np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float))
+
+    def phi(p):
+        return np.asarray(ls(p[:, 0], p[:, 1]), dtype=float)
+
+    roots = _regula_falsi(lambda p, rows: phi(p), pa, pb, phi(pa), phi(pb))
+    return roots if a.ndim > 1 else roots[0]
+
+
+def _regula_falsi(phi, pa, pb, flo, fhi):
+    """Roots on the segments [pa, pb] (m, 2), where Phi is flo and fhi.
+
+    phi(p, rows) is Phi, as a float array, at the points p of the segments rows.
+    """
     d = pb - pa
-    flo = np.asarray(ls(pa[:, 0], pa[:, 1]), dtype=float)
-    fhi = np.asarray(ls(pb[:, 0], pb[:, 1]), dtype=float)
+    flo, fhi = flo.copy(), fhi.copy()
     if np.any(flo * fhi > 0):
         raise NonBracketing("Phi has the same sign at both ends of a segment")
     ftol = 1e-14 * np.maximum(np.abs(flo), np.abs(fhi))
@@ -170,8 +203,7 @@ def find_interface_root(ls, a, b):
         l, h, fl, fh = lo[todo], hi[todo], flo[todo], fhi[todo]
         t = (l * fh - h * fl) / (fh - fl)
         t = np.where((l < t) & (t < h), t, 0.5 * (l + h))
-        p = pa[todo] + t[:, None] * d[todo]
-        f = np.asarray(ls(p[:, 0], p[:, 1]), dtype=float)
+        f = phi(pa[todo] + t[:, None] * d[todo], todo)
         s[todo] = t
         # Illinois: halve the value at an end kept twice in a row
         left = np.sign(f) == np.sign(fl)
@@ -182,8 +214,7 @@ def find_interface_root(ls, a, b):
         kept[todo] = np.where(left, 1, -1)
         done = (np.abs(f) <= ftol[todo]) | (hi[todo] - lo[todo] <= 4.0 * np.finfo(float).eps)
         todo = todo[~done]
-    roots = pa + s[:, None] * d
-    return roots if a.ndim > 1 else roots[0]
+    return pa + s[:, None] * d
 
 
 @lru_cache(maxsize=64)
@@ -210,145 +241,305 @@ def _gauss_on(lo, hi, n):
     return lo[:, None] + (x + 1.0) * half, w * half
 
 
-def _height_direction(grad):
-    """Axis k with a one-signed d_k Phi >= |grad Phi| / 2 at every sample, or None."""
-    ratios = [
-        np.min(np.abs(g) / np.hypot(grad[0], grad[1])) if np.all(g > 0) or np.all(g < 0) else 0.0
-        for g in grad
-    ]
-    k = int(np.argmax(ratios))
-    return k if ratios[k] >= _MIN_SLOPE else None
+_T = np.linspace(0.0, 1.0, _SAMPLES)
+# corners of the quadrants SW, SE, NW, NE, as indices into a leaf's (lo, mid, hi)
+# along xi and along eta
+_QUADRANT_XI = np.array([[0, 1], [1, 2], [0, 1], [1, 2]])
+_QUADRANT_ETA = np.array([[0, 1], [0, 1], [1, 2], [1, 2]])
 
 
-def _split_points(phi, lines):
-    """Roots of phi between the samples of sampled lines where its sign changes.
+def _samples(lo, hi):
+    """lo + t (hi - lo) at the _SAMPLES uniform t of [0, 1], on a new last axis."""
+    return lo[..., None] + _T * (hi - lo)[..., None]
 
-    lines is (..., s, 2), s samples per line. Returns the roots in sample
-    order, the (..., s - 1) mask of the sample intervals that hold them, and
-    the (..., s) mask of the samples with phi >= 0.
+
+def _points(k, u, t):
+    """Reference points (..., 2): t along the height axis k, u along the other."""
+    along = k == 0
+    xi = np.where(along, t, u)
+    p = np.empty(xi.shape + (2,))
+    p[..., 0], p[..., 1] = xi, np.where(along, u, t)
+    return p
+
+
+class _ElementMaps:
+    """The affine maps x = origin + (xi + 1) * half of a stack of boxes (B, 2, 2).
+
+    Phi is always evaluated through a point's own element map, in reference
+    coordinates, so every box gets the values a one-box call would.
     """
-    inside = phi(lines[..., 0], lines[..., 1]) >= 0.0
-    flips = inside[..., 1:] != inside[..., :-1]
-    roots = find_interface_root(phi, lines[..., :-1, :][flips], lines[..., 1:, :][flips])
-    return roots.reshape(-1, 2), flips, inside
 
-
-class _HeightRule:
-    """Volume and interface points of one element's physical part, reference frame."""
-
-    def __init__(self, ls, box, depth, gauss_degree):
-        (x0, x1), (y0, y1) = box
+    def __init__(self, ls, boxes):
         self.ls = ls
-        self.origin = np.array([x0, y0])
-        self.half = np.array([0.5 * (x1 - x0), 0.5 * (y1 - y0)])
-        self.grad_h = 1e-7 * max(x1 - x0, y1 - y0)
-        self.degree = gauss_degree
-        # exact for straight cuts: the outer integrand has degree gauss_degree + 1
-        self.n = (gauss_degree + 3) // 2
-        self.vol_points, self.vol_weights = [np.empty((0, 2))], [np.empty(0)]
-        self.roots, self.root_weights = [np.empty((0, 2))], [np.empty(0)]
-        self.root_axes = [np.empty(0, dtype=int)]
-        self._visit(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), depth)
+        size = boxes[:, :, 1] - boxes[:, :, 0]
+        self.frame = np.stack([boxes[:, :, 0], 0.5 * size], axis=1)  # (origin, half) per box
+        self.half = self.frame[:, 1]
+        self.grad_h = 1e-7 * size.max(axis=1)
 
-    def to_phys(self, xi, eta):
-        return (
-            self.origin[0] + (xi + 1.0) * self.half[0],
-            self.origin[1] + (eta + 1.0) * self.half[1],
+    def _map(self, p, box):
+        """Physical points of the reference points p (..., 2) of the boxes box (...), and half."""
+        frame = self.frame[box]
+        half = frame[..., 1, :]
+        return frame[..., 0, :] + (p + 1.0) * half, half
+
+    def phi(self, p, box):
+        x, _ = self._map(p, box)
+        return np.asarray(self.ls(x[..., 0], x[..., 1]), dtype=float)
+
+    def ref_gradient(self, p, box):
+        """(d_xi Phi, d_eta Phi) at the reference points p, on a new first axis."""
+        x, half = self._map(p, box)
+        gx, gy = self.ls.gradient(x[..., 0], x[..., 1], h=self.grad_h[box])
+        return np.array([gx * half[..., 0], gy * half[..., 1]])
+
+    def split_points(self, lines, box):
+        """Roots of Phi between the samples of sampled lines where its sign changes.
+
+        lines is (m, s, 2), s samples per line, and box (m,) their boxes.
+        Returns the roots in sample order, the (m, s - 1) mask of the sample
+        intervals that hold them, and the (m, s) mask of the samples with
+        Phi >= 0.
+        """
+        vals = self.phi(lines, box[:, None])
+        inside = vals >= 0.0
+        flips = inside[:, 1:] != inside[:, :-1]
+        if not flips.any():
+            return np.empty((0, 2)), flips, inside
+        seg_box = box[np.nonzero(flips)[0]]
+        roots = _regula_falsi(
+            lambda p, rows: self.phi(p, seg_box[rows]),
+            lines[:, :-1][flips],
+            lines[:, 1:][flips],
+            vals[:, :-1][flips],
+            vals[:, 1:][flips],
         )
+        return roots, flips, inside
 
-    def phi(self, xi, eta):
-        return self.ls(*self.to_phys(xi, eta))
 
-    def ref_gradient(self, xi, eta):
-        gx, gy = self.ls.gradient(*self.to_phys(xi, eta), h=self.grad_h)
-        return np.array([gx * self.half[0], gy * self.half[1]])
+def _height_directions(grad):
+    """Per leaf, the axis k with a one-signed d_k Phi >= |grad Phi| / 2 at every sample, or -1.
 
-    def _visit(self, lo, hi, depth):
-        t = np.linspace(0.0, 1.0, _SAMPLES)
-        xi, eta = np.meshgrid(lo[0] + t * (hi[0] - lo[0]), lo[1] + t * (hi[1] - lo[1]))
-        vals = self.phi(xi, eta)
-        if np.all(vals >= 0):
-            pts, wts = _gauss_square(self.degree)
-            self.vol_points.append(lo + (pts + 1.0) * (0.5 * (hi - lo)))
-            self.vol_weights.append(wts * np.prod(0.5 * (hi - lo)))
-            # a face where Phi vanishes is interface that no other leaf emits
-            # (the leaf across it is void)
-            for k, at, face in (
-                (0, lo, vals[:, 0]),
-                (0, hi, vals[:, -1]),
-                (1, lo, vals[0]),
-                (1, hi, vals[-1]),
-            ):
-                if np.all(face == 0.0):
-                    o = 1 - k
-                    u, wu = _gauss_on(lo[o:o + 1], hi[o:o + 1], self.n)
-                    on_face = np.empty((self.n, 2))
-                    on_face[:, k], on_face[:, o] = at[k], u[0]
-                    self.roots.append(on_face)
-                    self.root_weights.append(wu[0])
-                    self.root_axes.append(np.full(self.n, k))
-            return
-        if np.all(vals <= 0):
-            return
-        grad = self.ref_gradient(xi, eta)
-        k = _height_direction(grad)
-        if k is None and depth > 0:
-            mid = 0.5 * (lo + hi)
-            for qlo, qhi in (
-                (lo, mid),
-                ((mid[0], lo[1]), (hi[0], mid[1])),
-                ((lo[0], mid[1]), (mid[0], hi[1])),
-                (mid, hi),
-            ):
-                self._visit(np.array(qlo), np.array(qhi), depth - 1)
-            return
-        if k is None:
+    grad is (2, leaves, s, s); a tie goes to axis 0.
+    """
+    norm = np.hypot(grad[0], grad[1])
+    one_signed = (grad > 0).all(axis=(2, 3)) | (grad < 0).all(axis=(2, 3))
+    # a zero norm only occurs on an axis that is not one-signed
+    slope = (np.abs(grad) / np.where(norm == 0.0, 1.0, norm)).min(axis=(2, 3))
+    ratios = np.where(one_signed, slope, 0.0)
+    k = ratios.argmax(axis=0)
+    return np.where(ratios[k, np.arange(len(k))] >= _MIN_SLOPE, k, -1)
+
+
+class _Leaves(NamedTuple):
+    """Quadtree leaves: their box, corners (lo, hi) in its reference frame, depth-first key."""
+
+    box: np.ndarray
+    corners: np.ndarray  # (leaves, 2, 2)
+    key: np.ndarray
+
+    def take(self, sel):
+        return _Leaves(self.box[sel], self.corners[sel], self.key[sel])
+
+    @staticmethod
+    def concat(parts):
+        return parts[0] if len(parts) == 1 else _Leaves(*map(np.concatenate, zip(*parts)))
+
+
+def _full_leaf_points(leaves, vals, gauss_degree, n):
+    """Tensor Gauss points of full leaves, and Gauss points on their faces where Phi = 0.
+
+    Returns the volume part (points, weights, leaf) and a list of interface
+    parts (roots, weights, axes, leaf), one per face side that has any.
+    """
+    pts, wts = _gauss_square(gauss_degree)
+    lo, hi = leaves.corners[:, 0], leaves.corners[:, 1]
+    half = 0.5 * (hi - lo)
+    volume = (
+        (lo[:, None] + (pts + 1.0) * half[:, None]).reshape(-1, 2),
+        (wts * (half[:, 0] * half[:, 1])[:, None]).ravel(),
+        np.repeat(np.arange(len(half)), len(wts)),
+    )
+    # a face where Phi vanishes is interface that no other leaf emits (the
+    # leaf across it is void)
+    faces = []
+    for k, side, face in (
+        (0, 0, vals[:, :, 0]),
+        (0, 1, vals[:, :, -1]),
+        (1, 0, vals[:, 0]),
+        (1, 1, vals[:, -1]),
+    ):
+        on = np.flatnonzero((face == 0.0).all(axis=1))
+        if len(on):
+            u, wu = _gauss_on(lo[on, 1 - k], hi[on, 1 - k], n)
+            roots = _points(k, u, leaves.corners[on, side, k, None]).reshape(-1, 2)
+            faces.append((roots, wu.ravel(), np.full(wu.size, k), np.repeat(on, n)))
+    return volume, faces
+
+
+def _height_leaf_points(maps, leaves, k, n):
+    """Height-function points of leaves with height axes k.
+
+    The outer interval of a leaf is split at the roots of Phi on its two
+    faces normal to k; each outer Gauss point gets its root along k and
+    Gauss points on the physical part of its line. Returns the volume part
+    (points, weights, leaf) and the interface part (roots, weights, axes,
+    leaf).
+    """
+    rows = np.arange(len(k))
+    along, across = leaves.corners[rows, :, k], leaves.corners[rows, :, 1 - k]  # (lo, hi) each
+    us = _samples(across[:, 0], across[:, 1])
+    ts = _samples(along[:, 0], along[:, 1])
+
+    # outer breakpoints: the roots of Phi on the two faces normal to k
+    faces = _points(k[:, None, None], us[:, None, :], along[:, :, None])
+    face_roots, face_flips, _ = maps.split_points(faces.reshape(-1, _SAMPLES, 2), leaves.box.repeat(2))
+    root_leaf = np.nonzero(face_flips)[0] // 2
+    count = np.bincount(root_leaf, minlength=len(k))
+    cuts = np.full((len(k), 2 + count.max(initial=0)), np.inf)
+    cuts[:, :2] = across
+    slot = 2 + np.arange(len(root_leaf)) - (np.cumsum(count) - count)[root_leaf]
+    cuts[root_leaf, slot] = face_roots[np.arange(len(root_leaf)), 1 - k[root_leaf]]
+    # each leaf's sorted distinct breakpoints, as np.unique gives them
+    cuts.sort(axis=1)
+    distinct = np.isfinite(cuts)
+    distinct[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    cut_leaf, cut_at = np.nonzero(distinct)[0], cuts[distinct]
+    same = cut_leaf[1:] == cut_leaf[:-1]
+    u, wu = _gauss_on(cut_at[:-1][same], cut_at[1:][same], n)
+    u, wu = u.ravel(), wu.ravel()
+    line_leaf = cut_leaf[:-1][same].repeat(n)
+
+    # each line along k: the segment ends are its ends and its roots
+    lk, lt = k[line_leaf], ts[line_leaf]
+    roots, flips, inside = maps.split_points(_points(lk[:, None], u[:, None], lt), leaves.box[line_leaf])
+    root_line = np.nonzero(flips)[0]
+    ends = np.empty((len(u), _SAMPLES + 1))
+    ends[:, 0], ends[:, -1] = lt[:, 0], lt[:, -1]
+    ends[:, 1:-1][flips] = roots[np.arange(len(root_line)), lk[root_line]]
+    marks = np.column_stack([inside[:, 0], flips, inside[:, -1]])
+    # in each line the marked ends alternate: start of a physical segment, end
+    line, col = np.nonzero(marks)
+    start, stop = ends[line[0::2], col[0::2]], ends[line[1::2], col[1::2]]
+    line = line[0::2]
+    tk, wk = _gauss_on(start, stop, n)
+    wts = wu[line, None] * wk
+    keep = wts > 0
+    volume = (
+        _points(lk[line, None], u[line, None], tk)[keep],
+        wts[keep],
+        line_leaf[line[np.nonzero(keep)[0]]],
+    )
+    return volume, (roots, wu[root_line], lk[root_line], line_leaf[root_line])
+
+
+@dataclass(frozen=True)
+class _HeightRules:
+    """Volume and interface points of the physical part of every box, reference frames.
+
+    Both are sorted by box: the volume rows of box b are start[b]:start[b + 1],
+    and root_box holds the box of each root.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    start: np.ndarray
+    roots: np.ndarray
+    root_weights: np.ndarray
+    root_axes: np.ndarray
+    root_box: np.ndarray
+
+
+def _starts(box, n_box):
+    """Row starts of each of n_box boxes in rows sorted by box, and the end."""
+    return np.concatenate([[0], np.bincount(box, minlength=n_box).cumsum()])
+
+
+def _height_rules(maps, depth, gauss_degree):
+    """The height-function rules of every box of maps, one quadtree level at a time.
+
+    Each level evaluates Phi, then grad Phi, once for all its pending leaves.
+    A leaf with Phi >= 0 at every sample is full and one with Phi <= 0 is
+    void; of the others, those with a height direction, and all of them at
+    the depth cap, are kept and the rest split in four. The kept leaves of
+    every level are emitted together: one root solve for all their face
+    segments and one for all their line segments. Each box's points come
+    out in depth-first leaf order (SW, SE, NW, NE).
+    """
+    n_box = len(maps.frame)
+    # exact for straight cuts: the outer integrand has degree gauss_degree + 1
+    n = (gauss_degree + 3) // 2
+    c = _SAMPLES // 2
+    pending = _Leaves(
+        np.arange(n_box), np.repeat([[[-1.0, -1.0], [1.0, 1.0]]], n_box, axis=0), np.zeros(n_box, int)
+    )
+    full, full_vals, height, height_k = [], [], [], []
+    for level in range(depth + 1):
+        lo, hi = pending.corners[:, 0], pending.corners[:, 1]
+        # sample (i, j) of a leaf is at (xi_j, eta_i)
+        grid = np.empty((len(lo), _SAMPLES, _SAMPLES, 2))
+        grid[..., 0] = _samples(lo[:, 0], hi[:, 0])[:, None, :]
+        grid[..., 1] = _samples(lo[:, 1], hi[:, 1])[:, :, None]
+        vals = maps.phi(grid, pending.box[:, None, None])
+        is_full = (vals >= 0).all(axis=(1, 2))
+        is_cut = ~is_full & ~(vals <= 0).all(axis=(1, 2))
+        full.append(pending.take(is_full))
+        full_vals.append(vals[is_full])
+        cut = pending.take(is_cut)
+        grad = maps.ref_gradient(grid[is_cut], cut.box[:, None, None])
+        k = _height_directions(grad)
+        split = k < 0
+        if level == depth:
             # at the cap: the steepest axis at the centre, and every sampled
             # sign change along each line becomes a segment end
-            c = _SAMPLES // 2
-            k = int(np.argmax(np.abs(grad[:, c, c])))
-        self._emit_height(lo, hi, k)
+            k[split] = np.abs(grad[:, split, c, c]).argmax(axis=0)
+            split[:] = False
+        height.append(cut.take(~split))
+        height_k.append(k[~split])
+        if not split.any():
+            break
+        parent = cut.take(split)
+        p_lo, p_hi = parent.corners[:, 0], parent.corners[:, 1]
+        nodes = np.stack([p_lo, 0.5 * (p_lo + p_hi), p_hi], axis=1)  # (lo, mid, hi) per axis
+        corners = np.stack([nodes[:, _QUADRANT_XI, 0], nodes[:, _QUADRANT_ETA, 1]], axis=-1)
+        # a key holds two bits per level, the quadrant's at its own level
+        pending = _Leaves(
+            parent.box.repeat(4),
+            corners.reshape(-1, 2, 2),
+            (parent.key[:, None] + (np.arange(4) << 2 * (depth - level - 1))).ravel(),
+        )
 
-    def _emit_height(self, lo, hi, k):
-        o = 1 - k
-        t = np.linspace(0.0, 1.0, _SAMPLES)
-        us = lo[o] + t * (hi[o] - lo[o])
-        ts = lo[k] + t * (hi[k] - lo[k])
+    full, height = _Leaves.concat(full), _Leaves.concat(height)
+    leaves = _Leaves.concat([full, height])
+    rank = np.empty(len(leaves.box), dtype=int)
+    rank[np.lexsort((leaves.key, leaves.box))] = np.arange(len(rank))
+    # parts of columns whose last column is the leaf of each row
+    volume, interface = [], []
+    if len(full.box):
+        full_volume, faces = _full_leaf_points(full, np.concatenate(full_vals), gauss_degree, n)
+        volume.append(full_volume)
+        interface += faces
+    if len(height.box):
+        parts = _height_leaf_points(maps, height, np.concatenate(height_k), n)
+        for part, emitted in zip(parts, (volume, interface)):
+            emitted.append(part[:-1] + (len(full.box) + part[-1],))
 
-        # outer breakpoints: the roots of Phi on the two faces normal to k
-        faces = np.empty((2, _SAMPLES, 2))
-        faces[..., o] = us
-        faces[0, :, k], faces[1, :, k] = lo[k], hi[k]
-        face_roots, _, _ = _split_points(self.phi, faces)
-        cuts = np.unique(np.concatenate([[lo[o], hi[o]], face_roots[:, o]]))
-        u, wu = _gauss_on(cuts[:-1], cuts[1:], self.n)
-        u, wu = u.ravel(), wu.ravel()
+    def by_box(parts, empty):
+        """The parts' columns sorted by (box, leaf key), and the box of each row."""
+        *cols, leaf = (np.concatenate(col) for col in zip(*parts)) if parts else empty
+        order = np.argsort(rank[leaf], kind="stable")
+        return [col[order] for col in cols], leaves.box[leaf[order]]
 
-        # each line along k: the segment ends are its ends and its roots
-        lines = np.empty((len(u), _SAMPLES, 2))
-        lines[..., o] = u[:, None]
-        lines[..., k] = ts
-        roots, flips, inside = _split_points(self.phi, lines)
-        ends = np.empty((len(u), _SAMPLES + 1))
-        ends[:, 0], ends[:, -1] = ts[0], ts[-1]
-        ends[:, 1:-1][flips] = roots[:, k]
-        marks = np.column_stack([inside[:, 0], flips, inside[:, -1]])
-        # in each line the marked ends alternate: start of a physical segment, end
-        line, col = np.nonzero(marks)
-        start, stop = ends[line[0::2], col[0::2]], ends[line[1::2], col[1::2]]
-        line = line[0::2]
-        tk, wk = _gauss_on(start, stop, self.n)
-        pts = np.empty(tk.shape + (2,))
-        pts[..., k] = tk
-        pts[..., o] = u[line, None]
-        wts = wu[line, None] * wk
-        keep = wts > 0
-        self.vol_points.append(pts[keep])
-        self.vol_weights.append(wts[keep])
+    no_leaf = np.empty(0, dtype=int)
+    (points, weights), box = by_box(volume, (np.empty((0, 2)), np.empty(0), no_leaf))
+    (roots, root_weights, root_axes), root_box = by_box(
+        interface, (np.empty((0, 2)), np.empty(0), no_leaf, no_leaf)
+    )
+    return _HeightRules(points, weights, _starts(box, n_box), roots, root_weights, root_axes, root_box)
 
-        self.roots.append(roots)
-        self.root_weights.append(wu[np.nonzero(flips)[0]])
-        self.root_axes.append(np.full(len(roots), k))
+
+def _check_depth(depth):
+    if depth < 0:
+        raise ConfigError(f"quadrature depth must be >= 0, got {depth}")
 
 
 def _void_rule():
@@ -357,43 +548,77 @@ def _void_rule():
     )
 
 
+def build_cut_quadratures(ls, boxes, depth=DEFAULT_DEPTH, gauss_degree=4):
+    """Volume rules for the physical portions of the elements over `boxes`, one per box.
+
+    One level-set call classifies every box; the cut ones share one
+    height-function pass.
+    """
+    _check_depth(depth)
+    boxes = _as_boxes(boxes)
+    if not len(boxes):
+        return []
+    classes = _classify(ls, boxes, max(2, min(depth, 5)))
+    pts, wts = _gauss_square(gauss_degree)
+    rules = [
+        CutQuadrature(points=pts, weights=wts, volume_ratio=1.0, classification="full")
+        if c == _FULL
+        else _void_rule()
+        for c in classes
+    ]
+    cut = np.flatnonzero(classes == _CUT)
+    if not len(cut):
+        return rules
+    hr = _height_rules(_ElementMaps(ls, boxes[cut]), depth, gauss_degree)
+    for b, lo, hi in zip(cut, hr.start[:-1], hr.start[1:]):
+        weights = hr.weights[lo:hi]
+        v_e = weights.sum() / 4.0
+        if v_e < SLIVER_VOLUME_RATIO:
+            continue
+        rules[b] = CutQuadrature(
+            points=hr.points[lo:hi],
+            weights=weights,
+            volume_ratio=float(min(v_e, 1.0)),
+            classification="cut",
+        )
+    return rules
+
+
 def build_cut_quadrature(ls, box, depth=DEFAULT_DEPTH, gauss_degree=4):
     """Volume rule for the physical portion of the element over `box`."""
-    classification = classify_element(ls, box, sample_depth=max(2, min(depth, 5)))
-    if classification == "void":
-        return _void_rule()
-    if classification == "full":
-        pts, wts = _gauss_square(gauss_degree)
-        return CutQuadrature(points=pts, weights=wts, volume_ratio=1.0, classification="full")
-    rule = _HeightRule(ls, box, depth, gauss_degree)
-    points = np.concatenate(rule.vol_points)
-    weights = np.concatenate(rule.vol_weights)
-    v_e = weights.sum() / 4.0
-    if v_e < SLIVER_VOLUME_RATIO:
-        return _void_rule()
-    return CutQuadrature(
-        points=points, weights=weights, volume_ratio=float(min(v_e, 1.0)), classification="cut"
-    )
+    return build_cut_quadratures(ls, [box], depth, gauss_degree)[0]
 
 
-def build_interface_quadrature(ls, box, depth=DEFAULT_DEPTH, gauss_degree=4):
-    """Line rule on the interface inside a cut element.
+def build_interface_quadratures(ls, boxes, depth=DEFAULT_DEPTH, gauss_degree=4):
+    """Line rules on the interface inside the elements over `boxes`, one per box.
 
     A root on a line along k with outer weight w_u has arc-length weight
     w_u |grad Phi| / |d_k Phi|; normals and tangents come from the same
-    gradient, taken in one call.
+    gradient, taken in one call for every box.
     """
-    rule = _HeightRule(ls, box, depth, gauss_degree)
-    points = np.concatenate(rule.roots)
-    grad = rule.ref_gradient(points[:, 0], points[:, 1]).T
-    slope = np.abs(grad[np.arange(len(points)), np.concatenate(rule.root_axes)])
+    _check_depth(depth)
+    boxes = _as_boxes(boxes)
+    if not len(boxes):
+        return []
+    maps = _ElementMaps(ls, boxes)
+    hr = _height_rules(maps, depth, gauss_degree)
+    points, box = hr.roots, hr.root_box
+    grad = maps.ref_gradient(points, box).T
+    slope = np.abs(grad[np.arange(len(points)), hr.root_axes])
     keep = slope > 0
-    points, grad, slope = points[keep], grad[keep], slope[keep]
+    points, grad, slope, box = points[keep], grad[keep], slope[keep], box[keep]
     norm = np.hypot(grad[:, 0], grad[:, 1])
-    phys = grad / rule.half
-    return InterfaceQuadrature(
-        points=points,
-        weights=np.concatenate(rule.root_weights)[keep] * norm / slope,
-        normals=-phys / np.hypot(phys[:, 0], phys[:, 1])[:, None],
-        tangents=np.column_stack([-grad[:, 1], grad[:, 0]]) / norm[:, None],
-    )
+    phys = grad / maps.half[box]
+    weights = hr.root_weights[keep] * norm / slope
+    normals = -phys / np.hypot(phys[:, 0], phys[:, 1])[:, None]
+    tangents = np.column_stack([-grad[:, 1], grad[:, 0]]) / norm[:, None]
+    start = _starts(box, len(boxes))
+    return [
+        InterfaceQuadrature(points[lo:hi], weights[lo:hi], normals[lo:hi], tangents[lo:hi])
+        for lo, hi in zip(start[:-1], start[1:])
+    ]
+
+
+def build_interface_quadrature(ls, box, depth=DEFAULT_DEPTH, gauss_degree=4):
+    """Line rule on the interface inside the element over `box`."""
+    return build_interface_quadratures(ls, [box], depth, gauss_degree)[0]

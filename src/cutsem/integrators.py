@@ -111,7 +111,8 @@ def cdm_startup(system, u0, v0, dt):
 def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     """Central difference time loop; returns the final TimeHistory.
 
-    record(step, t, u) is invoked after every accepted step when given.
+    record(step, t, u) is invoked after every accepted step when given; u
+    is overwritten by the next step, so a record that keeps it copies it.
     """
     n = system.dof_count
     u_curr = np.zeros(n) if u0 is None else u0.copy()
@@ -122,17 +123,30 @@ def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
 
 
 def _advance_cdm(system, hist, n_steps, record=None):
-    """Advance a CDM history by n_steps; the one central-difference loop."""
+    """Advance a CDM history by n_steps; the one central-difference loop.
+
+    The state lives in buffers of its own: hist is copied once and left as
+    it is, and record gets a buffer that the next step overwrites.
+    """
     dt = hist.dt
-    u_prev, u_curr = hist.u_prev, hist.u_curr
+    u_prev, u_curr = hist.u_prev.copy(), hist.u_curr.copy()
+    u_next, f, accel = np.empty_like(u_curr), np.zeros_like(u_curr), np.empty_like(u_curr)
     minv = 1.0 / system.lumped_mass
+    load = system.load
     scale = max(float(np.max(np.abs(u_curr))), 1.0)
     end = hist.step + n_steps
     for step in range(hist.step, end):
         t = step * dt
-        accel = minv * (system.force(t) - system.k_matvec(u_curr))
-        u_next = 2.0 * u_curr - u_prev + dt * dt * accel
-        u_prev, u_curr = u_curr, u_next
+        if load is not None:
+            np.multiply(load.f_shape, load.pulse(t), out=f)
+        # u_next = 2 u_curr - u_prev + dt^2 M^-1 (f - K u_curr)
+        np.subtract(f, system.k_matvec(u_curr), out=accel)
+        np.multiply(minv, accel, out=accel)
+        np.multiply(dt * dt, accel, out=accel)
+        np.multiply(2.0, u_curr, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        np.add(u_next, accel, out=u_next)
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
         if step % 25 == 0 or step == end - 1:
             _check_divergence(u_curr, scale)
         if record is not None:
@@ -280,6 +294,23 @@ class LtsSolver:
         return state
 
 
+def _vertical_cut_rules(fractions, depth, gauss_degree):
+    """Cut rules of the unit square cut at x = f, for each f, from one geometry pass.
+
+    Element i lies in the strip 2i <= y <= 2i + 1 of one level set that is
+    f_i - x there: the values half_plane(1, 0, f_i) takes on the unit
+    square, so each rule is bitwise the one-element rule of that half-plane.
+    """
+    fractions = np.asarray(fractions, dtype=float)
+    strips = geometry.LevelSet(
+        lambda x, y: fractions[(y // 2).astype(int)] - x,
+        description="vertical cuts in strips",
+        gradient=lambda x, y: (np.full(x.shape, -1.0), np.zeros(y.shape)),
+    )
+    boxes = [((0.0, 1.0), (2.0 * i, 2.0 * i + 1.0)) for i in range(len(fractions))]
+    return geometry.build_cut_quadratures(strips, boxes, depth=depth, gauss_degree=gauss_degree)
+
+
 def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     """Critical time step ratios for a unit square element with a vertical cut.
 
@@ -289,7 +320,6 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     basis = tensor_basis(p)
     mat = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
     jac = (0.5, 0.5)
-    box = ((0.0, 1.0), (0.0, 1.0))
     gll_wts = basis.node_weights()
 
     # the uncut baseline uses the same exactly-integrated stiffness the cut
@@ -299,14 +329,10 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     m_full = np.repeat(mat.density * gll_wts * 0.25, 2)
     dt0 = 2.0 / math.sqrt(element_max_eigenvalue(k_full, m_full))
 
+    if not all(0.0 < frac < 1.0 for frac in cut_fractions):
+        raise ConfigError("cut fractions must lie in (0, 1)")
     rows = []
-    for frac in cut_fractions:
-        if not 0.0 < frac < 1.0:
-            raise ConfigError("cut fractions must lie in (0, 1)")
-        ls = geometry.half_plane(1.0, 0.0, frac)
-        cutq = geometry.build_cut_quadrature(
-            ls, box, depth=depth, gauss_degree=2 * p
-        )
+    for frac, cutq in zip(cut_fractions, _vertical_cut_rules(cut_fractions, depth, 2 * p)):
         k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac)
         # one moment system per cut rule; only the QP depends on epsilon
         moments = build_moment_system(basis, cutq) if "fitted" in schemes else None

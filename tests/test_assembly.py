@@ -110,6 +110,24 @@ def test_shared_edge_mass_additivity():
     assert abs(shared - 2.0 * corner) < 1e-12
 
 
+@pytest.mark.parametrize("nx, ny", [(0, 1), (1, 0), (-2, 3)])
+def test_mesh_rejects_element_counts_below_one(nx, ny):
+    with pytest.raises(ConfigError, match="element counts"):
+        CartesianMesh(lx=1.0, ly=1.0, nx=nx, ny=ny, p=4)
+
+
+@pytest.mark.parametrize("lx, ly", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -0.5)])
+def test_mesh_rejects_non_positive_lengths(lx, ly):
+    with pytest.raises(ConfigError, match="lengths"):
+        CartesianMesh(lx=lx, ly=ly, nx=2, ny=2, p=4)
+
+
+def test_mesh_rejects_negative_depth():
+    for level_set in (None, circle(0.5, 0.5, 0.2)):
+        with pytest.raises(ConfigError, match="depth"):
+            CartesianMesh(lx=1.0, ly=1.0, nx=2, ny=2, p=2, level_set=level_set, depth=-1)
+
+
 def test_all_void_mesh_has_zero_dofs():
     mesh = CartesianMesh(lx=1.0, ly=1.0, nx=2, ny=2, p=2, level_set=half_plane(1.0, 0.0, -1.0))
     assert mesh.dof_count == 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutsem import geometry
@@ -12,7 +12,9 @@ from cutsem.assembly import CartesianMesh
 from cutsem.errors import NonBracketing
 from cutsem.geometry import (
     build_cut_quadrature,
+    build_cut_quadratures,
     build_interface_quadrature,
+    build_interface_quadratures,
     circle,
     classify_element,
     find_interface_root,
@@ -324,3 +326,103 @@ def test_oblique_interface_rule_is_exact_on_a_small_element():
     assert len(ends) == 2
     assert abs(iq.weights.sum() - math.dist(*ends)) <= 1e-12
     np.testing.assert_allclose(iq.normals, np.broadcast_to([nx, ny], iq.normals.shape), atol=1e-14)
+
+
+def _grid_boxes(nx, ny):
+    """The element boxes of an nx x ny grid on the unit square, x fastest."""
+    return [
+        ((i / nx, (i + 1) / nx), (j / ny, (j + 1) / ny)) for j in range(ny) for i in range(nx)
+    ]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# a disk inside one element: the leaf gradient turns through every direction,
+# so the leaves around the centre split at every level and reach the cap
+_CENTRED_DISK = circle(0.5, 0.5, 0.2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ls=st.one_of(
+        _half_planes,
+        _circles,
+        st.lists(st.one_of(_half_planes, _circles), min_size=2, max_size=3).map(union_of_voids),
+        _circles.map(geometry.LevelSet),  # no exact gradient: central differences
+    ),
+    nx=st.integers(1, 4),
+    ny=st.integers(1, 4),
+    depth=st.integers(0, 4),
+    degree=st.integers(2, 10),
+)
+@example(ls=_CENTRED_DISK, nx=1, ny=1, depth=2, degree=4)
+@example(ls=_CENTRED_DISK, nx=3, ny=2, depth=4, degree=6)
+@example(ls=union_of_voids([half_plane(1.0, 0.0, 0.5), half_plane(0.0, 1.0, 0.5)]), nx=1, ny=1, depth=2, degree=4)
+def test_mesh_wide_rules_equal_one_box_rules_bitwise(ls, nx, ny, depth, degree):
+    boxes = _grid_boxes(nx, ny)
+    rules = build_cut_quadratures(ls, boxes, depth=depth, gauss_degree=degree)
+    lines = build_interface_quadratures(ls, boxes, depth=depth, gauss_degree=degree)
+    assert len(rules) == len(lines) == len(boxes)
+    for box, cutq, iq in zip(boxes, rules, lines):
+        one = build_cut_quadrature(ls, box, depth=depth, gauss_degree=degree)
+        assert cutq.classification == one.classification
+        assert _same_bits(cutq.volume_ratio, one.volume_ratio)
+        assert _same_bits(cutq.points, one.points) and _same_bits(cutq.weights, one.weights)
+        one_iq = build_interface_quadrature(ls, box, depth=depth, gauss_degree=degree)
+        for name in ("points", "weights", "normals", "tangents"):
+            assert _same_bits(getattr(iq, name), getattr(one_iq, name)), name
+
+
+def test_batching_examples_split_leaves_and_reach_the_depth_cap(monkeypatch):
+    # the pass calls _height_directions once per level; a leaf without a
+    # height direction splits below the cap and is emitted at it
+    missing = []
+
+    def spy(grad):
+        k = height_directions(grad)
+        missing.append(int(np.count_nonzero(k < 0)))
+        return k
+
+    height_directions = geometry._height_directions
+    monkeypatch.setattr(geometry, "_height_directions", spy)
+    build_cut_quadratures(_CENTRED_DISK, [UNIT_BOX], depth=2, gauss_degree=4)
+    assert len(missing) == 3 and min(missing) > 0
+
+
+def test_mesh_level_set_calls_do_not_grow_with_the_element_count():
+    # the four-void plate: one classification call, one Phi and one gradient
+    # call per quadtree level and one call per root-solver iteration, with no
+    # call per element; the root solver's iteration count is the most any
+    # segment needs, so a finer mesh may add an iteration or two
+    centres = [
+        (0.331949251193648, 0.3465570952075306),
+        (0.8120434471993179, 0.3304331900879165),
+        (0.2120295138638665, 0.7959663496520257),
+        (0.8297676575935986, 0.7867967863830883),
+    ]
+    plate = union_of_voids([circle(x, y, 0.12) for x, y in centres])
+    depth = 3
+
+    def count_calls(n):
+        calls = [0, 0]
+
+        def evaluator(x, y):
+            calls[0] += 1
+            return plate(x, y)
+
+        def gradient(x, y):
+            calls[1] += 1
+            return plate.gradient(x, y)
+
+        mesh = CartesianMesh(1.0, 1.0, n, n, 4, level_set=geometry.LevelSet(evaluator, gradient=gradient), depth=depth)
+        assert any(c == "cut" for c in mesh.classification.values())
+        return calls
+
+    coarse, fine = count_calls(8), count_calls(24)
+    for phi_calls, gradient_calls in (coarse, fine):
+        assert gradient_calls <= depth + 1
+        assert phi_calls <= 1 + (depth + 1) + 2 * (1 + geometry._ROOT_MAXIT)
+    assert sum(fine) <= sum(coarse) + 2, (coarse, fine)

@@ -18,13 +18,14 @@ from cutsem.assembly import (
 )
 from cutsem.benchmark import BarBenchmarkConfig, build_bar_system
 from cutsem.errors import ConfigError, Diverged, SingularMass, VoidElement
-from cutsem.geometry import _gauss_square, half_plane
+from cutsem.geometry import _gauss_square, build_cut_quadrature, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import (
     CFL_SAFETY,
     LtsConfig,
     LtsSolver,
     LtsState,
+    _vertical_cut_rules,
     choose_pt,
     critical_dt_sweep,
     critical_timestep_table,
@@ -405,6 +406,26 @@ def test_critical_dt_sweep_rows():
         assert 0.0 < ratio <= 1.5
     with pytest.raises(ConfigError):
         critical_dt_sweep(3, [1.0], ["fitted"], [0.01])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    fractions=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=9),
+    p=st.integers(1, 8),
+    depth=st.integers(0, 4),
+)
+def test_sweep_cut_rules_equal_one_element_half_plane_rules_bitwise(fractions, p, depth):
+    # the sweep builds all its fractions' rules in one pass, each element in
+    # a strip of its own; every rule must be the one-element rule bit for bit
+    rules = _vertical_cut_rules(fractions, depth, 2 * p)
+    for frac, cutq in zip(fractions, rules, strict=True):
+        one = build_cut_quadrature(
+            half_plane(1.0, 0.0, frac), ((0.0, 1.0), (0.0, 1.0)), depth=depth, gauss_degree=2 * p
+        )
+        assert cutq.classification == one.classification
+        assert cutq.volume_ratio == one.volume_ratio
+        for got, want in ((cutq.points, one.points), (cutq.weights, one.weights)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cfl_safety_constant():

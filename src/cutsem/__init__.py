@@ -16,7 +16,6 @@ from .geometry import (
     build_cut_quadrature,
     build_cut_quadratures,
     build_interface_quadrature,
-    build_interface_quadratures,
     circle,
     classify_element,
     find_interface_root,

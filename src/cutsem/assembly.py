@@ -75,15 +75,9 @@ class CartesianMesh:
         self.hx = self.lx / self.nx
         self.hy = self.ly / self.ny
         self.basis = tensor_basis(self.p)
-        self.level_set = level_set
-        self.depth = depth
-        # one height-function leaf is exact to this total degree on a straight
-        # cut: that of the stiffness integrands, 4p - 2; the mass moments need
-        # only 2p
-        self.gauss_degree = 4 * self.p - 2
 
         self._build_nodes()
-        self._classify_elements()
+        self._classify_elements(level_set, depth)
         self._number_dofs()
         self.dirichlet_dofs = set()
         self.operator_cache = {}  # element_operators results, by input values
@@ -114,16 +108,16 @@ class CartesianMesh:
         rows = ey * self.p + local
         return (rows[:, None] * self.n_nodes_x + cols[None, :]).ravel()
 
-    def _classify_elements(self):
-        if self.level_set is None:
-            ls = geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
+    def _classify_elements(self, level_set, depth):
+        if level_set is None:
+            level_set = geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
             depth = 0
-        else:
-            ls, depth = self.level_set, self.depth
         keys = list(self.elements())
-        rules = geometry.build_cut_quadratures(
-            ls, [self.element_box(*key) for key in keys], depth=depth, gauss_degree=self.gauss_degree
-        )
+        boxes = [self.element_box(*key) for key in keys]
+        # one height-function leaf is exact to this total degree on a straight
+        # cut: that of the stiffness integrands, 4p - 2; the mass moments need
+        # only 2p
+        rules = geometry.build_cut_quadratures(level_set, boxes, depth, gauss_degree=4 * self.p - 2)
         self.cut_quadratures = dict(zip(keys, rules))
         self.classification = {key: cutq.classification for key, cutq in zip(keys, rules)}
 
@@ -258,6 +252,11 @@ class ElementBatches:
         return k
 
 
+def zero_pulse(t):
+    """The pulse of an unloaded system."""
+    return 0.0
+
+
 @dataclass
 class GlobalSystem:
     """Explicit-dynamics system with diagonal mass and K as element batches.
@@ -266,6 +265,8 @@ class GlobalSystem:
     Dirichlet DOF share one stiffness, the cut elements and the clamped full
     elements each have their own, and the Dirichlet DOFs carry a unit
     diagonal. k_matvec applies it; k_csr() is built from it on first call.
+    The load is f(t) = f_shape * pulse(t): f_shape is zero on the Dirichlet
+    DOFs, and zero everywhere when the system is unloaded.
     """
 
     stiffness: ElementBatches
@@ -273,8 +274,13 @@ class GlobalSystem:
     dof_count: int
     dirichlet_dofs: np.ndarray
     cut_element_dofs: np.ndarray
-    load: "_PulseLoad" = None  # f_shape * pulse(t), or None for no load
+    f_shape: np.ndarray = None  # zeros of dof_count when not given
+    pulse: object = zero_pulse  # scalar history t -> p(t)
     _k_csr: object = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.f_shape is None:
+            self.f_shape = np.zeros(self.dof_count)
 
     @property
     def k_data(self):
@@ -292,9 +298,7 @@ class GlobalSystem:
         return self._k_csr
 
     def force(self, t):
-        if self.load is None:
-            return np.zeros(self.dof_count)
-        return self.load(t)
+        return self.f_shape * self.pulse(t)
 
 
 def element_stiffness(basis, mat, points, weights, jacobian):
@@ -441,24 +445,25 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     )
 
 
-def assemble_interface_traction(mesh, pulse, direction):
-    """Time-dependent load on the non-conforming interface.
+def _without_dirichlet(mesh, f_shape):
+    f_shape[sorted(mesh.dirichlet_dofs)] = 0.0
+    return f_shape
 
-    Returns f(t) = f_shape * pulse(t), where f_shape carries the arc-length
-    line integral of the shape functions against the unit `direction`.
+
+def assemble_interface_traction(mesh, direction):
+    """f_shape of a traction on the non-conforming interface, Dirichlet DOFs zeroed.
+
+    f_shape carries the arc-length line integral of the shape functions
+    against the unit `direction`, taken with the interface rules the mesh
+    built with its volume rules.
     """
     direction = np.asarray(direction, dtype=float)
     jx, jy = mesh.hx / 2.0, mesh.hy / 2.0
     f_shape = np.zeros(mesh.dof_count)
-    cut = [key for key in mesh.elements() if mesh.classification[key] == "cut"]
-    rules = geometry.build_interface_quadratures(
-        mesh.level_set,
-        [mesh.element_box(*key) for key in cut],
-        depth=mesh.depth,
-        gauss_degree=mesh.gauss_degree,
-    )
-    for (ex, ey), iq in zip(cut, rules):
-        if not len(iq.points):
+    for (ex, ey), cutq in mesh.cut_quadratures.items():
+        iq = cutq.interface
+        # a sliver keeps an interface rule, but its nodes may be pruned
+        if cutq.is_void or not len(iq.points):
             continue
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         # reference arc length -> physical arc length along the tangent
@@ -467,11 +472,14 @@ def assemble_interface_traction(mesh, pulse, direction):
         contrib = (iq.weights * scale) @ vals
         f_shape[dofs[0::2]] += contrib * direction[0]
         f_shape[dofs[1::2]] += contrib * direction[1]
-    return _PulseLoad(f_shape, pulse)
+    return _without_dirichlet(mesh, f_shape)
 
 
-def assemble_edge_traction(mesh, pulse, direction):
-    """Conforming traction on the right mesh edge (the uncut baseline)."""
+def assemble_edge_traction(mesh, direction):
+    """f_shape of a conforming traction on the right mesh edge, Dirichlet DOFs zeroed.
+
+    This is the load of the uncut baseline.
+    """
     direction = np.asarray(direction, dtype=float)
     f_shape = np.zeros(mesh.dof_count)
     jy = mesh.hy / 2.0
@@ -487,21 +495,4 @@ def assemble_edge_traction(mesh, pulse, direction):
             w = by.weights[j] * jy
             f_shape[dofs[2 * k]] += w * direction[0]
             f_shape[dofs[2 * k + 1]] += w * direction[1]
-    return _PulseLoad(f_shape, pulse)
-
-
-class _PulseLoad:
-    """Static spatial shape scaled by a scalar pulse history."""
-
-    def __init__(self, f_shape, pulse):
-        self.f_shape = f_shape
-        self.pulse = pulse
-
-    def __call__(self, t):
-        return self.f_shape * self.pulse(t)
-
-
-def apply_dirichlet_to_load(load, dirichlet_dofs):
-    load.f_shape = load.f_shape.copy()
-    load.f_shape[dirichlet_dofs] = 0.0
-    return load
+    return _without_dirichlet(mesh, f_shape)

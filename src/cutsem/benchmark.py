@@ -20,7 +20,6 @@ from . import geometry
 from .assembly import (
     CartesianMesh,
     Material,
-    apply_dirichlet_to_load,
     assemble_edge_traction,
     assemble_global,
     assemble_interface_traction,
@@ -81,6 +80,11 @@ class BarBenchmarkConfig:
             raise ConfigError("need at least 2 elements along the bar")
         if not (self.dt > 0 and self.t_end > 0):
             raise ConfigError("dt and t_end must be positive")
+        # the error is taken against the analytic solution at t_end, so the
+        # run must land on it
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"t_end / dt must be a whole number of steps, got {steps!r}")
 
     @property
     def h(self):
@@ -134,12 +138,9 @@ def build_bar_system(cfg):
     # the analytic solution (positive velocity trailing the pulse) fixes the
     # traction orientation along +x on the cut plane
     direction = (1.0, 0.0)
-    if cfg.conformal:
-        load = assemble_edge_traction(mesh, cfg.pulse, direction)
-    else:
-        load = assemble_interface_traction(mesh, cfg.pulse, direction)
-    load = apply_dirichlet_to_load(load, system.dirichlet_dofs)
-    system.load = load
+    traction = assemble_edge_traction if cfg.conformal else assemble_interface_traction
+    system.f_shape = traction(mesh, direction)
+    system.pulse = cfg.pulse
     return mesh, system
 
 
@@ -161,7 +162,7 @@ def run_cdm_continue(system, hist, extra_steps):
     return _advance_cdm(system, hist, extra_steps)
 
 
-def run_bar_lts(cfg, dt_coarse=None, p_t=None):
+def run_bar_lts(cfg):
     """LTS run to t_end with coarse step from the uncut CFL.
 
     Returns (mesh, system, nodal velocity at t_end, dt_coarse, p_t).
@@ -170,15 +171,10 @@ def run_bar_lts(cfg, dt_coarse=None, p_t=None):
     table = critical_timestep_table(
         mesh, cfg.material, scheme=cfg.scheme, cfg=MomentFitConfig(epsilon=cfg.epsilon)
     )
-    if dt_coarse is None:
-        dt_coarse = 0.95 * table.dt_uncut_min
-        # land exactly on t_end with an integer number of steps
-        n_steps = int(math.ceil(cfg.t_end / dt_coarse))
-        dt_coarse = cfg.t_end / n_steps
-    else:
-        n_steps = int(round(cfg.t_end / dt_coarse))
-    if p_t is None:
-        p_t = choose_pt(dt_coarse, table.dt_cut_min) if math.isfinite(table.dt_cut_min) else 1
+    # land exactly on t_end with an integer number of steps
+    n_steps = int(math.ceil(cfg.t_end / (0.95 * table.dt_uncut_min)))
+    dt_coarse = cfg.t_end / n_steps
+    p_t = choose_pt(dt_coarse, table.dt_cut_min)
     selection = np.zeros(system.dof_count, dtype=bool)
     selection[system.cut_element_dofs] = True
     selection[system.dirichlet_dofs] = False
@@ -191,9 +187,8 @@ def run_bar_lts(cfg, dt_coarse=None, p_t=None):
     return mesh, system, velocity, dt_coarse, p_t
 
 
-def l2_velocity_error(mesh, nodal_velocity, cfg, t=None, reference=None):
-    """Relative L2 norm of the velocity-field error over the physical domain."""
-    t = cfg.t_end if t is None else t
+def l2_velocity_error(mesh, nodal_velocity, cfg, reference=None):
+    """Relative L2 norm of the velocity-field error over the physical domain at t_end."""
     if reference is None:
         def reference(x, y, tt):
             return analytic_rod_velocity(x, tt, cfg), np.zeros_like(np.asarray(x, dtype=float))
@@ -222,7 +217,7 @@ def l2_velocity_error(mesh, nodal_velocity, cfg, t=None, reference=None):
         uhy = vals @ vy
         px = x0 + (pts[:, 0] + 1.0) * jx
         py = y0 + (pts[:, 1] + 1.0) * jy
-        rx, ry = reference(px, py, t)
+        rx, ry = reference(px, py, cfg.t_end)
         rx = np.broadcast_to(np.asarray(rx, dtype=float), px.shape)
         ry = np.broadcast_to(np.asarray(ry, dtype=float), px.shape)
         w = np.asarray(wts, dtype=float) * detj

@@ -17,14 +17,15 @@ every sample of Phi is zero. All emitted points/weights live in the parent
 element's reference frame, so weights measure reference area (resp. arc
 length) and the affine element Jacobian is applied at assembly time.
 
-The rules of a whole mesh come from one pass (`build_cut_quadratures`,
-`build_interface_quadratures`): one level-set call classifies every
-element, each quadtree level evaluates Phi and grad Phi once for all its
-pending leaves, and the leaves that split no further are emitted together,
-with one root solve for all their face segments and one for all their line
-segments. Phi is always evaluated through each element's own map, in
+The rules of a whole mesh come from one pass (`build_cut_quadratures`):
+one level-set call classifies every element, each quadtree level evaluates
+Phi and grad Phi once for all its pending leaves, and the leaves that split
+no further are emitted together, with one root solve for all their face
+segments and one for all their line segments. Each element's volume rule
+carries its interface rule, made from the same roots with one gradient call
+for all of them. Phi is always evaluated through each element's own map, in
 reference coordinates, and each element's points are put back in
-depth-first leaf order, so an element's rule does not depend on the other
+depth-first leaf order, so an element's rules do not depend on the other
 elements of the call: the one-element functions are the same pass on one
 box.
 """
@@ -56,10 +57,9 @@ class LevelSet:
     evaluator gets central differences.
     """
 
-    def __init__(self, evaluator, description="", gradient=None):
+    def __init__(self, evaluator, gradient=None):
         self._evaluator = evaluator
         self._gradient = gradient
-        self.description = description
 
     def __call__(self, x, y):
         return self._evaluator(x, y)
@@ -79,7 +79,6 @@ def half_plane(nx, ny, offset):
     nx, ny, offset = nx / norm, ny / norm, offset / norm
     return LevelSet(
         lambda x, y: offset - (nx * x + ny * y),
-        description=f"half_plane({nx}, {ny}, {offset})",
         gradient=lambda x, y: (np.full(x.shape, -nx), np.full(y.shape, -ny)),
     )
 
@@ -94,7 +93,6 @@ def circle(cx, cy, r):
 
     return LevelSet(
         lambda x, y: np.hypot(x - cx, y - cy) - r,
-        description=f"circle({cx}, {cy}, {r})",
         gradient=gradient,
     )
 
@@ -115,21 +113,7 @@ def union_of_voids(level_sets):
         grads = [ls.gradient(x, y) for ls in fns]
         return tuple(np.choose(nearest, [g[i] for g in grads]) for i in (0, 1))
 
-    return LevelSet(evaluator, description="union_of_voids", gradient=gradient)
-
-
-@dataclass(frozen=True)
-class CutQuadrature:
-    """Volume rule for the physical part of one element, reference frame."""
-
-    points: np.ndarray  # (nq, 2) in [-1,1]^2
-    weights: np.ndarray  # (nq,) reference-area measures, all > 0
-    volume_ratio: float
-    classification: str  # full | cut | void
-
-    @property
-    def is_void(self):
-        return self.classification == "void"
+    return LevelSet(evaluator, gradient=gradient)
 
 
 @dataclass(frozen=True)
@@ -140,6 +124,27 @@ class InterfaceQuadrature:
     weights: np.ndarray  # (nq,) reference arc-length measures
     normals: np.ndarray  # (nq, 2) physical unit vectors, toward the void
     tangents: np.ndarray  # (nq, 2) reference unit tangents (for arc mapping)
+
+
+_NO_INTERFACE = InterfaceQuadrature(*(np.empty(shape) for shape in ((0, 2), 0, (0, 2), (0, 2))))
+
+
+@dataclass(frozen=True)
+class CutQuadrature:
+    """Volume rule for the physical part of one element, and its interface rule.
+
+    Both live in the element's reference frame.
+    """
+
+    points: np.ndarray  # (nq, 2) in [-1,1]^2
+    weights: np.ndarray  # (nq,) reference-area measures, all > 0
+    volume_ratio: float
+    classification: str  # full | cut | void
+    interface: InterfaceQuadrature = _NO_INTERFACE  # empty unless the element is cut
+
+    @property
+    def is_void(self):
+        return self.classification == "void"
 
 
 _VOID, _CUT, _FULL = 0, 1, 2
@@ -161,9 +166,9 @@ def _classify(ls, boxes, sample_depth):
     return np.where((vals > 0).all(axis=1), _FULL, np.where((vals < 0).all(axis=1), _VOID, _CUT))
 
 
-def classify_element(ls, box, sample_depth=3):
-    """full / cut / void from a (2^d + 1)^2 corner-inclusive sample grid."""
-    return _CLASSES[_classify(ls, _as_boxes(box), sample_depth)[0]]
+def classify_element(ls, box):
+    """full / cut / void from a 9 x 9 corner-inclusive sample grid."""
+    return _CLASSES[_classify(ls, _as_boxes(box), 3)[0]]
 
 
 def find_interface_root(ls, a, b):
@@ -537,24 +542,50 @@ def _height_rules(maps, depth, gauss_degree):
     return _HeightRules(points, weights, _starts(box, n_box), roots, root_weights, root_axes, root_box)
 
 
-def _check_depth(depth):
+def _check_settings(depth, gauss_degree):
     if depth < 0:
         raise ConfigError(f"quadrature depth must be >= 0, got {depth}")
+    if gauss_degree < 0:
+        raise ConfigError(f"quadrature degree must be >= 0, got {gauss_degree}")
 
 
-def _void_rule():
-    return CutQuadrature(
-        points=np.empty((0, 2)), weights=np.empty(0), volume_ratio=0.0, classification="void"
-    )
+def _void_rule(interface=_NO_INTERFACE):
+    return CutQuadrature(np.empty((0, 2)), np.empty(0), 0.0, "void", interface)
+
+
+def _interface_rules(maps, hr):
+    """Line rules on the interface inside every box of maps, from the roots of hr.
+
+    A root on a line along k with outer weight w_u has arc-length weight
+    w_u |grad Phi| / |d_k Phi|; normals and tangents come from the same
+    gradient, taken in one call for every box.
+    """
+    points, box = hr.roots, hr.root_box
+    grad = maps.ref_gradient(points, box).T
+    slope = np.abs(grad[np.arange(len(points)), hr.root_axes])
+    keep = slope > 0
+    points, grad, slope, box = points[keep], grad[keep], slope[keep], box[keep]
+    norm = np.hypot(grad[:, 0], grad[:, 1])
+    phys = grad / maps.half[box]
+    weights = hr.root_weights[keep] * norm / slope
+    normals = -phys / np.hypot(phys[:, 0], phys[:, 1])[:, None]
+    tangents = np.column_stack([-grad[:, 1], grad[:, 0]]) / norm[:, None]
+    start = _starts(box, len(maps.frame))
+    return [
+        InterfaceQuadrature(points[lo:hi], weights[lo:hi], normals[lo:hi], tangents[lo:hi])
+        for lo, hi in zip(start[:-1], start[1:])
+    ]
 
 
 def build_cut_quadratures(ls, boxes, depth=DEFAULT_DEPTH, gauss_degree=4):
-    """Volume rules for the physical portions of the elements over `boxes`, one per box.
+    """Volume and interface rules of the elements over `boxes`, one CutQuadrature per box.
 
     One level-set call classifies every box; the cut ones share one
-    height-function pass.
+    height-function pass, which gives both rules. A sliver, a cut element
+    whose volume ratio is below SLIVER_VOLUME_RATIO, gets a void volume rule
+    and keeps its interface rule.
     """
-    _check_depth(depth)
+    _check_settings(depth, gauss_degree)
     boxes = _as_boxes(boxes)
     if not len(boxes):
         return []
@@ -569,56 +600,30 @@ def build_cut_quadratures(ls, boxes, depth=DEFAULT_DEPTH, gauss_degree=4):
     cut = np.flatnonzero(classes == _CUT)
     if not len(cut):
         return rules
-    hr = _height_rules(_ElementMaps(ls, boxes[cut]), depth, gauss_degree)
-    for b, lo, hi in zip(cut, hr.start[:-1], hr.start[1:]):
+    maps = _ElementMaps(ls, boxes[cut])
+    hr = _height_rules(maps, depth, gauss_degree)
+    lines = _interface_rules(maps, hr)
+    for b, lo, hi, line in zip(cut, hr.start[:-1], hr.start[1:], lines):
         weights = hr.weights[lo:hi]
         v_e = weights.sum() / 4.0
         if v_e < SLIVER_VOLUME_RATIO:
+            rules[b] = _void_rule(line)
             continue
         rules[b] = CutQuadrature(
             points=hr.points[lo:hi],
             weights=weights,
             volume_ratio=float(min(v_e, 1.0)),
             classification="cut",
+            interface=line,
         )
     return rules
 
 
 def build_cut_quadrature(ls, box, depth=DEFAULT_DEPTH, gauss_degree=4):
-    """Volume rule for the physical portion of the element over `box`."""
+    """Volume and interface rules of the element over `box`."""
     return build_cut_quadratures(ls, [box], depth, gauss_degree)[0]
-
-
-def build_interface_quadratures(ls, boxes, depth=DEFAULT_DEPTH, gauss_degree=4):
-    """Line rules on the interface inside the elements over `boxes`, one per box.
-
-    A root on a line along k with outer weight w_u has arc-length weight
-    w_u |grad Phi| / |d_k Phi|; normals and tangents come from the same
-    gradient, taken in one call for every box.
-    """
-    _check_depth(depth)
-    boxes = _as_boxes(boxes)
-    if not len(boxes):
-        return []
-    maps = _ElementMaps(ls, boxes)
-    hr = _height_rules(maps, depth, gauss_degree)
-    points, box = hr.roots, hr.root_box
-    grad = maps.ref_gradient(points, box).T
-    slope = np.abs(grad[np.arange(len(points)), hr.root_axes])
-    keep = slope > 0
-    points, grad, slope, box = points[keep], grad[keep], slope[keep], box[keep]
-    norm = np.hypot(grad[:, 0], grad[:, 1])
-    phys = grad / maps.half[box]
-    weights = hr.root_weights[keep] * norm / slope
-    normals = -phys / np.hypot(phys[:, 0], phys[:, 1])[:, None]
-    tangents = np.column_stack([-grad[:, 1], grad[:, 0]]) / norm[:, None]
-    start = _starts(box, len(boxes))
-    return [
-        InterfaceQuadrature(points[lo:hi], weights[lo:hi], normals[lo:hi], tangents[lo:hi])
-        for lo, hi in zip(start[:-1], start[1:])
-    ]
 
 
 def build_interface_quadrature(ls, box, depth=DEFAULT_DEPTH, gauss_degree=4):
     """Line rule on the interface inside the element over `box`."""
-    return build_interface_quadratures(ls, [box], depth, gauss_degree)[0]
+    return build_cut_quadrature(ls, box, depth, gauss_degree).interface

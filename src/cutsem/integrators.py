@@ -25,7 +25,13 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry
-from .assembly import Material, element_lumped_mass, element_operators, element_stiffness
+from .assembly import (
+    Material,
+    element_lumped_mass,
+    element_operators,
+    element_stiffness,
+    zero_pulse,
+)
 from .errors import ConfigError, Diverged, SingularMass, VoidElement
 from .geometry import _gauss_square
 from .gll import tensor_basis
@@ -130,15 +136,14 @@ def _advance_cdm(system, hist, n_steps, record=None):
     """
     dt = hist.dt
     u_prev, u_curr = hist.u_prev.copy(), hist.u_curr.copy()
-    u_next, f, accel = np.empty_like(u_curr), np.zeros_like(u_curr), np.empty_like(u_curr)
+    u_next, f, accel = np.empty_like(u_curr), np.empty_like(u_curr), np.empty_like(u_curr)
     minv = 1.0 / system.lumped_mass
-    load = system.load
+    f_shape, pulse = system.f_shape, system.pulse
     scale = max(float(np.max(np.abs(u_curr))), 1.0)
     end = hist.step + n_steps
     for step in range(hist.step, end):
         t = step * dt
-        if load is not None:
-            np.multiply(load.f_shape, load.pulse(t), out=f)
+        np.multiply(f_shape, pulse(t), out=f)
         # u_next = 2 u_curr - u_prev + dt^2 M^-1 (f - K u_curr)
         np.subtract(f, system.k_matvec(u_curr), out=accel)
         np.multiply(minv, accel, out=accel)
@@ -152,10 +157,6 @@ def _advance_cdm(system, hist, n_steps, record=None):
         if record is not None:
             record(step + 1, t + dt, u_curr)
     return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=end, dt=dt)
-
-
-def _no_pulse(t):
-    return 0.0
 
 
 class LtsConfig:
@@ -209,9 +210,7 @@ class LtsSolver:
         self._x_local = np.zeros(len(self.nbhd) + 1)
         # r(t) = M^(-1/2) f_shape pulse(t): the shape is scaled once, split
         # into its unrefined part and its refined part on nbhd(sel)
-        load = system.load
-        self._pulse = _no_pulse if load is None else load.pulse
-        r_shape = self.m_inv_sqrt * (0.0 if load is None else load.f_shape)
+        r_shape = self.m_inv_sqrt * system.f_shape
         self._r_coarse = np.where(cfg.selection, 0.0, r_shape)
         self._r_fine = np.where(self.fine, r_shape[self.nbhd], 0.0)
 
@@ -265,13 +264,13 @@ class LtsSolver:
         z0 = self.m_sqrt * u0
         zdot0 = self.m_sqrt * v0
         dt = self.cfg.dt
-        q0 = self._sub_steps(z0, 0.0, _no_pulse)
+        q0 = self._sub_steps(z0, 0.0, zero_pulse)
         z_m1 = 0.5 * q0 - dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
         return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
 
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update."""
-        q = self._sub_steps(state.z_curr, state.t, self._pulse)
+        q = self._sub_steps(state.z_curr, state.t, self.system.pulse)
         return LtsState(
             z_prev=state.z_curr,
             z_curr=-state.z_prev + q,
@@ -304,7 +303,6 @@ def _vertical_cut_rules(fractions, depth, gauss_degree):
     fractions = np.asarray(fractions, dtype=float)
     strips = geometry.LevelSet(
         lambda x, y: fractions[(y // 2).astype(int)] - x,
-        description="vertical cuts in strips",
         gradient=lambda x, y: (np.full(x.shape, -1.0), np.zeros(y.shape)),
     )
     boxes = [((0.0, 1.0), (2.0 * i, 2.0 * i + 1.0)) for i in range(len(fractions))]

@@ -27,6 +27,7 @@ the physical reference area.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dgglse
@@ -46,7 +47,7 @@ class MomentFitSystem:
 @dataclass(frozen=True)
 class MomentFitConfig:
     epsilon: float = 0.01
-    low_volume_threshold: float = 0.1
+    low_volume_threshold: ClassVar[float] = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:

@@ -213,7 +213,7 @@ def _bar_free_vibration_setup():
     from cutsem.benchmark import build_bar_system
 
     mesh, system = build_bar_system(cfg)
-    system.load = None  # free vibration
+    system.f_shape = np.zeros(system.dof_count)  # free vibration
     table = critical_timestep_table(mesh, MAT, scheme="fitted", cfg=MomentFitConfig(epsilon=0.01))
     ids = np.flatnonzero(mesh.node_active)
     coords = mesh.node_coords(ids)

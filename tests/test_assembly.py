@@ -13,7 +13,6 @@ from cutsem.assembly import (
     ElementBatches,
     GlobalSystem,
     Material,
-    apply_dirichlet_to_load,
     assemble_edge_traction,
     assemble_global,
     assemble_interface_traction,
@@ -22,9 +21,9 @@ from cutsem.assembly import (
     element_stiffness,
     plane_strain_d,
 )
-from cutsem.benchmark import HannPulse
+from cutsem.benchmark import BarBenchmarkConfig, build_bar_mesh
 from cutsem.errors import ConfigError
-from cutsem.geometry import _gauss_square, circle, half_plane
+from cutsem.geometry import LevelSet, _gauss_square, circle, half_plane
 from cutsem.gll import tensor_basis
 from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
@@ -327,32 +326,51 @@ def test_element_operator_records_are_read_only():
 def test_interface_traction_total_force():
     ls = half_plane(1.0, 0.0, 1.1)
     mesh = CartesianMesh(lx=1.2, ly=0.1, nx=6, ny=1, p=4, level_set=ls, depth=3)
-    load = assemble_interface_traction(mesh, lambda t: 1.0, (1.0, 0.0))
-    f = load(0.0)
+    f = assemble_interface_traction(mesh, (1.0, 0.0))
     # partition of unity: total force equals traction magnitude times length
     assert abs(f[0::2].sum() - 0.1) < 1e-9
     assert np.max(np.abs(f[1::2])) < 1e-15
     # zero pulse gives a zero vector
-    load2 = assemble_interface_traction(mesh, lambda t: 0.0, (1.0, 0.0))
-    assert np.max(np.abs(load2(0.3))) == 0.0
+    system = assemble_global(mesh, MAT)
+    system.f_shape, system.pulse = f, lambda t: 0.0
+    assert np.max(np.abs(system.force(0.3))) == 0.0
 
 
 def test_edge_traction_total_force():
     mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=3)
-    load = assemble_edge_traction(mesh, lambda t: 2.0, (1.0, 0.0))
-    f = load(0.0)
+    f = 2.0 * assemble_edge_traction(mesh, (1.0, 0.0))
     assert abs(f[0::2].sum() - 0.2) < 1e-12
     assert np.max(np.abs(f[1::2])) == 0.0
 
 
-def test_apply_dirichlet_to_load():
-    mesh = CartesianMesh(lx=1.0, ly=0.1, nx=5, ny=1, p=3)
-    mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
-    system = assemble_global(mesh, MAT)
-    load = assemble_edge_traction(mesh, HannPulse(), (1.0, 0.0))
-    load = apply_dirichlet_to_load(load, system.dirichlet_dofs)
-    f = load(0.0125)
-    assert np.max(np.abs(f[system.dirichlet_dofs])) == 0.0
+def test_interface_traction_makes_no_level_set_call(monkeypatch):
+    # the mesh's own pass built the interface rules with the volume rules
+    mesh = build_bar_mesh(BarBenchmarkConfig(cut_fraction=0.5, order=4, elements_x=6))
+    calls = []
+    monkeypatch.setattr(LevelSet, "__call__", lambda self, x, y: calls.append("phi"))
+    monkeypatch.setattr(LevelSet, "gradient", lambda self, x, y, h=0.0: calls.append("grad"))
+    f = assemble_interface_traction(mesh, (1.0, 0.0))
+    assert calls == []
+    assert abs(f[0::2].sum() - 0.1) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "traction, level_set",
+    [(assemble_edge_traction, None), (assemble_interface_traction, half_plane(1.0, 0.0, 1.1))],
+    ids=["edge", "interface"],
+)
+def test_traction_f_shape_is_zero_on_dirichlet_dofs(traction, level_set):
+    # the clamped bottom edge holds nodes of the loaded elements
+    mesh = CartesianMesh(lx=1.2, ly=0.1, nx=6, ny=1, p=3, level_set=level_set)
+    free = traction(mesh, (1.0, 1.0))
+    mesh.fix_nodes(lambda x, y: y < 1e-12)
+    dirichlet = sorted(mesh.dirichlet_dofs)
+    assert np.max(np.abs(free[dirichlet])) > 0.0
+    f_shape = traction(mesh, (1.0, 1.0))
+    assert np.max(np.abs(f_shape[dirichlet])) == 0.0
+    kept = np.ones(mesh.dof_count, dtype=bool)
+    kept[dirichlet] = False
+    assert np.array_equal(f_shape[kept], free[kept])
 
 
 def test_force_defaults_to_zero():

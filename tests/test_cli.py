@@ -130,6 +130,21 @@ def test_bar2d_rejects_non_positive_step_and_size(tmp_path, capsys, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--dt", "3e-5"],  # 13,333.3 steps: the run would stop short of t_end
+        ["--elements", "3", "--dt", "1", "--t-end", "0.001"],  # no step at all
+    ],
+    ids=["short_of_t_end", "no_step"],
+)
+def test_bar2d_rejects_t_end_off_the_step_grid(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert main(["bar2d", "--order", "2", *args, "--out", str(out)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # a step far above the critical one must report a numerical failure
     rc = main(
@@ -171,6 +186,13 @@ def test_quadrature_check_subcommand(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("check,")
     assert any(line.startswith("circle_volume_ratio,depth=5") for line in lines)
+
+
+def test_quadrature_check_negative_degree_exits_2(tmp_path, capsys):
+    out = tmp_path / "quad.csv"
+    assert main(["quadrature-check", "--degree", "-1", "--out", str(out)]) == 2
+    assert "quadrature degree must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entrypoint_smoke():

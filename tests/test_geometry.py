@@ -14,7 +14,6 @@ from cutsem.geometry import (
     build_cut_quadrature,
     build_cut_quadratures,
     build_interface_quadrature,
-    build_interface_quadratures,
     circle,
     classify_element,
     find_interface_root,
@@ -63,6 +62,7 @@ def test_full_element_quadrature():
     assert cutq.classification == "full"
     assert abs(cutq.weights.sum() - 4.0) < 1e-10
     assert abs(cutq.volume_ratio - 1.0) < 1e-10
+    assert len(cutq.interface.points) == 0
 
 
 def test_void_element_quadrature():
@@ -72,6 +72,7 @@ def test_void_element_quadrature():
     assert cutq.is_void
     assert len(cutq.points) == 0
     assert cutq.volume_ratio == 0.0
+    assert len(cutq.interface.points) == 0
 
 
 def test_half_cut_first_moment():
@@ -136,7 +137,12 @@ def test_sliver_reclassified_void():
     # the physical sliver is far below the volume-ratio floor
     ls = half_plane(-1.0, 0.0, -(1.0 - 1e-12))
     cutq = build_cut_quadrature(ls, UNIT_BOX, depth=3, gauss_degree=4)
-    assert cutq.is_void
+    assert cutq.is_void and len(cutq.points) == 0
+    # it keeps its interface rule, on the line x = 1 - 1e-12
+    iq = cutq.interface
+    assert abs(iq.weights.sum() - 2.0) < 1e-9  # reference height of the cut line
+    np.testing.assert_allclose(iq.points[:, 0], 1.0, atol=1e-10)
+    np.testing.assert_allclose(iq.normals, np.broadcast_to([-1.0, 0.0], iq.normals.shape), atol=1e-9)
 
 
 def test_vertical_interface_quadrature():
@@ -364,16 +370,15 @@ _CENTRED_DISK = circle(0.5, 0.5, 0.2)
 def test_mesh_wide_rules_equal_one_box_rules_bitwise(ls, nx, ny, depth, degree):
     boxes = _grid_boxes(nx, ny)
     rules = build_cut_quadratures(ls, boxes, depth=depth, gauss_degree=degree)
-    lines = build_interface_quadratures(ls, boxes, depth=depth, gauss_degree=degree)
-    assert len(rules) == len(lines) == len(boxes)
-    for box, cutq, iq in zip(boxes, rules, lines):
+    assert len(rules) == len(boxes)
+    for box, cutq in zip(boxes, rules):
         one = build_cut_quadrature(ls, box, depth=depth, gauss_degree=degree)
         assert cutq.classification == one.classification
         assert _same_bits(cutq.volume_ratio, one.volume_ratio)
         assert _same_bits(cutq.points, one.points) and _same_bits(cutq.weights, one.weights)
         one_iq = build_interface_quadrature(ls, box, depth=depth, gauss_degree=degree)
         for name in ("points", "weights", "normals", "tangents"):
-            assert _same_bits(getattr(iq, name), getattr(one_iq, name)), name
+            assert _same_bits(getattr(cutq.interface, name), getattr(one_iq, name)), name
 
 
 def test_batching_examples_split_leaves_and_reach_the_depth_cap(monkeypatch):

@@ -7,37 +7,8 @@ cut elements, and a leap-frog solver with local time stepping.
 
 __version__ = "0.1.0"
 
-from .assembly import CartesianMesh, ElementBatches, GlobalSystem, Material, assemble_global
-from .benchmark import BarBenchmarkConfig, HannPulse, analytic_rod_velocity, l2_velocity_error
-from .geometry import (
-    CutQuadrature,
-    InterfaceQuadrature,
-    LevelSet,
-    build_cut_quadrature,
-    build_cut_quadratures,
-    build_interface_quadrature,
-    circle,
-    classify_element,
-    find_interface_root,
-    half_plane,
-    union_of_voids,
-)
-from .gll import GllBasis1d, TensorBasis2d, gll_rule, tensor_basis
-from .integrators import (
-    LtsConfig,
-    LtsSolver,
-    choose_pt,
-    critical_timestep_table,
-    element_max_eigenvalue,
-    run_cdm,
-)
-from .momentfit import (
-    LumpedElementMass,
-    MomentFitConfig,
-    MomentFitSystem,
-    build_moment_system,
-    hrz_weights,
-    lump_element,
-    scaled_weights,
-    solve_fitted_weights,
-)
+from .assembly import CartesianMesh, Material, assemble_global
+from .benchmark import BarBenchmarkConfig, HannPulse, l2_velocity_error
+from .geometry import LevelSet, circle, half_plane, union_of_voids
+from .integrators import LtsConfig, LtsSolver, critical_timestep_table, run_cdm
+from .momentfit import MomentFitConfig

@@ -5,16 +5,16 @@ Elements are axis-aligned rectangles of uniform size tiling [0, lx] x
 is affine with a constant diagonal Jacobian. Stiffness uses tensor GLL
 quadrature on full elements and the raw cut rule, exact to degree 4p - 2
 on a straight cut, on cut elements; the fitted weights serve the mass
-matrix only. Dirichlet DOFs are eliminated symmetrically: zeroed rows and
-columns with a unit diagonal, mass left untouched.
+matrix only. K and the load are assembled as they are, Dirichlet DOFs
+included: the system holds those DOFs through an inverse mass that is zero
+on them, so no acceleration ever reaches them.
 
 K is never assembled on the run path. It is a set of element batches (the
 matrix-free element operator of Deville, Fischer & Mund, 2002): one GEMM
-over the stiffness that every full element free of Dirichlet DOFs shares,
-one stacked product over every other element with its own stiffness, and
-the unit Dirichlet diagonal, all scattered back by one `np.bincount`.
-`GlobalSystem.k_csr()` builds the sparse matrix from the same batches on
-its first call, for tests and checks.
+over the stiffness that every full element shares and one stacked product
+over the cut elements, each with its own stiffness, both scattered back by
+one `np.bincount`. `GlobalSystem.k_csr()` builds the sparse matrix from
+the same batches on its first call, for tests and checks.
 """
 
 from dataclasses import dataclass, field
@@ -163,15 +163,10 @@ class ElementBatches:
     `batch_dofs` (n_b, 2n) are elements that all share the stiffness
     `batch_k_e` (2n, 2n), applied as one GEMM. `stack_dofs` (n_s, 2n) are
     elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
-    stacked product. `diag_dofs` get a unit diagonal. The caller eliminates
-    the Dirichlet DOFs: no batch element holds one, their rows and columns of
-    the stacked stiffnesses are zero, and they are `diag_dofs`. The arrays
-    are read-only.
+    stacked product. The arrays are read-only.
     """
 
-    def __init__(
-        self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None, diag_dofs=None
-    ):
+    def __init__(self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None):
         def frozen(a, ndim, dtype):
             a = np.empty((0,) * ndim, dtype) if a is None else np.asarray(a, dtype)
             a.flags.writeable = False
@@ -182,10 +177,7 @@ class ElementBatches:
         self.batch_k_e = frozen(batch_k_e, 2, float)
         self.stack_dofs = frozen(stack_dofs, 2, np.int64)
         self.stack_k_e = frozen(stack_k_e, 3, float)
-        self.diag_dofs = frozen(diag_dofs, 1, np.int64)
-        self._index = np.concatenate(
-            [self.batch_dofs.ravel(), self.stack_dofs.ravel(), self.diag_dofs]
-        )
+        self._index = np.concatenate([self.batch_dofs.ravel(), self.stack_dofs.ravel()])
 
     def apply(self, x):
         """K x."""
@@ -193,7 +185,6 @@ class ElementBatches:
             [
                 (x[self.batch_dofs] @ self.batch_k_e.T).ravel(),
                 (self.stack_k_e @ x[self.stack_dofs][:, :, None]).ravel(),
-                x[self.diag_dofs],
             ]
         )
         return np.bincount(self._index, weights=vals, minlength=self.size)
@@ -201,31 +192,24 @@ class ElementBatches:
     def restrict(self, cols):
         """(nbhd, op): op x = K[nbhd, cols] x[cols], on the DOFs nbhd coupled to cols.
 
-        cols is a boolean mask. nbhd is cols plus every DOF, Dirichlet DOFs
-        apart, of the elements that hold a free DOF of cols. op works in the
-        numbering of nbhd, plus one last slot for the Dirichlet DOFs of those
-        elements outside nbhd: x is zero there and off cols, and op's result
-        is meaningful on nbhd only.
+        cols is a boolean mask. nbhd is cols plus every DOF of the elements
+        that hold a DOF of cols, and op works in the numbering of nbhd: x is
+        zero off cols.
         """
-        free = cols.copy()
-        free[self.diag_dofs] = False
-        in_batch = free[self.batch_dofs].any(axis=1)
-        in_stack = free[self.stack_dofs].any(axis=1)
-        keep = np.zeros(self.size, dtype=bool)
+        in_batch = cols[self.batch_dofs].any(axis=1)
+        in_stack = cols[self.stack_dofs].any(axis=1)
+        keep = cols.copy()
         keep[self.batch_dofs[in_batch]] = True
         keep[self.stack_dofs[in_stack]] = True
-        keep[self.diag_dofs] = False
-        keep |= cols
         nbhd = np.flatnonzero(keep)
-        local = np.full(self.size, len(nbhd))
+        local = np.empty(self.size, dtype=np.int64)
         local[nbhd] = np.arange(len(nbhd))
         op = ElementBatches(
-            len(nbhd) + 1,
+            len(nbhd),
             local[self.batch_dofs[in_batch]],
             self.batch_k_e,
             local[self.stack_dofs[in_stack]],
             self.stack_k_e[in_stack],
-            local[self.diag_dofs[cols[self.diag_dofs]]],
         )
         return nbhd, op
 
@@ -240,13 +224,6 @@ class ElementBatches:
         cols = [np.tile(g, g.shape[1]).ravel() for g, _ in parts]
         vals = [k.ravel() for _, k in parts]
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        constrained = np.zeros(self.size, dtype=bool)
-        constrained[self.diag_dofs] = True
-        # the zeroed Dirichlet rows and columns are not stored
-        keep = ~(constrained[rows] | constrained[cols])
-        rows = np.concatenate([rows[keep], self.diag_dofs])
-        cols = np.concatenate([cols[keep], self.diag_dofs])
-        vals = np.concatenate([vals[keep], np.ones(len(self.diag_dofs))])
         k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.size)).tocsr()
         k.sum_duplicates()
         return k
@@ -261,12 +238,12 @@ def zero_pulse(t):
 class GlobalSystem:
     """Explicit-dynamics system with diagonal mass and K as element batches.
 
-    `stiffness` is K (ElementBatches): the full elements that hold no
-    Dirichlet DOF share one stiffness, the cut elements and the clamped full
-    elements each have their own, and the Dirichlet DOFs carry a unit
-    diagonal. k_matvec applies it; k_csr() is built from it on first call.
-    The load is f(t) = f_shape * pulse(t): f_shape is zero on the Dirichlet
-    DOFs, and zero everywhere when the system is unloaded.
+    `stiffness` is K (ElementBatches): the full elements share one
+    stiffness and the cut elements each have their own. k_matvec applies it;
+    k_csr() is built from it on first call. The load is f(t) = f_shape *
+    pulse(t), zero when the system is unloaded. K and f_shape include the
+    Dirichlet DOFs; `m_inv` and `m_inv_sqrt`, M^-1 and M^-1/2, are zero
+    there, so an integrator that scales by them never moves those DOFs.
     """
 
     stiffness: ElementBatches
@@ -281,6 +258,22 @@ class GlobalSystem:
     def __post_init__(self):
         if self.f_shape is None:
             self.f_shape = np.zeros(self.dof_count)
+        if np.any(self._zero_on_dirichlet(self.lumped_mass <= 0)):
+            raise SingularMass("a free DOF received zero lumped mass")
+
+    def _zero_on_dirichlet(self, values):
+        values[self.dirichlet_dofs] = 0
+        return values
+
+    @property
+    def m_inv(self):
+        """M^-1, zero on the Dirichlet DOFs."""
+        return self._zero_on_dirichlet(1.0 / self.lumped_mass)
+
+    @property
+    def m_inv_sqrt(self):
+        """M^-1/2, zero on the Dirichlet DOFs."""
+        return self._zero_on_dirichlet(1.0 / np.sqrt(self.lumped_mass))
 
     @property
     def k_data(self):
@@ -395,63 +388,43 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
 def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     """Lumped mass and the element batches of K, in deterministic element order.
 
-    Dirichlet DOFs are eliminated: full elements that hold one join the
-    stacked batch with the cut elements, with their constrained rows and
-    columns zeroed, and the Dirichlet DOFs get a unit diagonal.
+    Every full element joins the one GEMM batch and every cut element the
+    stack. The Dirichlet DOFs are held by the system's inverse mass.
     """
     ndof = mesh.dof_count
     width = 2 * mesh.basis.node_count
     mass = np.zeros(ndof)
-    cut_dofs = set()
-    dirichlet = np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64)
-    constrained = np.zeros(ndof, dtype=bool)
-    constrained[dirichlet] = True
     batch, stack, stack_k_e = [], [], []
     batch_k_e = np.zeros((width, width))
 
     for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
         dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
         mass[dofs] += rec.m_e
-        cut = mesh.classification[(ex, ey)] == "cut"
-        if cut:
-            cut_dofs.update(int(d) for d in dofs)
-        if cut or constrained[dofs].any():
+        if mesh.classification[(ex, ey)] == "cut":
             stack.append(dofs)
             stack_k_e.append(rec.k_e)
         else:
             batch.append(dofs)
             batch_k_e = rec.k_e  # the one record every full element shares
 
-    if np.any(mass[~constrained] <= 0):
-        raise SingularMass("a free DOF received zero lumped mass")
-
     stack = np.array(stack, dtype=np.int64).reshape(len(stack), width)
-    free = ~constrained[stack]
-    stack_k_e = np.array(stack_k_e).reshape(len(stack), width, width)
-    stack_k_e = stack_k_e * (free[:, :, None] & free[:, None, :])
     return GlobalSystem(
         stiffness=ElementBatches(
             ndof,
             np.array(batch, dtype=np.int64).reshape(len(batch), width),
             batch_k_e,
             stack,
-            stack_k_e,
-            dirichlet,
+            np.array(stack_k_e).reshape(len(stack), width, width),
         ),
         lumped_mass=mass,
         dof_count=ndof,
-        dirichlet_dofs=dirichlet,
-        cut_element_dofs=np.array(sorted(cut_dofs), dtype=np.int64),
+        dirichlet_dofs=np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64),
+        cut_element_dofs=np.unique(stack),
     )
 
 
-def _without_dirichlet(mesh, f_shape):
-    f_shape[sorted(mesh.dirichlet_dofs)] = 0.0
-    return f_shape
-
-
 def assemble_interface_traction(mesh, direction):
-    """f_shape of a traction on the non-conforming interface, Dirichlet DOFs zeroed.
+    """f_shape of a traction on the non-conforming interface.
 
     f_shape carries the arc-length line integral of the shape functions
     against the unit `direction`, taken with the interface rules the mesh
@@ -472,11 +445,11 @@ def assemble_interface_traction(mesh, direction):
         contrib = (iq.weights * scale) @ vals
         f_shape[dofs[0::2]] += contrib * direction[0]
         f_shape[dofs[1::2]] += contrib * direction[1]
-    return _without_dirichlet(mesh, f_shape)
+    return f_shape
 
 
 def assemble_edge_traction(mesh, direction):
-    """f_shape of a conforming traction on the right mesh edge, Dirichlet DOFs zeroed.
+    """f_shape of a conforming traction on the right mesh edge.
 
     This is the load of the uncut baseline.
     """
@@ -495,4 +468,4 @@ def assemble_edge_traction(mesh, direction):
             w = by.weights[j] * jy
             f_shape[dofs[2 * k]] += w * direction[0]
             f_shape[dofs[2 * k + 1]] += w * direction[1]
-    return _without_dirichlet(mesh, f_shape)
+    return f_shape

@@ -177,7 +177,6 @@ def run_bar_lts(cfg):
     p_t = choose_pt(dt_coarse, table.dt_cut_min)
     selection = np.zeros(system.dof_count, dtype=bool)
     selection[system.cut_element_dofs] = True
-    selection[system.dirichlet_dofs] = False
     solver = LtsSolver(system, LtsConfig(dt_coarse, p_t, selection))
     state = solver.run(n_steps)
     z_nm1 = state.z_prev

@@ -47,8 +47,8 @@ def _write_rows(rows, out):
 def _bar_cfg_from_args(args):
     kwargs = {}
     if args.h is not None:
-        if not args.h > 0:
-            raise ConfigError("h must be positive")
+        if not (math.isfinite(args.h) and args.h > 0):
+            raise ConfigError(f"h must be positive and finite, got {args.h!r}")
         n = max(2, int(round(1.0 / args.h + 1.0 - args.cut_fraction)))
         kwargs["elements_x"] = n
     if args.elements is not None:

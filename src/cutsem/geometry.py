@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NonBracketing
+from .gll import MAX_ORDER
 
 DEFAULT_DEPTH = 3
 SLIVER_VOLUME_RATIO = 1e-10
@@ -148,7 +149,6 @@ class CutQuadrature:
 
 
 _VOID, _CUT, _FULL = 0, 1, 2
-_CLASSES = ("void", "cut", "full")
 
 
 def _as_boxes(boxes):
@@ -164,27 +164,6 @@ def _classify(ls, boxes, sample_depth):
     x[:], y[:] = xs[:, 0, None, :], xs[:, 1, :, None]
     vals = np.asarray(ls(x, y)).reshape(len(boxes), -1)
     return np.where((vals > 0).all(axis=1), _FULL, np.where((vals < 0).all(axis=1), _VOID, _CUT))
-
-
-def classify_element(ls, box):
-    """full / cut / void from a 9 x 9 corner-inclusive sample grid."""
-    return _CLASSES[_classify(ls, _as_boxes(box), 3)[0]]
-
-
-def find_interface_root(ls, a, b):
-    """Zeros of Phi on the segments [a, b]: Illinois regula falsi, vectorised.
-
-    a and b are points of shape (2,) or stacks of shape (m, 2), and Phi must
-    vanish or change sign on every segment. Returns roots shaped like a.
-    """
-    a = np.asarray(a, dtype=float)
-    pa, pb = np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float))
-
-    def phi(p):
-        return np.asarray(ls(p[:, 0], p[:, 1]), dtype=float)
-
-    roots = _regula_falsi(lambda p, rows: phi(p), pa, pb, phi(pa), phi(pb))
-    return roots if a.ndim > 1 else roots[0]
 
 
 def _regula_falsi(phi, pa, pb, flo, fhi):
@@ -542,11 +521,18 @@ def _height_rules(maps, depth, gauss_degree):
     return _HeightRules(points, weights, _starts(box, n_box), roots, root_weights, root_axes, root_box)
 
 
+# 4p - 2, the degree of the stiffness integrands, at the highest order: no
+# study asks for more, and a rule of much higher degree exhausts memory
+MAX_GAUSS_DEGREE = 4 * MAX_ORDER - 2
+
+
 def _check_settings(depth, gauss_degree):
     if depth < 0:
         raise ConfigError(f"quadrature depth must be >= 0, got {depth}")
     if gauss_degree < 0:
         raise ConfigError(f"quadrature degree must be >= 0, got {gauss_degree}")
+    if gauss_degree > MAX_GAUSS_DEGREE:
+        raise ConfigError(f"quadrature degree must be <= {MAX_GAUSS_DEGREE}, got {gauss_degree}")
 
 
 def _void_rule(interface=_NO_INTERFACE):

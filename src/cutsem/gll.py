@@ -45,10 +45,6 @@ class GllBasis1d:
             out[:, i] = np.prod(ratio, axis=1)
         return out
 
-    def deriv_matrix(self, x):
-        """Shape-function derivatives at many points: (npts, p+1)."""
-        return self.eval_matrix(x) @ self.diff_matrix
-
 
 def _diff_matrix(nodes):
     """D[j, i] = N_i'(x_j) from the barycentric weights; each row sums to zero."""

@@ -107,23 +107,18 @@ def _check_divergence(u, scale):
         raise Diverged("solution magnitude exceeded 1e12 x initial scale")
 
 
-def cdm_startup(system, u0, v0, dt):
-    """u_{-1} from a second-order Taylor start."""
-    minv = 1.0 / system.lumped_mass
-    a0 = minv * (system.force(0.0) - system.k_matvec(u0))
-    return u0 - dt * v0 + 0.5 * dt * dt * a0
-
-
 def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     """Central difference time loop; returns the final TimeHistory.
 
-    record(step, t, u) is invoked after every accepted step when given; u
-    is overwritten by the next step, so a record that keeps it copies it.
+    u_{-1} comes from a second-order Taylor start. record(step, t, u) is
+    invoked after every accepted step when given; u is overwritten by the
+    next step, so a record that keeps it copies it.
     """
     n = system.dof_count
     u_curr = np.zeros(n) if u0 is None else u0.copy()
     v0 = np.zeros(n) if v0 is None else v0
-    u_prev = cdm_startup(system, u_curr, v0, dt)
+    a0 = system.m_inv * (system.force(0.0) - system.k_matvec(u_curr))
+    u_prev = u_curr - dt * v0 + 0.5 * dt * dt * a0
     start = TimeHistory(u_prev=u_prev, u_curr=u_curr, step=0, dt=dt)
     return _advance_cdm(system, start, n_steps, record)
 
@@ -132,12 +127,14 @@ def _advance_cdm(system, hist, n_steps, record=None):
     """Advance a CDM history by n_steps; the one central-difference loop.
 
     The state lives in buffers of its own: hist is copied once and left as
-    it is, and record gets a buffer that the next step overwrites.
+    it is, and record gets a buffer that the next step overwrites. M^-1 is
+    zero on the Dirichlet DOFs, so they keep their initial velocity: zero
+    from rest.
     """
     dt = hist.dt
     u_prev, u_curr = hist.u_prev.copy(), hist.u_curr.copy()
     u_next, f, accel = np.empty_like(u_curr), np.empty_like(u_curr), np.empty_like(u_curr)
-    minv = 1.0 / system.lumped_mass
+    minv = system.m_inv
     f_shape, pulse = system.f_shape, system.pulse
     scale = max(float(np.max(np.abs(u_curr))), 1.0)
     end = hist.step + n_steps
@@ -184,11 +181,13 @@ class LtsSolver:
     """Leap-frog with local time stepping on the selected DOFs.
 
     A = M^(-1/2) K M^(-1/2) is never materialized: the one full application
-    per coarse step brackets the stiffness matvec with diagonal scalings. The
-    sub-steps touch only nbhd(sel), the selected DOFs and the DOFs of the
-    elements that hold a free selected DOF. They apply the element batches of
-    those elements, renumbered onto nbhd(sel) once here, to M^(-1/2) q
-    zeroed off sel, and scale the result by M^(-1/2). Outside nbhd(sel) the
+    per coarse step brackets the stiffness matvec with diagonal scalings.
+    M^(-1/2) is the system's, zero on the Dirichlet DOFs, so A and r vanish
+    there and `displacement` reads zero on them. The sub-steps touch only
+    nbhd(sel), the selected DOFs and the DOFs of the elements that hold a
+    selected DOF. They apply the element batches of those elements,
+    renumbered onto nbhd(sel) once here, to M^(-1/2) q zeroed off sel, and
+    scale the result by M^(-1/2). Outside nbhd(sel) the
     sub-step recurrence has no A P q and no P r term, so it has the closed
     form q_m = 2 z_n + m^2 h^2 w and the coarse update there is
     z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
@@ -200,14 +199,12 @@ class LtsSolver:
         if cfg.selection.shape != (system.dof_count,):
             raise ConfigError("selection mask must cover all DOFs")
         self.m_sqrt = np.sqrt(system.lumped_mass)
-        self.m_inv_sqrt = 1.0 / self.m_sqrt
+        self.m_inv_sqrt = system.m_inv_sqrt
         self.nbhd, self._k_local = system.stiffness.restrict(cfg.selection)
         self.fine = cfg.selection[self.nbhd]  # P restricted to nbhd(sel)
-        # a_local's input M^(-1/2) P q, in a buffer with one more slot: the
-        # one restrict() maps the Dirichlet DOFs outside nbhd(sel) to, kept 0
+        # a_local's input and output scalings, M^(-1/2) P and M^(-1/2)
         self._in_scale = np.where(self.fine, self.m_inv_sqrt[self.nbhd], 0.0)
         self._out_scale = self.m_inv_sqrt[self.nbhd]
-        self._x_local = np.zeros(len(self.nbhd) + 1)
         # r(t) = M^(-1/2) f_shape pulse(t): the shape is scaled once, split
         # into its unrefined part and its refined part on nbhd(sel)
         r_shape = self.m_inv_sqrt * system.f_shape
@@ -219,9 +216,7 @@ class LtsSolver:
 
     def a_local(self, q):
         """A[nbhd, sel] q[fine] for q on nbhd(sel)."""
-        x = self._x_local
-        np.multiply(self._in_scale, q, out=x[:-1])
-        return self._out_scale * self._k_local.apply(x)[:-1]
+        return self._out_scale * self._k_local.apply(self._in_scale * q)
 
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)

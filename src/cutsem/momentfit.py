@@ -189,26 +189,6 @@ def _kkt_terms(a_mat, b_vec, w, active):
     return mu, stat
 
 
-def kkt_report(sys, lumped, cutq, cfg, basis):
-    """Stationarity and complementary-slackness residuals at a fitted solution."""
-    w = lumped.weights
-    w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
-    at_bound = np.abs(w - w_min) <= 1e-12 * max(1.0, w_min)
-    mu, stat = _kkt_terms(sys.monomial_matrix, sys.rhs, w, at_bound)
-    return {
-        "projected_gradient": stat,
-        "dual_feasibility": float(-np.min(mu)) if mu.size else 0.0,
-        "complementary_slackness": float(np.max(np.abs((w[at_bound] - w_min) * mu), initial=0.0)),
-        "equality_gap": float(abs(w.sum() - sys.rhs[0])),
-        "bound_violation": float(max(0.0, np.max(w_min - w))),
-    }
-
-
-def nodal_gll_weights(basis):
-    """The tensor GLL weights, which every full element gets."""
-    return LumpedElementMass(scheme="nodal_gll", weights=basis.node_weights())
-
-
 def scaled_weights(basis, v_e):
     """Joulaian-style scheme 1: GLL weights shrunk by the volume ratio."""
     if not 0.0 < v_e <= 1.0:
@@ -235,7 +215,7 @@ def lump_element(basis, cutq, scheme, cfg=None):
     if cutq.is_void:
         raise VoidElement("no lumped mass for a void element")
     if cutq.classification == "full":
-        return nodal_gll_weights(basis)
+        return LumpedElementMass(scheme="nodal_gll", weights=basis.node_weights())
     if scheme == "fitted":
         sys = build_moment_system(basis, cutq)
         return solve_fitted_weights(sys, cutq, cfg, basis)

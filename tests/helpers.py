@@ -1,9 +1,15 @@
-"""Shared test utilities: an independent brute-force QP oracle."""
+"""Shared test utilities: independent oracles of the moment-fit QP.
+
+`brute_force_fitted_weights` finds the optimum by enumeration and
+`kkt_report` certifies a solution by its KKT residuals.
+"""
 
 import itertools
 
 import numpy as np
 from scipy.linalg import null_space
+
+from cutsem.momentfit import min_weight_bound
 
 
 def brute_force_fitted_weights(a_mat, b_vec, w_min):
@@ -42,3 +48,29 @@ def brute_force_fitted_weights(a_mat, b_vec, w_min):
         if res < best_res - 1e-14:
             best_res, best_w = res, w
     return best_w
+
+
+def kkt_report(sys, lumped, cutq, cfg, basis):
+    """Stationarity and complementary-slackness residuals at fitted weights.
+
+    Weights within 1e-12 of the bound w_min count as active. At the optimum
+    the gradient g = A^T (A w - b) equals the equality multiplier lam on
+    every free weight and lam + mu, with mu >= 0, on every active one.
+    """
+    w = lumped.weights
+    w_min = min_weight_bound(basis, cutq.volume_ratio, cfg)
+    active = np.abs(w - w_min) <= 1e-12 * max(1.0, w_min)
+    free = ~active
+    a_mat, b_vec = sys.monomial_matrix, sys.rhs
+    g = a_mat.T @ (a_mat @ w - b_vec)
+    # with no free weight the feasible set is one point, and lam = min g
+    # makes every bound multiplier non-negative
+    lam = g[free].mean() if free.any() else g.min()
+    mu = g[active] - lam
+    return {
+        "projected_gradient": float(np.max(np.abs(g[free] - lam), initial=0.0)),
+        "dual_feasibility": float(-np.min(mu)) if mu.size else 0.0,
+        "complementary_slackness": float(np.max(np.abs((w[active] - w_min) * mu), initial=0.0)),
+        "equality_gap": float(abs(w.sum() - b_vec[0])),
+        "bound_violation": float(max(0.0, np.max(w_min - w))),
+    }

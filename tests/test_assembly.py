@@ -25,7 +25,7 @@ from cutsem.benchmark import BarBenchmarkConfig, build_bar_mesh
 from cutsem.errors import ConfigError
 from cutsem.geometry import LevelSet, _gauss_square, circle, half_plane
 from cutsem.gll import tensor_basis
-from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table
+from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table, run_cdm
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
@@ -139,13 +139,14 @@ def test_global_stiffness_symmetry_and_dirichlet():
     system = assemble_global(mesh, MAT)
     k = system.k_csr()
     assert abs(k - k.T).max() < 1e-12
-    for d in system.dirichlet_dofs:
-        row = k.getrow(d).toarray().ravel()
-        expect = np.zeros_like(row)
-        expect[d] = 1.0
-        np.testing.assert_allclose(row, expect, atol=1e-15)
-    # mass untouched by the constraint elimination
+    # the inverse mass holds the Dirichlet DOFs; the mass itself is untouched
+    assert len(system.dirichlet_dofs) == 2 * (2 * 3 + 1)
+    free = np.ones(system.dof_count, dtype=bool)
+    free[system.dirichlet_dofs] = False
     assert np.all(system.lumped_mass > 0)
+    for m_inv in (system.m_inv, system.m_inv_sqrt):
+        assert np.all(m_inv[system.dirichlet_dofs] == 0.0)
+        assert np.all(m_inv[free] > 0.0)
 
 
 def test_patch_linear_field_loads_boundary_only():
@@ -185,25 +186,27 @@ def assert_matvec_matches_csr(system, seed=4):
 
 
 def batched_elements(mesh, system):
-    """Sorted DOF rows of the full elements free of Dirichlet DOFs, and of the batch."""
-    expect = []
-    for key in mesh.elements():
-        if mesh.classification[key] != "full":
-            continue
-        dofs = mesh.node_dofs(mesh.element_nodes(*key))
-        if not mesh.dirichlet_dofs.intersection(dofs.tolist()):
-            expect.append(tuple(dofs))
+    """Sorted DOF rows of the full elements, and of the batch."""
+    expect = [
+        tuple(mesh.node_dofs(mesh.element_nodes(*key)))
+        for key in mesh.elements()
+        if mesh.classification[key] == "full"
+    ]
     return sorted(expect), sorted(map(tuple, system.stiffness.batch_dofs))
 
 
 def assert_lts_sub_step_matches_csr(system, selection):
-    """The sub-step operator is M^(-1/2) K[nbhd, sel] M^(-1/2), on the CSR's nbhd."""
+    """The sub-step operator is M^(-1/2) K[nbhd, sel] M^(-1/2), on the CSR's nbhd.
+
+    M^(-1/2) is zero on the Dirichlet DOFs.
+    """
     solver = LtsSolver(system, LtsConfig(1e-3, 2, selection))
     sel = np.flatnonzero(selection)
     # nbhd(sel) as the rows that the CSR's columns of sel store
     k_cols = system.k_csr()[:, sel].tocsr()
     assert np.array_equal(solver.nbhd, np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel))
     m_inv_sqrt = 1.0 / np.sqrt(system.lumped_mass)
+    m_inv_sqrt[system.dirichlet_dofs] = 0.0
     a = m_inv_sqrt[solver.nbhd, None] * k_cols.toarray()[solver.nbhd] * m_inv_sqrt[sel]
     q = np.random.default_rng(5).standard_normal(len(solver.nbhd))
     expect = a @ q[solver.fine]
@@ -226,15 +229,14 @@ def test_batched_stiffness_matches_assembled_csr(level_set, ny, clamp):
         mesh.fix_nodes(lambda x, y: np.abs(x) < 1e-12)
     system = assemble_global(mesh, MAT)
     assert_matvec_matches_csr(system)
+    # every full element is batched, clamped or not, and every cut one stacked
     expect, batch = batched_elements(mesh, system)
     assert batch == expect and len(batch) > 0
-    # every other element is stacked, with its Dirichlet rows and columns zeroed
     k = system.stiffness
-    assert len(k.batch_dofs) + len(k.stack_dofs) == len(element_operators(mesh, MAT))
-    clamped = np.isin(k.stack_dofs, system.dirichlet_dofs)
-    assert not np.any(k.stack_k_e[clamped]) and not np.any(k.stack_k_e.transpose(0, 2, 1)[clamped])
-    assert np.array_equal(k.diag_dofs, system.dirichlet_dofs)
-    for a in (k.batch_dofs, k.batch_k_e, k.stack_dofs, k.stack_k_e, k.diag_dofs):
+    cut = [key for key, c in mesh.classification.items() if c == "cut"]
+    assert len(k.stack_dofs) == len(cut)
+    assert not hasattr(k, "diag_dofs")
+    for a in (k.batch_dofs, k.batch_k_e, k.stack_dofs, k.stack_k_e):
         assert not a.flags.writeable
     # built once, on the first call, and k_data is a view of its stored values
     assert system.k_csr() is system.k_csr()
@@ -359,18 +361,30 @@ def test_interface_traction_makes_no_level_set_call(monkeypatch):
     [(assemble_edge_traction, None), (assemble_interface_traction, half_plane(1.0, 0.0, 1.1))],
     ids=["edge", "interface"],
 )
-def test_traction_f_shape_is_zero_on_dirichlet_dofs(traction, level_set):
+def test_loaded_clamped_nodes_stay_at_zero(traction, level_set):
     # the clamped bottom edge holds nodes of the loaded elements
     mesh = CartesianMesh(lx=1.2, ly=0.1, nx=6, ny=1, p=3, level_set=level_set)
-    free = traction(mesh, (1.0, 1.0))
     mesh.fix_nodes(lambda x, y: y < 1e-12)
-    dirichlet = sorted(mesh.dirichlet_dofs)
-    assert np.max(np.abs(free[dirichlet])) > 0.0
-    f_shape = traction(mesh, (1.0, 1.0))
-    assert np.max(np.abs(f_shape[dirichlet])) == 0.0
-    kept = np.ones(mesh.dof_count, dtype=bool)
-    kept[dirichlet] = False
-    assert np.array_equal(f_shape[kept], free[kept])
+    system = assemble_global(mesh, MAT)
+    system.f_shape, system.pulse = traction(mesh, (1.0, 1.0)), lambda t: 1.0
+    dirichlet = system.dirichlet_dofs
+    assert np.max(np.abs(system.f_shape[dirichlet])) > 0.0
+    table = critical_timestep_table(mesh, MAT)
+    dt = 0.5 * table.dt_c
+    # LTS refines the loaded column, clamped DOFs included
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[mesh.node_dofs(mesh.element_nodes(mesh.nx - 1, 0))] = True
+    assert selection[dirichlet].any()
+    runs = {
+        "cdm": lambda record: run_cdm(system, dt, 40, record=record),
+        "lts": lambda record: LtsSolver(system, LtsConfig(dt, 2, selection)).run(40, record=record),
+    }
+    for name, run in runs.items():
+        states = []
+        run(lambda step, t, u: states.append(u.copy()))
+        states = np.array(states)
+        assert np.all(states[:, dirichlet] == 0.0), name
+        assert np.abs(states[-1]).max() > 0.0, name
 
 
 def test_force_defaults_to_zero():

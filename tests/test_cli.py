@@ -119,7 +119,13 @@ def test_bar2d_sweep_empty_list_exits_2(tmp_path, capsys, lines, key):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--dt", "-1", "dt"), ("--dt", "0", "dt"), ("--t-end", "0", "t_end"), ("--h", "0", "h")],
+    [
+        ("--dt", "-1", "dt"),
+        ("--dt", "0", "dt"),
+        ("--t-end", "0", "t_end"),
+        ("--h", "0", "h"),
+        ("--h", "inf", "h"),
+    ],
 )
 def test_bar2d_rejects_non_positive_step_and_size(tmp_path, capsys, flag, value, message):
     out = tmp_path / "x.csv"
@@ -189,10 +195,12 @@ def test_quadrature_check_subcommand(tmp_path):
 
 
 def test_quadrature_check_negative_degree_exits_2(tmp_path, capsys):
+    # below zero, and above 46, the stiffness degree of the highest order
     out = tmp_path / "quad.csv"
-    assert main(["quadrature-check", "--degree", "-1", "--out", str(out)]) == 2
-    assert "quadrature degree must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
+    for degree, message in (("-1", "must be >= 0"), ("47", "must be <= 46")):
+        assert main(["quadrature-check", "--degree", degree, "--out", str(out)]) == 2
+        assert f"quadrature degree {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_module_entrypoint_smoke():

@@ -15,8 +15,6 @@ from cutsem.geometry import (
     build_cut_quadratures,
     build_interface_quadrature,
     circle,
-    classify_element,
-    find_interface_root,
     half_plane,
     union_of_voids,
 )
@@ -34,26 +32,40 @@ def straight_cut_exact(frac, a, b):
 
 def test_classify_element_half_plane():
     ls = half_plane(1.0, 0.0, 1.0)  # physical where x <= 1
-    assert classify_element(ls, ((2.0, 3.0), (0.0, 1.0))) == "void"
-    assert classify_element(ls, ((0.0, 0.5), (0.0, 1.0))) == "full"
-    assert classify_element(ls, ((0.5, 1.5), (0.0, 1.0))) == "cut"
+    assert build_cut_quadrature(ls, ((2.0, 3.0), (0.0, 1.0))).classification == "void"
+    assert build_cut_quadrature(ls, ((0.0, 0.5), (0.0, 1.0))).classification == "full"
+    assert build_cut_quadrature(ls, ((0.5, 1.5), (0.0, 1.0))).classification == "cut"
+
+
+def interface_points(ls, box):
+    """Physical points of the interface rule of the element over box."""
+    lo, hi = np.array(box).T
+    ref = build_cut_quadrature(ls, box).interface.points
+    return lo + (ref + 1.0) * (hi - lo) / 2
 
 
 def test_find_interface_root_linear_and_circle():
+    # the interface rule's points are the roots of Phi on the height lines
     ls = half_plane(1.0, 0.0, 1.0)
-    root = find_interface_root(ls, (0.0, 0.0), (2.0, 0.0))
-    np.testing.assert_allclose(root, [1.0, 0.0], atol=1e-12)
-    root = find_interface_root(ls, (0.3, 0.2), (1.1, 0.2))
-    np.testing.assert_allclose(root, [1.0, 0.2], atol=1e-12)
-    disk = circle(0.0, 0.0, 1.0)
-    root = find_interface_root(disk, (0.0, 0.0), (2.0, 0.0))
-    np.testing.assert_allclose(root, [1.0, 0.0], atol=1e-12)
+    for box in (((0.0, 2.0), (0.0, 1.0)), ((0.3, 1.1), (0.2, 0.6))):
+        pts = interface_points(ls, box)
+        assert len(pts) > 0
+        np.testing.assert_allclose(pts[:, 0], 1.0, atol=1e-12)
+    pts = interface_points(circle(0.0, 0.0, 1.0), ((0.0, 2.0), (0.0, 2.0)))
+    assert len(pts) > 0
+    np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-12)
 
 
 def test_find_interface_root_requires_bracket():
+    # the root solve behind every cut rule refuses a segment with no sign change
     ls = half_plane(1.0, 0.0, 1.0)
+    pa, pb = np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]])
+
+    def phi(p, rows):
+        return ls(p[:, 0], p[:, 1])
+
     with pytest.raises(NonBracketing):
-        find_interface_root(ls, (0.0, 0.0), (0.5, 0.0))
+        geometry._regula_falsi(phi, pa, pb, phi(pa, None), phi(pb, None))
 
 
 def test_full_element_quadrature():

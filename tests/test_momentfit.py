@@ -27,17 +27,15 @@ from cutsem.momentfit import (
     MomentFitSystem,
     build_moment_system,
     hrz_weights,
-    kkt_report,
     lump_element,
     lumping_residual,
     min_weight_bound,
     monomial_exponents,
-    nodal_gll_weights,
     scaled_weights,
     solve_fitted_weights,
 )
 
-from helpers import brute_force_fitted_weights
+from helpers import brute_force_fitted_weights, kkt_report
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 
@@ -465,6 +463,6 @@ def test_hrz_weights_raise_degenerate_diagonal_on_zero_rule():
 
 def test_nodal_gll_scheme_label():
     basis = tensor_basis(2)
-    out = nodal_gll_weights(basis)
+    out = lump_element(basis, full_quadrature(degree=4), "fitted")
     assert out.scheme == "nodal_gll"
     np.testing.assert_allclose(out.weights, basis.node_weights(), atol=1e-15)

@@ -163,7 +163,9 @@ class ElementBatches:
     `batch_dofs` (n_b, 2n) are elements that all share the stiffness
     `batch_k_e` (2n, 2n), applied as one GEMM. `stack_dofs` (n_s, 2n) are
     elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
-    stacked product. The arrays are read-only.
+    stacked product. The arrays are read-only. The GEMM multiplies by a
+    C-contiguous copy of `batch_k_e.T`, made once here, so BLAS takes its
+    no-transpose path. `apply` returns float64, also on an empty operator.
     """
 
     def __init__(self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None):
@@ -177,17 +179,19 @@ class ElementBatches:
         self.batch_k_e = frozen(batch_k_e, 2, float)
         self.stack_dofs = frozen(stack_dofs, 2, np.int64)
         self.stack_k_e = frozen(stack_k_e, 3, float)
+        self._batch_k_t = np.ascontiguousarray(self.batch_k_e.T)
         self._index = np.concatenate([self.batch_dofs.ravel(), self.stack_dofs.ravel()])
 
     def apply(self, x):
         """K x."""
         vals = np.concatenate(
             [
-                (x[self.batch_dofs] @ self.batch_k_e.T).ravel(),
+                (x[self.batch_dofs] @ self._batch_k_t).ravel(),
                 (self.stack_k_e @ x[self.stack_dofs][:, :, None]).ravel(),
             ]
         )
-        return np.bincount(self._index, weights=vals, minlength=self.size)
+        # bincount of an empty index returns int64 whatever the weights are
+        return np.bincount(self._index, weights=vals, minlength=self.size).astype(float, copy=False)
 
     def restrict(self, cols):
         """(nbhd, op): op x = K[nbhd, cols] x[cols], on the DOFs nbhd coupled to cols.

@@ -16,6 +16,16 @@ selected DOFs and the DOFs coupled to them, applying A[nbhd, sel] =
 M^(-1/2) K[nbhd, sel] M^(-1/2) as the stiffness's own element batches,
 restricted once per solver to the elements that touch sel; everywhere else
 the sub-step recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
+
+Each integrator advances its state with one in-place kernel: the step
+overwrites the older of its two states, and dt^2 (CDM, and LTS's coarse
+update) or h^2 = (dt/p_t)^2 (LTS's sub-steps) is folded into diagonal
+scalings made once per run or solver. A load term is added only when the
+pulse is nonzero, on the DOFs its shape loads. LTS samples the pulse once
+per sub-step grid point and reuses one coarse step's samples as the next
+one's backward samples, and its start-up skips the sub-step sweep from a
+zero displacement. Both integrators require the start state to be zero on
+the Dirichlet DOFs.
 """
 
 import math
@@ -30,7 +40,6 @@ from .assembly import (
     element_lumped_mass,
     element_operators,
     element_stiffness,
-    zero_pulse,
 )
 from .errors import ConfigError, Diverged, SingularMass, VoidElement
 from .geometry import _gauss_square
@@ -107,13 +116,33 @@ def _check_divergence(u, scale):
         raise Diverged("solution magnitude exceeded 1e12 x initial scale")
 
 
+def _check_start_on_dirichlet(system, u0, v0):
+    """Reject a start displacement or velocity that is nonzero on a Dirichlet DOF.
+
+    Both integrators hold those DOFs through a zero inverse mass: from a
+    nonzero start there CDM would hold the value and LTS read it as zero,
+    and a nonzero start velocity would drift.
+    """
+    for name, values in (("u0", u0), ("v0", v0)):
+        if values is not None and np.any(values[system.dirichlet_dofs]):
+            raise ConfigError(f"{name} must be zero on the Dirichlet DOFs")
+
+
+def _loaded_entries(values):
+    """(indices, values) of the nonzero entries of a scaled load shape."""
+    idx = np.flatnonzero(values)
+    return idx, values[idx]
+
+
 def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     """Central difference time loop; returns the final TimeHistory.
 
-    u_{-1} comes from a second-order Taylor start. record(step, t, u) is
-    invoked after every accepted step when given; u is overwritten by the
-    next step, so a record that keeps it copies it.
+    u_{-1} comes from a second-order Taylor start. u0 and v0 must be zero on
+    the Dirichlet DOFs. record(step, t, u) is invoked after every accepted
+    step when given; u is overwritten by the next step, so a record that
+    keeps it copies it.
     """
+    _check_start_on_dirichlet(system, u0, v0)
     n = system.dof_count
     u_curr = np.zeros(n) if u0 is None else u0.copy()
     v0 = np.zeros(n) if v0 is None else v0
@@ -126,29 +155,32 @@ def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
 def _advance_cdm(system, hist, n_steps, record=None):
     """Advance a CDM history by n_steps; the one central-difference loop.
 
+    With c = dt^2 M^-1, made once, each step is one stiffness matvec and an
+    in-place update of the older state: u_prev <- (u - u_prev) + u - c K u,
+    plus c f_shape pulse(t) on the loaded DOFs when the pulse is nonzero.
     The state lives in buffers of its own: hist is copied once and left as
-    it is, and record gets a buffer that the next step overwrites. M^-1 is
-    zero on the Dirichlet DOFs, so they keep their initial velocity: zero
-    from rest.
+    it is, and record gets a buffer that the next step overwrites. c is
+    zero on the Dirichlet DOFs, so they stay at their start value, zero.
     """
     dt = hist.dt
     u_prev, u_curr = hist.u_prev.copy(), hist.u_curr.copy()
-    u_next, f, accel = np.empty_like(u_curr), np.empty_like(u_curr), np.empty_like(u_curr)
-    minv = system.m_inv
-    f_shape, pulse = system.f_shape, system.pulse
+    c = dt * dt * system.m_inv
+    loaded, c_f = _loaded_entries(c * system.f_shape)
+    pulse = system.pulse
     scale = max(float(np.max(np.abs(u_curr))), 1.0)
     end = hist.step + n_steps
     for step in range(hist.step, end):
         t = step * dt
-        np.multiply(f_shape, pulse(t), out=f)
-        # u_next = 2 u_curr - u_prev + dt^2 M^-1 (f - K u_curr)
-        np.subtract(f, system.k_matvec(u_curr), out=accel)
-        np.multiply(minv, accel, out=accel)
-        np.multiply(dt * dt, accel, out=accel)
-        np.multiply(2.0, u_curr, out=u_next)
-        np.subtract(u_next, u_prev, out=u_next)
-        np.add(u_next, accel, out=u_next)
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        ku = system.k_matvec(u_curr)
+        ku *= c
+        # u_next = 2 u_curr - u_prev + dt^2 M^-1 (f - K u_curr), into u_prev
+        np.subtract(u_curr, u_prev, out=u_prev)
+        u_prev += u_curr
+        u_prev -= ku
+        p = pulse(t)
+        if p != 0.0:
+            u_prev[loaded] += p * c_f
+        u_prev, u_curr = u_curr, u_prev
         if step % 25 == 0 or step == end - 1:
             _check_divergence(u_curr, scale)
         if record is not None:
@@ -187,10 +219,14 @@ class LtsSolver:
     nbhd(sel), the selected DOFs and the DOFs of the elements that hold a
     selected DOF. They apply the element batches of those elements,
     renumbered onto nbhd(sel) once here, to M^(-1/2) q zeroed off sel, and
-    scale the result by M^(-1/2). Outside nbhd(sel) the
-    sub-step recurrence has no A P q and no P r term, so it has the closed
-    form q_m = 2 z_n + m^2 h^2 w and the coarse update there is
+    scale the result by M^(-1/2). Outside nbhd(sel) the sub-step recurrence
+    has no A P q and no P r term, so it has the closed form
+    q_m = 2 z_n + m^2 h^2 w and the coarse update there is
     z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
+
+    `run` and `step` share one in-place kernel, `_coarse_step`, with h^2
+    and dt^2 folded into the scalings made here. The load is sampled at the
+    sub-step grid points t = n dt + m h, n from the state's step count.
     """
 
     def __init__(self, system, cfg):
@@ -198,94 +234,141 @@ class LtsSolver:
         self.cfg = cfg
         if cfg.selection.shape != (system.dof_count,):
             raise ConfigError("selection mask must cover all DOFs")
-        self.m_sqrt = np.sqrt(system.lumped_mass)
+        dt, sel = cfg.dt, cfg.selection
+        h2 = (dt / cfg.p_t) ** 2
         self.m_inv_sqrt = system.m_inv_sqrt
-        self.nbhd, self._k_local = system.stiffness.restrict(cfg.selection)
-        self.fine = cfg.selection[self.nbhd]  # P restricted to nbhd(sel)
-        # a_local's input and output scalings, M^(-1/2) P and M^(-1/2)
+        self.nbhd, self._k_local = system.stiffness.restrict(sel)
+        self.fine = sel[self.nbhd]  # P restricted to nbhd(sel)
+        # the full matvec's input and output scalings, M^(-1/2) (1-P) and
+        # dt^2 M^(-1/2)
+        self._coarse_in = np.where(sel, 0.0, self.m_inv_sqrt)
+        self._coarse_out = dt * dt * self.m_inv_sqrt
+        # the restricted operator's, M^(-1/2) P and h^2 M^(-1/2), on nbhd(sel)
         self._in_scale = np.where(self.fine, self.m_inv_sqrt[self.nbhd], 0.0)
-        self._out_scale = self.m_inv_sqrt[self.nbhd]
-        # r(t) = M^(-1/2) f_shape pulse(t): the shape is scaled once, split
-        # into its unrefined part and its refined part on nbhd(sel)
+        self._h2_out_scale = h2 * self.m_inv_sqrt[self.nbhd]
+        # r(t) = M^(-1/2) f_shape pulse(t), split into its unrefined part,
+        # scaled by dt^2, and its refined part on nbhd(sel), scaled by h^2;
+        # each kept on its nonzero entries
         r_shape = self.m_inv_sqrt * system.f_shape
-        self._r_coarse = np.where(cfg.selection, 0.0, r_shape)
-        self._r_fine = np.where(self.fine, r_shape[self.nbhd], 0.0)
+        self._coarse_load = _loaded_entries(dt * dt * np.where(sel, 0.0, r_shape))
+        self._fine_load = _loaded_entries(h2 * np.where(self.fine, r_shape[self.nbhd], 0.0))
 
     def a_apply(self, z):
         return self.m_inv_sqrt * self.system.k_matvec(self.m_inv_sqrt * z)
 
     def a_local(self, q):
         """A[nbhd, sel] q[fine] for q on nbhd(sel)."""
-        return self._out_scale * self._k_local.apply(self._in_scale * q)
+        return self.m_inv_sqrt[self.nbhd] * self._k_local.apply(self._in_scale * q)
 
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
 
-    def _sub_steps(self, z_n, t_n, pulse):
-        """q_{p_t} of the sub-step recurrence from q_0 = 2 z_n, loaded by pulse.
-
-        The next coarse state is z_{n+1} = q_{p_t} - z_{n-1}. One full
-        stiffness matvec, for w = (1-P) r_n - A (1-P) z_n; the p_t
-        sub-steps run on nbhd(sel)-sized vectors.
-        """
+    def _pulse_samples(self, n):
+        """pulse(n dt + m h) for m = 0, ..., p_t - 1: coarse step n's sub-step grid."""
         dt, p_t = self.cfg.dt, self.cfg.p_t
         h = dt / p_t
-        sel, nb, a_local = self.cfg.selection, self.nbhd, self.a_local
-        p_n = pulse(t_n)
-        w = p_n * self._r_coarse - self.a_apply(np.where(sel, 0.0, z_n))
-        q_end = 2.0 * z_n + dt * dt * w
+        pulse = self.system.pulse
+        return [pulse(n * dt + m * h) for m in range(p_t)]
 
-        w2 = 2.0 * w[nb]
-        q_prev = 2.0 * z_n[nb]
-        q = q_prev + 0.5 * h * h * (w2 + 2.0 * p_n * self._r_fine - a_local(q_prev))
-        for m in range(1, p_t):
-            src = (pulse(t_n + m * h) + pulse(t_n - m * h)) * self._r_fine
-            q_next = 2.0 * q - q_prev + h * h * (w2 + src - a_local(q))
-            q_prev, q = q, q_next
-        q_end[nb] = q
-        return q_end
+    def _coarse_step(self, z_prev, z, fwd, bwd):
+        """Overwrite z_prev = z_{n-1} with z_{n+1}; z = z_n is only read.
+
+        fwd are the load samples of this coarse step's sub-step grid and bwd
+        those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
+        One full stiffness matvec gives g = dt^2 (A (1-P) z_n - (1-P) r_n)
+        = -dt^2 w; the p_t sub-steps, one restricted apply each, run from
+        q_0 = 2 z_n on nbhd(sel)-sized vectors, and z_{n+1} = q_{p_t} - z_{n-1}
+        there.
+        """
+        p_t, nb = self.cfg.p_t, self.nbhd
+        g = self.system.k_matvec(self._coarse_in * z)
+        g *= self._coarse_out
+        if fwd[0] != 0.0:
+            idx, vals = self._coarse_load
+            g[idx] -= fwd[0] * vals
+        # h^2 w2 = 2 h^2 w on nbhd(sel)
+        h2w2 = g[nb]
+        h2w2 *= -2.0 / (p_t * p_t)
+
+        fine_idx, fine_vals = self._fine_load
+        q = 2.0 * z[nb]
+        q_prev = q.copy()
+        for m in range(p_t):
+            a = self._k_local.apply(self._in_scale * q)
+            a *= self._h2_out_scale
+            # a <- h^2 (w2 + s_m r_fine - A_local q_m)
+            np.subtract(h2w2, a, out=a)
+            s = 2.0 * fwd[0] if m == 0 else fwd[m] + bwd[p_t - m]
+            if s != 0.0:
+                a[fine_idx] += s * fine_vals
+            if m == 0:
+                a *= 0.5  # the first sub-step is a half step from q_{-1} = q_1
+            # q_{m+1} = 2 q_m - q_{m-1} + a, into q_prev
+            np.subtract(q, q_prev, out=q_prev)
+            q_prev += q
+            q_prev += a
+            q, q_prev = q_prev, q
+        q -= z_prev[nb]
+
+        # z_{n+1} = 2 z_n - z_{n-1} + dt^2 w off nbhd(sel), q_{p_t} - z_{n-1} on it
+        np.subtract(z, z_prev, out=z_prev)
+        z_prev += z
+        z_prev -= g
+        z_prev[nb] = q
 
     def initial_state(self, u0=None, v0=None):
         """z_{-1} from z_1 + z_{-1} = q(z_0) and z_1 - z_{-1} = 2 dt zdot_0.
 
-        q(z_0) is the unloaded sub-step result, so the refined DOFs start
-        from their own recurrence. The load enters only as the Taylor term
-        dt^2 r(0) / 2: a run from rest starts from the same z_{-1} whatever
-        the load does at the sub-step times.
+        q(z_0) is the unloaded coarse step from z_{-1} = 0, so the refined
+        DOFs start from their own recurrence; it is linear in z_0, so from
+        z_0 = 0 it is zero and is not run. The load enters only as the
+        Taylor term dt^2 r(0) / 2: a run from rest starts from the same
+        z_{-1} whatever the load does at the sub-step times. u0 and v0 must
+        be zero on the Dirichlet DOFs.
         """
+        _check_start_on_dirichlet(self.system, u0, v0)
         n = self.system.dof_count
-        u0 = np.zeros(n) if u0 is None else u0
-        v0 = np.zeros(n) if v0 is None else v0
-        z0 = self.m_sqrt * u0
-        zdot0 = self.m_sqrt * v0
+        m_sqrt = np.sqrt(self.system.lumped_mass)
+        z0 = np.zeros(n) if u0 is None else m_sqrt * u0
+        zdot0 = np.zeros(n) if v0 is None else m_sqrt * v0
         dt = self.cfg.dt
-        q0 = self._sub_steps(z0, 0.0, zero_pulse)
-        z_m1 = 0.5 * q0 - dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
+        z_m1 = -dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
+        if np.any(z0):
+            q0 = np.zeros(n)
+            unloaded = [0.0] * self.cfg.p_t
+            self._coarse_step(q0, z0, unloaded, unloaded)
+            z_m1 += 0.5 * q0
         return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
 
     def step(self, state):
-        """One coarse step of the second-order leap-frog LTS update."""
-        q = self._sub_steps(state.z_curr, state.t, self.system.pulse)
-        return LtsState(
-            z_prev=state.z_curr,
-            z_curr=-state.z_prev + q,
-            step=state.step + 1,
-            t=state.t + self.cfg.dt,
-        )
+        """One coarse step of the second-order leap-frog LTS update.
+
+        The state is left as it is; the new one gets a fresh z_curr.
+        """
+        n = state.step
+        z_next = state.z_prev.copy()
+        self._coarse_step(z_next, state.z_curr, self._pulse_samples(n), self._pulse_samples(n - 1))
+        return LtsState(z_prev=state.z_curr, z_curr=z_next, step=n + 1, t=(n + 1) * self.cfg.dt)
 
     def displacement(self, state):
         return self.m_inv_sqrt * state.z_curr
 
     def run(self, n_steps, u0=None, v0=None, record=None):
+        """initial_state and n_steps coarse steps, on two buffers updated in place."""
         state = self.initial_state(u0, v0)
-        scale = max(float(np.max(np.abs(state.z_curr))), 1.0)
-        for _ in range(n_steps):
-            state = self.step(state)
-            if state.step % 25 == 0 or state.step == n_steps:
-                _check_divergence(state.z_curr, scale)
+        z_prev, z = state.z_prev, state.z_curr
+        scale = max(float(np.max(np.abs(z))), 1.0)
+        dt = self.cfg.dt
+        bwd = self._pulse_samples(-1)
+        for n in range(n_steps):
+            fwd = self._pulse_samples(n)
+            self._coarse_step(z_prev, z, fwd, bwd)
+            z_prev, z, bwd = z, z_prev, fwd
+            if n + 1 == n_steps or (n + 1) % 25 == 0:
+                _check_divergence(z, scale)
             if record is not None:
-                record(state.step, state.t, self.displacement(state))
-        return state
+                record(n + 1, (n + 1) * dt, self.m_inv_sqrt * z)
+        return LtsState(z_prev=z_prev, z_curr=z, step=n_steps, t=n_steps * dt)
 
 
 def _vertical_cut_rules(fractions, depth, gauss_degree):

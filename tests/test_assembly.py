@@ -257,6 +257,25 @@ def test_bare_global_system_has_an_empty_batch():
     assert_matvec_matches_csr(system)
 
 
+def test_empty_operator_applies_as_float_zeros():
+    # np.bincount of an empty index ignores the dtype of its weights
+    for op in (ElementBatches(4), ElementBatches(4).restrict(np.ones(4, dtype=bool))[1]):
+        kx = op.apply(np.ones(op.size))
+        assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(op.size))
+    empty = ElementBatches(0).apply(np.zeros(0))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_batch_gemm_applies_k_e_not_its_transpose():
+    k = np.arange(16.0).reshape(4, 4)  # not symmetric, unlike every element stiffness
+    op = ElementBatches(6, batch_dofs=[[0, 1, 2, 3], [2, 3, 4, 5]], batch_k_e=k)
+    x = np.random.default_rng(1).standard_normal(6)
+    expect = np.zeros(6)
+    for dofs in op.batch_dofs:
+        expect[dofs] += k @ x[dofs]
+    assert np.abs(op.apply(x) - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nx=st.integers(1, 4),

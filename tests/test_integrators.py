@@ -1,5 +1,6 @@
 """Eigenvalue estimation, critical time steps, CDM, and leap-frog LTS."""
 
+import functools
 import math
 
 import numpy as np
@@ -272,15 +273,14 @@ def test_lts_energy_bounded_at_half_cfl():
     assert np.max(np.abs(energies / energies[0] - 1.0)) < 0.02
 
 
-def full_mask_lts_step(solver, state):
-    """The sub-step recurrence on full-size vectors, as a reference.
+def full_mask_sub_steps(solver, z_n, t_n, r_of):
+    """q_{p_t} of the sub-step recurrence on full-size vectors, as a reference.
 
     Every sub-step applies the full stiffness; the selection acts as a mask.
     """
     dt, p_t = solver.cfg.dt, solver.cfg.p_t
     sel = solver.cfg.selection
-    t_n, z_n = state.t, state.z_curr
-    r_n = solver.r_of(t_n)
+    r_n = r_of(t_n)
     h = dt / p_t
     w = np.where(sel, 0.0, r_n) - solver.a_apply(np.where(sel, 0.0, z_n))
     q_prev = 2.0 * z_n
@@ -288,12 +288,29 @@ def full_mask_lts_step(solver, state):
         2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - solver.a_apply(np.where(sel, q_prev, 0.0))
     )
     for m in range(1, p_t):
-        src = solver.r_of(t_n + m * h) + solver.r_of(t_n - m * h)
+        src = r_of(t_n + m * h) + r_of(t_n - m * h)
         q_next = 2.0 * q - q_prev + h * h * (
             2.0 * w + np.where(sel, src, 0.0) - solver.a_apply(np.where(sel, q, 0.0))
         )
         q_prev, q = q, q_next
-    return LtsState(z_prev=z_n, z_curr=-state.z_prev + q, step=state.step + 1, t=t_n + dt)
+    return q
+
+
+def full_mask_lts_step(solver, state):
+    """One coarse step from the full-mask sub-step reference."""
+    q = full_mask_sub_steps(solver, state.z_curr, state.t, solver.r_of)
+    t = state.t + solver.cfg.dt
+    return LtsState(z_prev=state.z_curr, z_curr=-state.z_prev + q, step=state.step + 1, t=t)
+
+
+def full_mask_initial_state(solver, u0, v0):
+    """z_{-1} = q(z_0) / 2 - dt zdot_0 + dt^2 r(0) / 2, q from the unloaded reference."""
+    m_sqrt = np.sqrt(solver.system.lumped_mass)
+    z0 = m_sqrt * u0
+    q0 = full_mask_sub_steps(solver, z0, 0.0, lambda t: np.zeros(solver.system.dof_count))
+    dt = solver.cfg.dt
+    z_m1 = 0.5 * q0 - dt * (m_sqrt * v0) + 0.5 * dt * dt * solver.r_of(0.0)
+    return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
 
 
 def cut_bar_lts_solvers():
@@ -330,8 +347,8 @@ def test_lts_local_step_matches_full_mask_recurrence():
             assert np.max(np.abs(state.z_curr - ref.z_curr)) <= 1e-12 * scale, solver.cfg.p_t
 
 
-def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
-    _, solvers = cut_bar_lts_solvers()
+def count_k_matvecs(monkeypatch):
+    """A list that gets one entry per GlobalSystem.k_matvec call."""
     calls = []
     original = GlobalSystem.k_matvec
 
@@ -340,12 +357,98 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(GlobalSystem, "k_matvec", counted)
+    return calls
+
+
+def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
+    _, solvers = cut_bar_lts_solvers()
+    calls = count_k_matvecs(monkeypatch)
     for solver in solvers:
         state = solver.initial_state()
         calls.clear()
         for _ in range(7):
             state = solver.step(state)
         assert len(calls) == 7, solver.cfg.p_t
+
+
+def test_lts_run_is_initial_state_then_steps_bitwise():
+    # run and step share one coarse-step kernel, and the load samples that
+    # run carries over from step to step are the ones step evaluates afresh
+    _, solvers = cut_bar_lts_solvers()
+    for solver in solvers:
+        n = 30
+        run = solver.run(n)
+        state = solver.initial_state()
+        for _ in range(n):
+            state = solver.step(state)
+        assert (run.step, run.t) == (state.step, state.t)
+        assert np.max(np.abs(run.z_curr)) > 0.0
+        for got, want in ((run.z_prev, state.z_prev), (run.z_curr, state.z_curr)):
+            assert got.tobytes() == want.tobytes(), solver.cfg.p_t
+
+
+def test_lts_step_leaves_its_state_untouched():
+    _, solvers = cut_bar_lts_solvers()
+    for solver in solvers:
+        state = solver.run(20)
+        before = state.z_prev.copy(), state.z_curr.copy()
+        nxt = solver.step(state)
+        assert np.array_equal(state.z_prev, before[0]) and np.array_equal(state.z_curr, before[1])
+        assert nxt.z_curr is not state.z_prev and nxt.z_curr is not state.z_curr
+        assert (state.step, nxt.step) == (20, 21)
+
+
+def test_lts_zero_start_skips_the_sub_step_sweep(monkeypatch):
+    # the sweep is unloaded and linear in z_0: from z_0 = 0 it is exactly 0
+    system, solvers = cut_bar_lts_solvers()
+    rng = np.random.default_rng(21)
+    v0 = rng.standard_normal(system.dof_count)
+    v0[system.dirichlet_dofs] = 0.0
+    u0 = np.zeros(system.dof_count)
+    calls = count_k_matvecs(monkeypatch)
+    for solver in solvers:
+        want = full_mask_initial_state(solver, u0, v0)
+        calls.clear()
+        got = solver.initial_state(v0=v0)
+        assert len(calls) == 0, solver.cfg.p_t
+        assert np.array_equal(got.z_prev, want.z_prev) and np.array_equal(got.z_curr, want.z_curr)
+
+
+def test_lts_displaced_start_runs_the_sub_step_sweep(monkeypatch):
+    system, solvers = cut_bar_lts_solvers()
+    rng = np.random.default_rng(22)
+    u0, v0 = 1e-3 * rng.standard_normal((2, system.dof_count))
+    u0[system.dirichlet_dofs] = v0[system.dirichlet_dofs] = 0.0
+    calls = count_k_matvecs(monkeypatch)
+    for solver in solvers:
+        want = full_mask_initial_state(solver, u0, v0)
+        calls.clear()
+        got = solver.initial_state(u0=u0, v0=v0)
+        assert len(calls) == 1, solver.cfg.p_t
+        assert np.array_equal(got.z_curr, want.z_curr)
+        scale = np.max(np.abs(want.z_prev))
+        assert np.max(np.abs(got.z_prev - want.z_prev)) <= 1e-12 * scale, solver.cfg.p_t
+
+
+@pytest.mark.parametrize("field", ["u0", "v0"])
+@pytest.mark.parametrize("integrator", ["cdm", "lts"])
+def test_start_state_must_be_zero_on_dirichlet_dofs(integrator, field):
+    # CDM would hold a nonzero u0 there and LTS read it as 0; a nonzero v0
+    # would make both drift
+    _, system = make_system(nx=5, p=3)
+    start = {field: np.zeros(system.dof_count)}
+    start[field][system.dirichlet_dofs[0]] = 1e-3
+    if integrator == "cdm":
+        run = functools.partial(run_cdm, system, 1e-4, 3)
+    else:
+        all_dofs = np.ones(system.dof_count, dtype=bool)
+        run = LtsSolver(system, LtsConfig(1e-4, 2, all_dofs)).initial_state
+    with pytest.raises(ConfigError, match=field):
+        run(**start)
+    # the same field, zero on the Dirichlet DOFs, is accepted
+    start[field][system.dirichlet_dofs[0]] = 0.0
+    start[field][np.setdiff1d(np.arange(system.dof_count), system.dirichlet_dofs)[0]] = 1e-3
+    run(**start)
 
 
 def test_lts_rejects_bad_config():

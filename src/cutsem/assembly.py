@@ -15,6 +15,12 @@ over the stiffness that every full element shares and one stacked product
 over the cut elements, each with its own stiffness, both scattered back by
 one `np.bincount`. `GlobalSystem.k_csr()` builds the sparse matrix from
 the same batches on its first call, for tests and checks.
+
+What depends only on the mesh numbering or on one cut rule is built once:
+the mesh numbers its DOFs into one (elements x 2n) table, which assembly,
+both traction loads and the error norm read rows from, and each element's
+shape functions are evaluated once at its rule, for both its stiffness and
+its lumped mass.
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +64,8 @@ class CartesianMesh:
     Global nodes live on the shared GLL tensor grid: (nx*p + 1) x (ny*p + 1)
     positions, numbered lexicographically (x fastest). Each node carries two
     interleaved DOFs (ux, uy). Nodes touched only by void elements are pruned.
+    `element_dofs(ex, ey)` reads an element's DOFs from one table built with
+    the numbering.
     The mesh covers [0, lx] x [0, ly]. `depth` caps the splits of the cut
     quadrature: a straight cut needs none, a curved one converges with it.
     """
@@ -122,14 +130,34 @@ class CartesianMesh:
         self.classification = {key: cutq.classification for key, cutq in zip(keys, rules)}
 
     def _number_dofs(self):
+        """Node numbering and the (elements x 2n) element-DOF table, in one broadcast.
+
+        Row ey * nx + ex of `element_dof_table` holds the interleaved DOFs of
+        element (ex, ey) in `element_nodes` order; a void element's row is -1.
+        """
+        local = np.arange(self.p + 1)
+        ey, ex = np.divmod(np.arange(self.nx * self.ny), self.nx)
+        rows = ey[:, None] * self.p + local
+        cols = ex[:, None] * self.p + local
+        nodes = (rows[:, :, None] * self.n_nodes_x + cols[:, None, :]).reshape(len(ex), -1)
+        void = np.array([self.cut_quadratures[key].is_void for key in self.elements()], dtype=bool)
         active = np.zeros(self.n_nodes_x * self.n_nodes_y, dtype=bool)
-        for key, cutq in self.cut_quadratures.items():
-            if not cutq.is_void:
-                active[self.element_nodes(*key)] = True
+        active[nodes[~void]] = True
         self.node_active = active
         self.node_to_dofnode = -np.ones(active.size, dtype=np.int64)
         self.node_to_dofnode[active] = np.arange(active.sum())
         self.dof_count = int(2 * active.sum())
+        dn = self.node_to_dofnode[nodes]
+        table = np.stack([2 * dn, 2 * dn + 1], axis=2).reshape(len(nodes), -1)
+        table[void] = -1
+        table.flags.writeable = False
+        self.element_dof_table = table
+
+    def element_dofs(self, ex, ey):
+        """Interleaved (ux, uy) DOFs of element (ex, ey): its row of the DOF table."""
+        if self.classification[(ex, ey)] == "void":
+            raise VoidElement(f"element {(ex, ey)} is void and has no DOFs")
+        return self.element_dof_table[ey * self.nx + ex]
 
     def node_dofs(self, node_ids):
         """Interleaved (ux, uy) DOF indices for global node ids."""
@@ -198,7 +226,8 @@ class ElementBatches:
 
         cols is a boolean mask. nbhd is cols plus every DOF of the elements
         that hold a DOF of cols, and op works in the numbering of nbhd: x is
-        zero off cols.
+        zero off cols. When every stacked element is kept, op shares this
+        operator's read-only stack of stiffnesses.
         """
         in_batch = cols[self.batch_dofs].any(axis=1)
         in_stack = cols[self.stack_dofs].any(axis=1)
@@ -208,12 +237,13 @@ class ElementBatches:
         nbhd = np.flatnonzero(keep)
         local = np.empty(self.size, dtype=np.int64)
         local[nbhd] = np.arange(len(nbhd))
+        stack_k_e = self.stack_k_e if in_stack.all() else self.stack_k_e[in_stack]
         op = ElementBatches(
             len(nbhd),
             local[self.batch_dofs[in_batch]],
             self.batch_k_e,
             local[self.stack_dofs[in_stack]],
-            self.stack_k_e[in_stack],
+            stack_k_e,
         )
         return nbhd, op
 
@@ -298,16 +328,18 @@ class GlobalSystem:
         return self.f_shape * self.pulse(t)
 
 
-def element_stiffness(basis, mat, points, weights, jacobian):
+def element_stiffness(basis, mat, points, weights, jacobian, *, shapes=None):
     """2n x 2n stiffness from a reference-frame quadrature rule.
 
     jacobian = (hx/2, hy/2), the constant diagonal of the affine element map.
+    shapes, when given, is basis.shape_eval_2d_batch(points), made by a
+    caller that also needs it for the lumped mass.
     """
     jx, jy = jacobian
     detj = jx * jy
     d_mat = plane_strain_d(mat)
     n = basis.node_count
-    _, grads = basis.shape_eval_2d_batch(points)
+    _, grads = basis.shape_eval_2d_batch(points) if shapes is None else shapes
     gx = grads[:, :, 0] / jx
     gy = grads[:, :, 1] / jy
     w = np.asarray(weights, dtype=float) * detj
@@ -360,14 +392,16 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
     jac = (mesh.hx / 2.0, mesh.hy / 2.0)
 
     def build(cutq):
-        lumped = lump_element(basis, cutq, scheme, cfg)
         if cutq.classification == "full":
             pts, wts = basis.node_coords(), basis.node_weights()
         else:
             pts, wts = cutq.points, cutq.weights
+        # one shape evaluation serves the stiffness and the HRZ diagonal
+        shapes = basis.shape_eval_2d_batch(pts)
+        lumped = lump_element(basis, cutq, scheme, cfg, shapes=shapes)
         rec = ElementOperators(
             lumped=lumped,
-            k_e=element_stiffness(basis, mat, pts, wts, jac),
+            k_e=element_stiffness(basis, mat, pts, wts, jac, shapes=shapes),
             m_e=element_lumped_mass(lumped, mat, jac),
         )
         for a in (rec.lumped.weights, rec.k_e, rec.m_e):
@@ -397,29 +431,20 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     """
     ndof = mesh.dof_count
     width = 2 * mesh.basis.node_count
-    mass = np.zeros(ndof)
-    batch, stack, stack_k_e = [], [], []
-    batch_k_e = np.zeros((width, width))
-
-    for (ex, ey), rec in element_operators(mesh, mat, scheme, cfg).items():
-        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
-        mass[dofs] += rec.m_e
-        if mesh.classification[(ex, ey)] == "cut":
-            stack.append(dofs)
-            stack_k_e.append(rec.k_e)
-        else:
-            batch.append(dofs)
-            batch_k_e = rec.k_e  # the one record every full element shares
-
-    stack = np.array(stack, dtype=np.int64).reshape(len(stack), width)
+    ops = element_operators(mesh, mat, scheme, cfg)
+    recs = list(ops.values())
+    dofs = np.array([mesh.element_dofs(*key) for key in ops], dtype=np.int64).reshape(-1, width)
+    cut = np.array([mesh.classification[key] == "cut" for key in ops], dtype=bool)
+    # bincount adds the element masses in element order, as a scatter element
+    # by element would
+    m_e = np.array([rec.m_e for rec in recs], dtype=float).ravel()
+    mass = np.bincount(dofs.ravel(), weights=m_e, minlength=ndof).astype(float, copy=False)
+    stack_k_e = np.array([rec.k_e for rec, c in zip(recs, cut) if c]).reshape(-1, width, width)
+    # the one record every full element shares
+    batch_k_e = next((rec.k_e for rec, c in zip(recs, cut) if not c), np.zeros((width, width)))
+    stack = dofs[cut]
     return GlobalSystem(
-        stiffness=ElementBatches(
-            ndof,
-            np.array(batch, dtype=np.int64).reshape(len(batch), width),
-            batch_k_e,
-            stack,
-            np.array(stack_k_e).reshape(len(stack), width, width),
-        ),
+        stiffness=ElementBatches(ndof, dofs[~cut], batch_k_e, stack, stack_k_e),
         lumped_mass=mass,
         dof_count=ndof,
         dirichlet_dofs=np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64),
@@ -442,7 +467,7 @@ def assemble_interface_traction(mesh, direction):
         # a sliver keeps an interface rule, but its nodes may be pruned
         if cutq.is_void or not len(iq.points):
             continue
-        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
+        dofs = mesh.element_dofs(ex, ey)
         # reference arc length -> physical arc length along the tangent
         scale = np.hypot(jx * iq.tangents[:, 0], jy * iq.tangents[:, 1])
         vals, _ = mesh.basis.shape_eval_2d_batch(iq.points)
@@ -465,7 +490,7 @@ def assemble_edge_traction(mesh, direction):
         ex = mesh.nx - 1
         if mesh.cut_quadratures[(ex, ey)].is_void:
             continue
-        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
+        dofs = mesh.element_dofs(ex, ey)
         # right edge: xi = 1, nodes i = p within each eta row
         for j in range(mesh.p + 1):
             k = j * (mesh.p + 1) + mesh.p

@@ -30,6 +30,7 @@ from .integrators import (
     LtsConfig,
     LtsSolver,
     _advance_cdm,
+    check_sweep_grid,
     choose_pt,
     critical_dt_sweep,
     critical_timestep_table,
@@ -208,7 +209,7 @@ def l2_velocity_error(mesh, nodal_velocity, cfg, reference=None):
         else:
             pts, wts = cutq.points, cutq.weights
             vals, _ = basis.shape_eval_2d_batch(pts)
-        dofs = mesh.node_dofs(mesh.element_nodes(ex, ey))
+        dofs = mesh.element_dofs(ex, ey)
         vx = nodal_velocity[dofs[0::2]]
         vy = nodal_velocity[dofs[1::2]]
         (x0, _), (y0, _) = mesh.element_box(ex, ey)
@@ -301,6 +302,8 @@ DTCRIT_CSV_HEADER = "order,cut_fraction,scheme,epsilon,dt_ratio"
 
 
 def run_dtcrit_sweep(orders, fractions, schemes, epsilons, depth=4):
+    # the whole grid is checked before any order runs
+    check_sweep_grid(orders, fractions, schemes, epsilons)
     rows = []
     for p in orders:
         rows.extend(critical_dt_sweep(p, fractions, schemes, epsilons, depth=depth))

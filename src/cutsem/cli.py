@@ -23,6 +23,7 @@ from .benchmark import (
     run_dtcrit_sweep,
 )
 from .errors import ConfigError, NumericalError
+from .momentfit import LUMPING_SCHEMES
 
 
 def _parse_list(text, convert, key):
@@ -178,7 +179,7 @@ def build_parser():
     size.add_argument("--elements", type=int, default=None, help="element columns")
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--cut-fraction", dest="cut_fraction", type=float, default=0.5)
-    p.add_argument("--scheme", default="fitted", choices=["fitted", "hrz", "scaled"])
+    p.add_argument("--scheme", default="fitted", choices=LUMPING_SCHEMES)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--dt", type=float, default=1e-5)
     p.add_argument("--t-end", dest="t_end", type=float, default=0.4)

@@ -9,8 +9,15 @@ barycentric weights (Berrut & Trefethen, SIAM Review 46 (2004) 501):
 N_i' has degree p, so N_i'(x) = sum_j N_j(x) D[j, i] exactly. 2D bases are
 the tensor product of one rule with itself (square N_{p,p} elements), with
 node k mapped to the index pair (i, j) through k = j*(p+1) + i.
+
+Everything that depends only on the order is built once and is read-only:
+`tensor_basis(p)` returns one shared basis per order, and each basis
+builds its node coordinates, node weights and the graded-lex monomial
+matrix at the nodes on first use. Every element of every mesh of that
+order reads the same arrays, so none of them can be written in place.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,11 @@ from numpy.polynomial import legendre
 from .errors import ConfigError
 
 MAX_ORDER = 12
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,19 @@ def gll_rule(p):
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 2.0 / (p * (p + 1) * legendre.legval(nodes, e_p) ** 2)
     weights = 0.5 * (weights + weights[::-1])
-    return GllBasis1d(order=p, nodes=nodes, weights=weights, diff_matrix=_diff_matrix(nodes))
+    return GllBasis1d(
+        order=p,
+        nodes=_frozen(nodes),
+        weights=_frozen(weights),
+        diff_matrix=_frozen(_diff_matrix(nodes)),
+    )
+
+
+def monomial_exponents(p):
+    """Tensor exponent set {xi^a eta^b : a, b <= p}, graded lex, 1 first."""
+    exps = [(a, b) for a in range(p + 1) for b in range(p + 1)]
+    exps.sort(key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
+    return exps
 
 
 @dataclass(frozen=True)
@@ -87,14 +111,36 @@ class TensorBasis2d:
     def node_count(self):
         return (self.rule.order + 1) ** 2
 
-    def node_coords(self):
-        """(n, 2) array of tensor node reference coordinates."""
+    @functools.cached_property
+    def _node_coords(self):
         XI, ETA = np.meshgrid(self.rule.nodes, self.rule.nodes)  # rows vary eta
-        return np.column_stack([XI.ravel(), ETA.ravel()])
+        return _frozen(np.column_stack([XI.ravel(), ETA.ravel()]))
+
+    @functools.cached_property
+    def _node_weights(self):
+        return _frozen(np.outer(self.rule.weights, self.rule.weights).ravel())
+
+    def node_coords(self):
+        """(n, 2) array of tensor node reference coordinates, read-only."""
+        return self._node_coords
 
     def node_weights(self):
-        """Tensor GLL quadrature weights in node order."""
-        return np.outer(self.rule.weights, self.rule.weights).ravel()
+        """Tensor GLL quadrature weights in node order, read-only."""
+        return self._node_weights
+
+    @functools.cached_property
+    def exponents(self):
+        """(n, 2) exponent pairs (a, b) of `monomial_exponents(p)`, read-only."""
+        return _frozen(np.array(monomial_exponents(self.p)))
+
+    @functools.cached_property
+    def monomial_matrix(self):
+        """(n, n) tensor monomials at the nodes, read-only.
+
+        Row k is xi^a eta^b at every node, with (a, b) = exponents[k].
+        """
+        xi, eta = self.node_coords().T
+        return _frozen(np.array([xi**a * eta**b for a, b in monomial_exponents(self.p)]))
 
     def shape_eval_2d_batch(self, points):
         """Values (m, n) and reference gradients (m, n, 2) at m points."""
@@ -110,6 +156,7 @@ class TensorBasis2d:
         return values, np.stack([gx, gy], axis=2)
 
 
+@functools.cache
 def tensor_basis(p):
-    """The N_{p,p} basis: order p in both directions."""
+    """The N_{p,p} basis: order p in both directions, one shared basis per order."""
     return TensorBasis2d(rule=gll_rule(p))

@@ -44,7 +44,13 @@ from .assembly import (
 from .errors import ConfigError, Diverged, SingularMass, VoidElement
 from .geometry import _gauss_square
 from .gll import tensor_basis
-from .momentfit import MomentFitConfig, build_moment_system, lump_element, solve_fitted_weights
+from .momentfit import (
+    LUMPING_SCHEMES,
+    MomentFitConfig,
+    build_moment_system,
+    lump_element,
+    solve_fitted_weights,
+)
 
 CFL_SAFETY = 0.95
 
@@ -387,12 +393,32 @@ def _vertical_cut_rules(fractions, depth, gauss_degree):
     return geometry.build_cut_quadratures(strips, boxes, depth=depth, gauss_degree=gauss_degree)
 
 
+def check_sweep_grid(orders, cut_fractions, schemes, epsilons):
+    """Raise ConfigError for a sweep grid that cannot run, before any of it runs.
+
+    Returns the fitted scheme's config for each epsilon (none without it).
+    """
+    for p in orders:
+        tensor_basis(p)  # rejects an unsupported order; the basis is kept
+    if not all(0.0 < frac < 1.0 for frac in cut_fractions):
+        raise ConfigError("cut fractions must lie in (0, 1)")
+    for scheme in schemes:
+        if scheme not in LUMPING_SCHEMES:
+            raise ConfigError(f"unknown lumping scheme: {scheme}")
+    if "fitted" not in schemes:
+        return []
+    return [MomentFitConfig(epsilon=eps) for eps in epsilons]
+
+
 def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     """Critical time step ratios for a unit square element with a vertical cut.
 
     Returns rows (p, fraction, scheme, epsilon, dt_ratio); epsilon is only
-    meaningful for the fitted scheme and reported as 0 otherwise.
+    meaningful for the fitted scheme and reported as 0 otherwise. The grid
+    is checked first; then each cut rule's shape functions are evaluated
+    once, for its stiffness and its HRZ diagonal.
     """
+    fit_cfgs = check_sweep_grid([p], cut_fractions, schemes, epsilons)
     basis = tensor_basis(p)
     mat = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
     jac = (0.5, 0.5)
@@ -405,21 +431,20 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     m_full = np.repeat(mat.density * gll_wts * 0.25, 2)
     dt0 = 2.0 / math.sqrt(element_max_eigenvalue(k_full, m_full))
 
-    if not all(0.0 < frac < 1.0 for frac in cut_fractions):
-        raise ConfigError("cut fractions must lie in (0, 1)")
     rows = []
     for frac, cutq in zip(cut_fractions, _vertical_cut_rules(cut_fractions, depth, 2 * p)):
-        k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac)
+        shapes = basis.shape_eval_2d_batch(cutq.points)
+        k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac, shapes=shapes)
         # one moment system per cut rule; only the QP depends on epsilon
-        moments = build_moment_system(basis, cutq) if "fitted" in schemes else None
+        moments = build_moment_system(basis, cutq) if fit_cfgs else None
         for scheme in schemes:
             if scheme == "fitted":
                 lumps = [
-                    (eps, solve_fitted_weights(moments, cutq, MomentFitConfig(epsilon=eps), basis))
-                    for eps in epsilons
+                    (cfg.epsilon, solve_fitted_weights(moments, cutq, cfg, basis))
+                    for cfg in fit_cfgs
                 ]
             else:
-                lumps = [(0.0, lump_element(basis, cutq, scheme))]
+                lumps = [(0.0, lump_element(basis, cutq, scheme, shapes=shapes))]
             for eps, lumped in lumps:
                 m_e = element_lumped_mass(lumped, mat, jac)
                 dt_e = 2.0 / math.sqrt(element_max_eigenvalue(k_cut, m_e))

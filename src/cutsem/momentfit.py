@@ -24,6 +24,11 @@ times the largest.
 Comparators: "scaled" multiplies the GLL weights by v_e; "hrz" rescales the
 consistent-mass diagonal computed with the cut rule so the total matches
 the physical reference area.
+
+A depends only on the basis: it is the basis's read-only `monomial_matrix`,
+built once per order, so a moment system computes only b. HRZ takes the
+shape values at the cut rule from a caller that has already evaluated them
+for the element's stiffness.
 """
 
 from dataclasses import dataclass
@@ -35,13 +40,14 @@ from scipy.linalg.lapack import dgglse
 from .errors import ConfigError, DegenerateDiagonal, Infeasible, SolverStall, VoidElement
 
 _KKT_TOL = 1e-10
+LUMPING_SCHEMES = ("fitted", "hrz", "scaled")
 
 
 @dataclass(frozen=True)
 class MomentFitSystem:
-    monomial_matrix: np.ndarray  # (m, n), m = n
+    monomial_matrix: np.ndarray  # (m, n), m = n; the basis's read-only table
     rhs: np.ndarray  # (m,)
-    exponents: list  # [(a, b)] in graded lexicographic order
+    exponents: np.ndarray  # (m, 2) pairs (a, b) in graded lexicographic order
 
 
 @dataclass(frozen=True)
@@ -62,29 +68,25 @@ class LumpedElementMass:
     iterations: int = 0  # dgglse subproblems solved by the fitted QP
 
 
-def monomial_exponents(p):
-    """Tensor exponent set {xi^a eta^b : a, b <= p}, graded lex, 1 first."""
-    exps = [(a, b) for a in range(p + 1) for b in range(p + 1)]
-    exps.sort(key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
-    return exps
-
-
 def build_moment_system(basis, cutq):
-    """Monomials at the GLL tensor nodes vs. their cut-domain integrals."""
+    """Monomials at the GLL tensor nodes vs. their cut-domain integrals.
+
+    The monomial matrix and the exponents are the basis's own read-only
+    tables; only the moments are computed here.
+    """
     if cutq.is_void:
         raise VoidElement("cannot build a moment system for a void element")
-    exps = monomial_exponents(basis.p)
-    nodes = basis.node_coords()
-    a_mat = np.array(
-        [nodes[:, 0] ** a * nodes[:, 1] ** b for a, b in exps]
-    )
     # every moment int x^a y^b from one product of the two power tables
     powers = np.arange(basis.p + 1)
     vx = cutq.points[:, :1] ** powers
     vy = cutq.points[:, 1:] ** powers
     moments = (cutq.weights[:, None] * vx).T @ vy
-    b_vec = moments[tuple(np.array(exps).T)]
-    return MomentFitSystem(monomial_matrix=a_mat, rhs=b_vec, exponents=exps)
+    exps = basis.exponents
+    return MomentFitSystem(
+        monomial_matrix=basis.monomial_matrix,
+        rhs=moments[exps[:, 0], exps[:, 1]],
+        exponents=exps,
+    )
 
 
 def lumping_residual(sys, weights):
@@ -196,11 +198,15 @@ def scaled_weights(basis, v_e):
     return LumpedElementMass(scheme="scaled", weights=v_e * basis.node_weights())
 
 
-def hrz_weights(basis, cutq):
-    """Joulaian-style scheme 2: rescaled consistent-mass diagonal (HRZ)."""
+def hrz_weights(basis, cutq, *, shapes=None):
+    """Joulaian-style scheme 2: rescaled consistent-mass diagonal (HRZ).
+
+    shapes, when given, is basis.shape_eval_2d_batch(cutq.points), made by
+    a caller that also needs it for the stiffness.
+    """
     if cutq.is_void or not len(cutq.points):
         raise VoidElement("HRZ weights need a nonempty cut quadrature")
-    vals, _ = basis.shape_eval_2d_batch(cutq.points)
+    vals, _ = basis.shape_eval_2d_batch(cutq.points) if shapes is None else shapes
     diag = cutq.weights @ vals**2
     total = diag.sum()
     if total <= 0:
@@ -209,8 +215,12 @@ def hrz_weights(basis, cutq):
     return LumpedElementMass(scheme="hrz", weights=diag * (area / total))
 
 
-def lump_element(basis, cutq, scheme, cfg=None):
-    """Scheme dispatch for one element; full elements always get GLL weights."""
+def lump_element(basis, cutq, scheme, cfg=None, *, shapes=None):
+    """Scheme dispatch for one element; full elements always get GLL weights.
+
+    Those are the basis's read-only array itself. shapes is passed on to
+    `hrz_weights`.
+    """
     cfg = cfg or MomentFitConfig()
     if cutq.is_void:
         raise VoidElement("no lumped mass for a void element")
@@ -222,5 +232,5 @@ def lump_element(basis, cutq, scheme, cfg=None):
     if scheme == "scaled":
         return scaled_weights(basis, cutq.volume_ratio)
     if scheme == "hrz":
-        return hrz_weights(basis, cutq)
+        return hrz_weights(basis, cutq, shapes=shapes)
     raise ConfigError(f"unknown lumping scheme: {scheme}")

@@ -1,15 +1,28 @@
-"""Shared test utilities: independent oracles of the moment-fit QP.
+"""Shared test utilities: independent oracles and a work counter.
 
-`brute_force_fitted_weights` finds the optimum by enumeration and
-`kkt_report` certifies a solution by its KKT residuals.
+`brute_force_fitted_weights` finds the optimum of the moment-fit QP by
+enumeration and `kkt_report` certifies a solution by its KKT residuals.
+`critical_dt_sweep_oracle` computes the critical-time-step sweep one cell
+at a time, and `count_shape_evals` counts shape-function evaluations.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import null_space
 
-from cutsem.momentfit import min_weight_bound
+from cutsem.assembly import Material, element_lumped_mass, element_stiffness
+from cutsem.geometry import _gauss_square, build_cut_quadrature, half_plane
+from cutsem.gll import TensorBasis2d, gll_rule
+from cutsem.integrators import element_max_eigenvalue
+from cutsem.momentfit import (
+    MomentFitConfig,
+    build_moment_system,
+    lump_element,
+    min_weight_bound,
+    solve_fitted_weights,
+)
 
 
 def brute_force_fitted_weights(a_mat, b_vec, w_min):
@@ -74,3 +87,50 @@ def kkt_report(sys, lumped, cutq, cfg, basis):
         "equality_gap": float(abs(w.sum() - b_vec[0])),
         "bound_violation": float(max(0.0, np.max(w_min - w))),
     }
+
+
+def critical_dt_sweep_oracle(p, fractions, schemes, epsilons, depth=4):
+    """Rows of `critical_dt_sweep`, one cell at a time.
+
+    Each fraction gets its own one-element cut rule, on a basis of its own;
+    every cell calls element_stiffness, lump_element, build_moment_system
+    and solve_fitted_weights separately, so each evaluates the shape
+    functions it needs itself.
+    """
+    basis = TensorBasis2d(rule=gll_rule(p))
+    mat = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
+    jac = (0.5, 0.5)
+    full_pts, full_wts = _gauss_square(2 * p)
+    k_full = element_stiffness(basis, mat, full_pts, full_wts, jac)
+    m_full = np.repeat(mat.density * basis.node_weights() * 0.25, 2)
+    dt0 = 2.0 / math.sqrt(element_max_eigenvalue(k_full, m_full))
+    rows = []
+    for frac in fractions:
+        cutq = build_cut_quadrature(
+            half_plane(1.0, 0.0, frac), ((0.0, 1.0), (0.0, 1.0)), depth=depth, gauss_degree=2 * p
+        )
+        k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac)
+        for scheme in schemes:
+            for eps in epsilons if scheme == "fitted" else [0.0]:
+                if scheme == "fitted":
+                    sys = build_moment_system(basis, cutq)
+                    lumped = solve_fitted_weights(sys, cutq, MomentFitConfig(epsilon=eps), basis)
+                else:
+                    lumped = lump_element(basis, cutq, scheme)
+                m_e = element_lumped_mass(lumped, mat, jac)
+                dt_e = 2.0 / math.sqrt(element_max_eigenvalue(k_cut, m_e))
+                rows.append((p, frac, scheme, eps, dt_e / dt0))
+    return rows
+
+
+def count_shape_evals(monkeypatch):
+    """A list that gets the point count of every TensorBasis2d.shape_eval_2d_batch call."""
+    calls = []
+    original = TensorBasis2d.shape_eval_2d_batch
+
+    def counted(self, points):
+        calls.append(len(np.asarray(points, dtype=float).reshape(-1, 2)))
+        return original(self, points)
+
+    monkeypatch.setattr(TensorBasis2d, "shape_eval_2d_batch", counted)
+    return calls

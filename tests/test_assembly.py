@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutsem.assembly import (
@@ -22,11 +22,13 @@ from cutsem.assembly import (
     plane_strain_d,
 )
 from cutsem.benchmark import BarBenchmarkConfig, build_bar_mesh
-from cutsem.errors import ConfigError
-from cutsem.geometry import LevelSet, _gauss_square, circle, half_plane
+from cutsem.errors import ConfigError, VoidElement
+from cutsem.geometry import LevelSet, _gauss_square, circle, half_plane, union_of_voids
 from cutsem.gll import tensor_basis
 from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table, run_cdm
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
+
+from helpers import count_shape_evals
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -410,3 +412,61 @@ def test_force_defaults_to_zero():
     mesh = CartesianMesh(lx=1.0, ly=0.1, nx=3, ny=1, p=2)
     system = assemble_global(mesh, MAT)
     assert np.max(np.abs(system.force(0.5))) == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+    p=st.integers(1, 4),
+    voids=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 0.7)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(nx=3, ny=3, p=2, voids=[(0.0, 0.0, 0.6)])  # prunes the corner element's nodes
+def test_element_dof_table_matches_per_element_numbering(nx, ny, p, voids):
+    ls = union_of_voids([circle(*v) for v in voids])
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=nx, ny=ny, p=p, level_set=ls, depth=1)
+    assert mesh.element_dof_table.shape == (nx * ny, 2 * (p + 1) ** 2)
+    assert not mesh.element_dof_table.flags.writeable
+    for key in mesh.elements():
+        if mesh.classification[key] == "void":
+            with pytest.raises(VoidElement):
+                mesh.element_dofs(*key)
+            continue
+        expect = mesh.node_dofs(mesh.element_nodes(*key))
+        got = mesh.element_dofs(*key)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def test_restriction_to_every_stacked_element_shares_the_stack():
+    ls = half_plane(1.0, 0.0, 0.7)
+    mesh = CartesianMesh(lx=1.0, ly=0.2, nx=5, ny=2, p=3, level_set=ls, depth=2)
+    system = assemble_global(mesh, MAT)
+    k = system.stiffness
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    nbhd, op = k.restrict(selection)
+    assert len(k.stack_k_e) == 2 and np.shares_memory(op.stack_k_e, k.stack_k_e)
+    copied = ElementBatches(op.size, op.batch_dofs, op.batch_k_e, op.stack_dofs, k.stack_k_e.copy())
+    x = np.random.default_rng(2).standard_normal(op.size)
+    assert op.apply(x).tobytes() == copied.apply(x).tobytes()
+    assert_lts_sub_step_matches_csr(system, selection)
+    # one corner DOF of the lower cut element: the upper one drops out
+    partial = np.zeros(system.dof_count, dtype=bool)
+    partial[k.stack_dofs[0, 0]] = True
+    _, op = k.restrict(partial)
+    assert len(op.stack_k_e) == 1 and not np.shares_memory(op.stack_k_e, k.stack_k_e)
+    assert_lts_sub_step_matches_csr(system, partial)
+
+
+@pytest.mark.parametrize("scheme", ["hrz", "fitted", "scaled"])
+def test_element_operators_evaluate_shape_functions_once_per_element(monkeypatch, scheme):
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=4, ny=4, p=3, level_set=circle(0.5, 0.5, 0.3), depth=2)
+    cut = sum(c == "cut" for c in mesh.classification.values())
+    calls = count_shape_evals(monkeypatch)
+    element_operators(mesh, MAT, scheme=scheme)
+    # one per cut element, at its rule, and one for the record the full ones share
+    assert len(calls) == cut + 1

@@ -6,7 +6,7 @@ from numpy.polynomial import Polynomial
 from scipy.special import roots_jacobi
 
 from cutsem.errors import ConfigError
-from cutsem.gll import MAX_ORDER, gll_rule, tensor_basis
+from cutsem.gll import MAX_ORDER, gll_rule, monomial_exponents, tensor_basis
 
 
 def exact_power_integral(k):
@@ -168,3 +168,40 @@ def test_tensor_weights_and_batch_gradients():
         np.testing.assert_allclose(vals[j], np.outer(ny[j], nx[j]).ravel(), atol=1e-13)
         g = np.column_stack([np.outer(ny[j], dnx[j]).ravel(), np.outer(dny[j], nx[j]).ravel()])
         np.testing.assert_allclose(grads[j], g, atol=5e-12)
+
+
+@pytest.mark.parametrize("p", range(1, MAX_ORDER + 1))
+def test_cached_basis_tables_match_their_oracles_bitwise(p):
+    basis = tensor_basis(p)
+    assert tensor_basis(p) is basis  # one basis per order
+    rule = gll_rule(p)
+    xi, eta = np.meshgrid(rule.nodes, rule.nodes)
+    nodes = np.column_stack([xi.ravel(), eta.ravel()])
+    exps = monomial_exponents(p)
+    oracle = np.array([nodes[:, 0] ** a * nodes[:, 1] ** b for a, b in exps])
+    assert basis.monomial_matrix.tobytes() == oracle.tobytes()
+    assert basis.monomial_matrix.shape == oracle.shape
+    assert basis.exponents.tolist() == [list(ab) for ab in exps]
+    assert basis.node_coords().tobytes() == nodes.tobytes()
+    assert basis.node_weights().tobytes() == np.outer(rule.weights, rule.weights).ravel().tobytes()
+    # built once: every call returns the same array
+    assert basis.node_coords() is basis.node_coords()
+    assert basis.node_weights() is basis.node_weights()
+
+
+def test_shared_basis_arrays_are_read_only():
+    basis = tensor_basis(3)
+    rule = basis.rule
+    arrays = [
+        rule.nodes,
+        rule.weights,
+        rule.diff_matrix,
+        basis.node_coords(),
+        basis.node_weights(),
+        basis.exponents,
+        basis.monomial_matrix,
+    ]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0

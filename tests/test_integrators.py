@@ -17,7 +17,7 @@ from cutsem.assembly import (
     element_operators,
     element_stiffness,
 )
-from cutsem.benchmark import BarBenchmarkConfig, build_bar_system
+from cutsem.benchmark import BarBenchmarkConfig, build_bar_system, run_dtcrit_sweep
 from cutsem.errors import ConfigError, Diverged, SingularMass, VoidElement
 from cutsem.geometry import _gauss_square, build_cut_quadrature, half_plane
 from cutsem.gll import tensor_basis
@@ -34,6 +34,8 @@ from cutsem.integrators import (
     run_cdm,
 )
 from cutsem.momentfit import MomentFitConfig
+
+from helpers import count_shape_evals, critical_dt_sweep_oracle
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -533,3 +535,51 @@ def test_sweep_cut_rules_equal_one_element_half_plane_rules_bitwise(fractions, p
 
 def test_cfl_safety_constant():
     assert CFL_SAFETY == 0.95
+
+
+DTCRIT_FRACTIONS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+DTCRIT_SCHEMES = ["fitted", "hrz", "scaled"]
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_critical_dt_sweep_rows_equal_the_per_cell_oracle_bitwise(p):
+    args = (p, DTCRIT_FRACTIONS, DTCRIT_SCHEMES, [0.01, 0.1])
+    assert critical_dt_sweep(*args) == critical_dt_sweep_oracle(*args)
+
+
+def test_critical_dt_sweep_evaluates_shape_functions_once_per_cut_rule(monkeypatch):
+    calls = count_shape_evals(monkeypatch)
+    critical_dt_sweep(4, DTCRIT_FRACTIONS, DTCRIT_SCHEMES, [0.01, 0.1])
+    # the uncut element, then one per cut rule
+    assert len(calls) == len(DTCRIT_FRACTIONS) + 1
+
+
+@pytest.mark.parametrize(
+    "sweep, args",
+    [
+        (critical_dt_sweep, (4, [0.5, 1.5], ["fitted"], [0.01])),
+        (critical_dt_sweep, (4, [0.5], ["hrz", "lumpy"], [0.01])),
+        (critical_dt_sweep, (4, [0.5], ["hrz", "fitted"], [0.01, 2.0])),
+        (run_dtcrit_sweep, ([4, 5], [0.5], ["hrz", "lumpy"], [0.01])),
+        (run_dtcrit_sweep, ([4, 5], [0.5, 0.0], ["hrz"], [0.01])),
+        (run_dtcrit_sweep, ([4, 5], [0.5], ["fitted"], [0.0])),
+        (run_dtcrit_sweep, ([4, 13], [0.5], ["hrz"], [0.01])),
+    ],
+    ids=[
+        "fraction", "scheme", "epsilon", "grid_scheme", "grid_fraction", "grid_epsilon", "grid_order"
+    ],
+)
+def test_sweep_rejects_a_bad_grid_before_any_eigen_solve(monkeypatch, sweep, args):
+    import cutsem.integrators as integrators
+
+    calls = []
+    solve = integrators.element_max_eigenvalue
+
+    def counted(*a):
+        calls.append(1)
+        return solve(*a)
+
+    monkeypatch.setattr(integrators, "element_max_eigenvalue", counted)
+    with pytest.raises(ConfigError):
+        sweep(*args)
+    assert calls == []

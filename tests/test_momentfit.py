@@ -21,7 +21,7 @@ from cutsem.errors import (
     VoidElement,
 )
 from cutsem.geometry import CutQuadrature, LevelSet, build_cut_quadrature, circle, half_plane
-from cutsem.gll import tensor_basis
+from cutsem.gll import monomial_exponents, tensor_basis
 from cutsem.momentfit import (
     MomentFitConfig,
     MomentFitSystem,
@@ -30,7 +30,6 @@ from cutsem.momentfit import (
     lump_element,
     lumping_residual,
     min_weight_bound,
-    monomial_exponents,
     scaled_weights,
     solve_fitted_weights,
 )
@@ -466,3 +465,22 @@ def test_nodal_gll_scheme_label():
     out = lump_element(basis, full_quadrature(degree=4), "fitted")
     assert out.scheme == "nodal_gll"
     np.testing.assert_allclose(out.weights, basis.node_weights(), atol=1e-15)
+
+
+def test_full_element_lumping_returns_the_read_only_gll_weights():
+    basis = tensor_basis(3)
+    before = basis.node_weights().copy()
+    for scheme in ("fitted", "hrz", "scaled"):
+        out = lump_element(basis, full_quadrature(), scheme)
+        assert out.weights is basis.node_weights()
+        with pytest.raises(ValueError):
+            out.weights[0] = 1.0
+    assert np.array_equal(basis.node_weights(), before)
+
+
+def test_moment_system_reads_the_basis_monomial_table():
+    basis = tensor_basis(4)
+    sys = build_moment_system(basis, cut_quadrature(0.4, 4))
+    assert sys.monomial_matrix is basis.monomial_matrix
+    assert sys.exponents is basis.exponents
+    assert not sys.monomial_matrix.flags.writeable

@@ -12,9 +12,10 @@ on them, so no acceleration ever reaches them.
 K is never assembled on the run path. It is a set of element batches (the
 matrix-free element operator of Deville, Fischer & Mund, 2002): one GEMM
 over the stiffness that every full element shares and one stacked product
-over the cut elements, each with its own stiffness, both scattered back by
-one `np.bincount`. `GlobalSystem.k_csr()` builds the sparse matrix from
-the same batches on its first call, for tests and checks.
+over the cut elements, each with its own stiffness, both written into one
+values buffer and scattered back by one `np.bincount`.
+`GlobalSystem.k_csr()` builds the sparse matrix from the same batches on
+its first call, for tests and checks.
 
 What depends only on the mesh numbering or on one cut rule is built once:
 the mesh numbers its DOFs into one (elements x 2n) table, which assembly,
@@ -191,12 +192,29 @@ class ElementBatches:
     `batch_dofs` (n_b, 2n) are elements that all share the stiffness
     `batch_k_e` (2n, 2n), applied as one GEMM. `stack_dofs` (n_s, 2n) are
     elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
-    stacked product. The arrays are read-only. The GEMM multiplies by a
+    stacked product. The DOF tables give the rows each element adds to;
+    `batch_cols` and `stack_cols`, the same tables unless given, the entries
+    of x it reads. The arrays are read-only. The GEMM multiplies by a
     C-contiguous copy of `batch_k_e.T`, made once here, so BLAS takes its
-    no-transpose path. `apply` returns float64, also on an empty operator.
+    no-transpose path.
+
+    Both products write into two slices of one values buffer, made once
+    here, which the bincount reads: `apply` copies nothing but its gathers,
+    and it is not reentrant. It returns a fresh float64 array, also on an
+    empty operator.
     """
 
-    def __init__(self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None):
+    def __init__(
+        self,
+        size,
+        batch_dofs=None,
+        batch_k_e=None,
+        stack_dofs=None,
+        stack_k_e=None,
+        *,
+        batch_cols=None,
+        stack_cols=None,
+    ):
         def frozen(a, ndim, dtype):
             a = np.empty((0,) * ndim, dtype) if a is None else np.asarray(a, dtype)
             a.flags.writeable = False
@@ -207,27 +225,34 @@ class ElementBatches:
         self.batch_k_e = frozen(batch_k_e, 2, float)
         self.stack_dofs = frozen(stack_dofs, 2, np.int64)
         self.stack_k_e = frozen(stack_k_e, 3, float)
+        self.batch_cols = self.batch_dofs if batch_cols is None else frozen(batch_cols, 2, np.int64)
+        self.stack_cols = self.stack_dofs if stack_cols is None else frozen(stack_cols, 2, np.int64)
         self._batch_k_t = np.ascontiguousarray(self.batch_k_e.T)
         self._index = np.concatenate([self.batch_dofs.ravel(), self.stack_dofs.ravel()])
+        self._vals = np.empty(len(self._index))
+        n_batch = self.batch_dofs.size
+        self._batch_out = self._vals[:n_batch].reshape(self.batch_dofs.shape)
+        self._stack_out = self._vals[n_batch:].reshape(self.stack_dofs.shape + (1,))
 
     def apply(self, x):
         """K x."""
-        vals = np.concatenate(
-            [
-                (x[self.batch_dofs] @ self._batch_k_t).ravel(),
-                (self.stack_k_e @ x[self.stack_dofs][:, :, None]).ravel(),
-            ]
-        )
+        np.matmul(x[self.batch_cols], self._batch_k_t, out=self._batch_out)
+        np.matmul(self.stack_k_e, x[self.stack_cols][:, :, None], out=self._stack_out)
         # bincount of an empty index returns int64 whatever the weights are
-        return np.bincount(self._index, weights=vals, minlength=self.size).astype(float, copy=False)
+        return np.bincount(self._index, weights=self._vals, minlength=self.size).astype(
+            float, copy=False
+        )
 
     def restrict(self, cols):
         """(nbhd, op): op x = K[nbhd, cols] x[cols], on the DOFs nbhd coupled to cols.
 
         cols is a boolean mask. nbhd is cols plus every DOF of the elements
-        that hold a DOF of cols, and op works in the numbering of nbhd: x is
-        zero off cols. When every stacked element is kept, op shares this
-        operator's read-only stack of stiffnesses.
+        that hold a DOF of cols. op works in the numbering of nbhd followed
+        by one zero slot, so op.size is len(nbhd) + 1: every column outside
+        cols is gathered from that slot, so op reads x unmasked, and x must
+        be zero there. No row adds to the slot, so op x is zero there too.
+        When every stacked element is kept, op shares this operator's
+        read-only stack of stiffnesses.
         """
         in_batch = cols[self.batch_dofs].any(axis=1)
         in_stack = cols[self.stack_dofs].any(axis=1)
@@ -237,26 +262,34 @@ class ElementBatches:
         nbhd = np.flatnonzero(keep)
         local = np.empty(self.size, dtype=np.int64)
         local[nbhd] = np.arange(len(nbhd))
-        stack_k_e = self.stack_k_e if in_stack.all() else self.stack_k_e[in_stack]
+        gather = np.where(cols, local, len(nbhd))
+        batch, stack = self.batch_dofs[in_batch], self.stack_dofs[in_stack]
         op = ElementBatches(
-            len(nbhd),
-            local[self.batch_dofs[in_batch]],
+            len(nbhd) + 1,
+            local[batch],
             self.batch_k_e,
-            local[self.stack_dofs[in_stack]],
-            stack_k_e,
+            local[stack],
+            self.stack_k_e if in_stack.all() else self.stack_k_e[in_stack],
+            batch_cols=gather[batch],
+            stack_cols=gather[stack],
         )
         return nbhd, op
 
     def to_csr(self):
-        """The assembled sparse matrix, summed in batch order."""
+        """The assembled sparse matrix, summed in batch order: rows from the
+        DOF tables, columns from the gather tables, so it is the map that
+        `apply` applies."""
         import scipy.sparse as sp
 
         shared = np.broadcast_to(self.batch_k_e, (len(self.batch_dofs),) + self.batch_k_e.shape)
-        parts = [(self.batch_dofs, shared), (self.stack_dofs, self.stack_k_e)]
+        parts = [
+            (self.batch_dofs, self.batch_cols, shared),
+            (self.stack_dofs, self.stack_cols, self.stack_k_e),
+        ]
         # element by element, rows run i-major and columns j-minor over k_e[i, j]
-        rows = [np.repeat(g, g.shape[1], axis=1).ravel() for g, _ in parts]
-        cols = [np.tile(g, g.shape[1]).ravel() for g, _ in parts]
-        vals = [k.ravel() for _, k in parts]
+        rows = [np.repeat(r, r.shape[1], axis=1).ravel() for r, _, _ in parts]
+        cols = [np.tile(c, c.shape[1]).ravel() for _, c, _ in parts]
+        vals = [k.ravel() for _, _, k in parts]
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
         k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.size)).tocsr()
         k.sum_duplicates()

@@ -12,20 +12,26 @@ scheme advances a selected DOF subset (cut elements) with step dt/p_t while
 the rest of the domain keeps dt; with an empty selection or p_t = 1 it
 degenerates to the standard leap-frog update. Each coarse step does one
 full stiffness matvec. The p_t sub-steps run only on nbhd(sel), the
-selected DOFs and the DOFs coupled to them, applying A[nbhd, sel] =
-M^(-1/2) K[nbhd, sel] M^(-1/2) as the stiffness's own element batches,
-restricted once per solver to the elements that touch sel; everywhere else
-the sub-step recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
+selected DOFs and the DOFs coupled to them, in the scaled variables
+v = M^(-1/2) q: they apply K[nbhd, sel] as the stiffness's own element
+batches, restricted once per solver to the elements that touch sel, to v
+as it is, and scale the result by h^2 M^-1. Everywhere else the sub-step
+recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
 
-Each integrator advances its state with one in-place kernel: the step
-overwrites the older of its two states, and dt^2 (CDM, and LTS's coarse
-update) or h^2 = (dt/p_t)^2 (LTS's sub-steps) is folded into diagonal
-scalings made once per run or solver. A load term is added only when the
-pulse is nonzero, on the DOFs its shape loads. LTS samples the pulse once
-per sub-step grid point and reuses one coarse step's samples as the next
-one's backward samples, and its start-up skips the sub-step sweep from a
-zero displacement. Both integrators require the start state to be zero on
-the Dirichlet DOFs.
+Each integrator advances its state with one in-place kernel. CDM and the
+LTS sub-steps are leap-frog in summed form (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, 2006): the increment takes the
+acceleration and then the state takes the increment, two passes a step
+where the three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with
+less round-off. A CDM history carries its increment, so a continued run
+is bitwise one longer run. LTS's coarse update overwrites the older of
+its two states. dt^2 (CDM, and LTS's coarse update) or h^2 = (dt/p_t)^2
+(LTS's sub-steps) is folded into diagonal scalings made once per run or
+solver. A load term is added only when the pulse is nonzero, on the DOFs
+its shape loads. LTS samples the pulse once per sub-step grid point and
+reuses one coarse step's samples as the next one's backward samples, and
+its start-up skips the sub-step sweep from a zero displacement. Both
+integrators require the start state to be zero on the Dirichlet DOFs.
 """
 
 import math
@@ -109,12 +115,20 @@ def choose_pt(dt_coarse, cut_dt_min):
 
 @dataclass
 class TimeHistory:
-    """Trailing states of a displacement-propagating scheme."""
+    """Trailing state of the central-difference loop: u_n and the increment u_n - u_{n-1}.
 
-    u_prev: np.ndarray
+    The loop carries the increment, not u_{n-1}, so a history resumes
+    bitwise; `u_prev` is formed from the two on request.
+    """
+
     u_curr: np.ndarray
+    du: np.ndarray
     step: int
     dt: float
+
+    @property
+    def u_prev(self):
+        return self.u_curr - self.du
 
 
 def _check_divergence(u, scale):
@@ -143,55 +157,54 @@ def _loaded_entries(values):
 def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     """Central difference time loop; returns the final TimeHistory.
 
-    u_{-1} comes from a second-order Taylor start. u0 and v0 must be zero on
-    the Dirichlet DOFs. record(step, t, u) is invoked after every accepted
-    step when given; u is overwritten by the next step, so a record that
-    keeps it copies it.
+    The increment u_0 - u_{-1} comes from a second-order Taylor start. u0
+    and v0 must be zero on the Dirichlet DOFs. record(step, t, u) is
+    invoked after every accepted step when given; u is overwritten by the
+    next step, so a record that keeps it copies it.
     """
     _check_start_on_dirichlet(system, u0, v0)
     n = system.dof_count
     u_curr = np.zeros(n) if u0 is None else u0.copy()
     v0 = np.zeros(n) if v0 is None else v0
     a0 = system.m_inv * (system.force(0.0) - system.k_matvec(u_curr))
-    u_prev = u_curr - dt * v0 + 0.5 * dt * dt * a0
-    start = TimeHistory(u_prev=u_prev, u_curr=u_curr, step=0, dt=dt)
+    du = dt * v0 - 0.5 * dt * dt * a0
+    start = TimeHistory(u_curr=u_curr, du=du, step=0, dt=dt)
     return _advance_cdm(system, start, n_steps, record)
 
 
 def _advance_cdm(system, hist, n_steps, record=None):
     """Advance a CDM history by n_steps; the one central-difference loop.
 
-    With c = dt^2 M^-1, made once, each step is one stiffness matvec and an
-    in-place update of the older state: u_prev <- (u - u_prev) + u - c K u,
-    plus c f_shape pulse(t) on the loaded DOFs when the pulse is nonzero.
-    The state lives in buffers of its own: hist is copied once and left as
-    it is, and record gets a buffer that the next step overwrites. c is
-    zero on the Dirichlet DOFs, so they stay at their start value, zero.
+    Leap-frog in summed form: with c = dt^2 M^-1, made once, each step is
+    one stiffness matvec and two in-place passes, du <- du - c K u (plus
+    c f_shape pulse(t) on the loaded DOFs when the pulse is nonzero) and
+    u <- u + du. The state lives in buffers of its own: hist is copied once
+    and left as it is, and record gets a buffer that the next step
+    overwrites. c is zero on the Dirichlet DOFs, so they stay at their
+    start value, zero.
     """
     dt = hist.dt
-    u_prev, u_curr = hist.u_prev.copy(), hist.u_curr.copy()
+    u, du = hist.u_curr.copy(), hist.du.copy()
     c = dt * dt * system.m_inv
     loaded, c_f = _loaded_entries(c * system.f_shape)
     pulse = system.pulse
-    scale = max(float(np.max(np.abs(u_curr))), 1.0)
+    scale = max(float(np.max(np.abs(u))), 1.0)
     end = hist.step + n_steps
     for step in range(hist.step, end):
         t = step * dt
-        ku = system.k_matvec(u_curr)
+        ku = system.k_matvec(u)
         ku *= c
-        # u_next = 2 u_curr - u_prev + dt^2 M^-1 (f - K u_curr), into u_prev
-        np.subtract(u_curr, u_prev, out=u_prev)
-        u_prev += u_curr
-        u_prev -= ku
+        # du_{n+1/2} = du_{n-1/2} + dt^2 M^-1 (f - K u_n); u_{n+1} = u_n + du_{n+1/2}
+        du -= ku
         p = pulse(t)
         if p != 0.0:
-            u_prev[loaded] += p * c_f
-        u_prev, u_curr = u_curr, u_prev
+            du[loaded] += p * c_f
+        u += du
         if step % 25 == 0 or step == end - 1:
-            _check_divergence(u_curr, scale)
+            _check_divergence(u, scale)
         if record is not None:
-            record(step + 1, t + dt, u_curr)
-    return TimeHistory(u_prev=u_prev, u_curr=u_curr, step=end, dt=dt)
+            record(step + 1, t + dt, u)
+    return TimeHistory(u_curr=u, du=du, step=end, dt=dt)
 
 
 class LtsConfig:
@@ -223,12 +236,15 @@ class LtsSolver:
     M^(-1/2) is the system's, zero on the Dirichlet DOFs, so A and r vanish
     there and `displacement` reads zero on them. The sub-steps touch only
     nbhd(sel), the selected DOFs and the DOFs of the elements that hold a
-    selected DOF. They apply the element batches of those elements,
-    renumbered onto nbhd(sel) once here, to M^(-1/2) q zeroed off sel, and
-    scale the result by M^(-1/2). Outside nbhd(sel) the sub-step recurrence
-    has no A P q and no P r term, so it has the closed form
-    q_m = 2 z_n + m^2 h^2 w and the coarse update there is
-    z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
+    selected DOF, and run in the scaled variables v = M^(-1/2) q, zero on
+    the Dirichlet DOFs as q is. A sub-step applies `k_local`, the element
+    batches of those elements renumbered onto nbhd(sel) once here, which
+    gathers every column off sel from a zero slot: it reads v as it is, and
+    its result is scaled by h^2 M^-1. Each sub-step is leap-frog in summed
+    form, dv <- dv + a and v <- v + dv, and q = M^(1/2) v is formed once
+    per coarse step. Outside nbhd(sel) the sub-step recurrence has no A P q
+    and no P r term, so it has the closed form q_m = 2 z_n + m^2 h^2 w and
+    the coarse update there is z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
 
     `run` and `step` share one in-place kernel, `_coarse_step`, with h^2
     and dt^2 folded into the scalings made here. The load is sampled at the
@@ -243,28 +259,32 @@ class LtsSolver:
         dt, sel = cfg.dt, cfg.selection
         h2 = (dt / cfg.p_t) ** 2
         self.m_inv_sqrt = system.m_inv_sqrt
-        self.nbhd, self._k_local = system.stiffness.restrict(sel)
-        self.fine = sel[self.nbhd]  # P restricted to nbhd(sel)
+        self.nbhd, self.k_local = system.stiffness.restrict(sel)
+        nb = self.nbhd
+        self.fine = sel[nb]  # P restricted to nbhd(sel)
         # the full matvec's input and output scalings, M^(-1/2) (1-P) and
         # dt^2 M^(-1/2)
         self._coarse_in = np.where(sel, 0.0, self.m_inv_sqrt)
         self._coarse_out = dt * dt * self.m_inv_sqrt
-        # the restricted operator's, M^(-1/2) P and h^2 M^(-1/2), on nbhd(sel)
-        self._in_scale = np.where(self.fine, self.m_inv_sqrt[self.nbhd], 0.0)
-        self._h2_out_scale = h2 * self.m_inv_sqrt[self.nbhd]
+        # on nbhd(sel): v_0 = 2 M^(-1/2) z_n, M^(-1/2) h^2 w2 = -2/p_t^2
+        # M^(-1/2) g, the sub-step output scaling h^2 M^-1 (zero on the zero
+        # slot) and q = M^(1/2) v
+        m_inv_sqrt_nb = self.m_inv_sqrt[nb]
+        self._v_in = 2.0 * m_inv_sqrt_nb
+        self._w2_scale = (-2.0 / cfg.p_t**2) * m_inv_sqrt_nb
+        self._h2_m_inv = np.append(h2 * system.m_inv[nb], 0.0)
+        self._m_sqrt = np.sqrt(system.lumped_mass[nb])
+        # v and M^(-1/2) h^2 w2 on nbhd(sel) and the zero slot, which stays 0
+        self._v = np.zeros(len(nb) + 1)
+        self._h2w2 = np.zeros(len(nb) + 1)
         # r(t) = M^(-1/2) f_shape pulse(t), split into its unrefined part,
-        # scaled by dt^2, and its refined part on nbhd(sel), scaled by h^2;
-        # each kept on its nonzero entries
+        # scaled by dt^2, and its refined part on nbhd(sel), scaled by
+        # h^2 M^(-1/2) for v; each kept on its nonzero entries
         r_shape = self.m_inv_sqrt * system.f_shape
         self._coarse_load = _loaded_entries(dt * dt * np.where(sel, 0.0, r_shape))
-        self._fine_load = _loaded_entries(h2 * np.where(self.fine, r_shape[self.nbhd], 0.0))
-
-    def a_apply(self, z):
-        return self.m_inv_sqrt * self.system.k_matvec(self.m_inv_sqrt * z)
-
-    def a_local(self, q):
-        """A[nbhd, sel] q[fine] for q on nbhd(sel)."""
-        return self.m_inv_sqrt[self.nbhd] * self._k_local.apply(self._in_scale * q)
+        self._fine_load = _loaded_entries(
+            h2 * np.where(self.fine, m_inv_sqrt_nb * r_shape[nb], 0.0)
+        )
 
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
@@ -283,8 +303,8 @@ class LtsSolver:
         those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
         One full stiffness matvec gives g = dt^2 (A (1-P) z_n - (1-P) r_n)
         = -dt^2 w; the p_t sub-steps, one restricted apply each, run from
-        q_0 = 2 z_n on nbhd(sel)-sized vectors, and z_{n+1} = q_{p_t} - z_{n-1}
-        there.
+        v_0 = M^(-1/2) q_0 = 2 M^(-1/2) z_n on nbhd(sel)-sized vectors, and
+        z_{n+1} = M^(1/2) v_{p_t} - z_{n-1} there.
         """
         p_t, nb = self.cfg.p_t, self.nbhd
         g = self.system.k_matvec(self._coarse_in * z)
@@ -292,28 +312,28 @@ class LtsSolver:
         if fwd[0] != 0.0:
             idx, vals = self._coarse_load
             g[idx] -= fwd[0] * vals
-        # h^2 w2 = 2 h^2 w on nbhd(sel)
-        h2w2 = g[nb]
-        h2w2 *= -2.0 / (p_t * p_t)
+        v, h2w2 = self._v, self._h2w2
+        np.multiply(z[nb], self._v_in, out=v[:-1])
+        np.multiply(g[nb], self._w2_scale, out=h2w2[:-1])
 
         fine_idx, fine_vals = self._fine_load
-        q = 2.0 * z[nb]
-        q_prev = q.copy()
         for m in range(p_t):
-            a = self._k_local.apply(self._in_scale * q)
-            a *= self._h2_out_scale
-            # a <- h^2 (w2 + s_m r_fine - A_local q_m)
+            a = self.k_local.apply(v)
+            a *= self._h2_m_inv
+            # a <- M^(-1/2) h^2 (w2 + s_m r_fine - A_local q_m)
             np.subtract(h2w2, a, out=a)
             s = 2.0 * fwd[0] if m == 0 else fwd[m] + bwd[p_t - m]
             if s != 0.0:
                 a[fine_idx] += s * fine_vals
+            # v_{m+1} = v_m + dv_{m+1/2}, dv_{m+1/2} = dv_{m-1/2} + a; the
+            # first sub-step is a half step from v_{-1} = v_1
             if m == 0:
-                a *= 0.5  # the first sub-step is a half step from q_{-1} = q_1
-            # q_{m+1} = 2 q_m - q_{m-1} + a, into q_prev
-            np.subtract(q, q_prev, out=q_prev)
-            q_prev += q
-            q_prev += a
-            q, q_prev = q_prev, q
+                a *= 0.5
+                dv = a
+            else:
+                dv += a
+            v += dv
+        q = self._m_sqrt * v[:-1]
         q -= z_prev[nb]
 
         # z_{n+1} = 2 z_n - z_{n-1} + dt^2 w off nbhd(sel), q_{p_t} - z_{n-1} on it
@@ -416,7 +436,9 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
     Returns rows (p, fraction, scheme, epsilon, dt_ratio); epsilon is only
     meaningful for the fitted scheme and reported as 0 otherwise. The grid
     is checked first; then each cut rule's shape functions are evaluated
-    once, for its stiffness and its HRZ diagonal.
+    once, for its stiffness and its HRZ diagonal, and each distinct lumped
+    mass of the rule gets one eigen-solve: below the low-volume threshold
+    the fitted bound, and so the weights, do not depend on epsilon.
     """
     fit_cfgs = check_sweep_grid([p], cut_fractions, schemes, epsilons)
     basis = tensor_basis(p)
@@ -437,6 +459,7 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
         k_cut = element_stiffness(basis, mat, cutq.points, cutq.weights, jac, shapes=shapes)
         # one moment system per cut rule; only the QP depends on epsilon
         moments = build_moment_system(basis, cutq) if fit_cfgs else None
+        dt_of_mass = {}  # lumpings that give bitwise-equal masses share a solve
         for scheme in schemes:
             if scheme == "fitted":
                 lumps = [
@@ -447,6 +470,8 @@ def critical_dt_sweep(p, cut_fractions, schemes, epsilons, depth=4):
                 lumps = [(0.0, lump_element(basis, cutq, scheme, shapes=shapes))]
             for eps, lumped in lumps:
                 m_e = element_lumped_mass(lumped, mat, jac)
-                dt_e = 2.0 / math.sqrt(element_max_eigenvalue(k_cut, m_e))
-                rows.append((p, frac, scheme, eps, dt_e / dt0))
+                key = m_e.tobytes()
+                if key not in dt_of_mass:
+                    dt_of_mass[key] = 2.0 / math.sqrt(element_max_eigenvalue(k_cut, m_e))
+                rows.append((p, frac, scheme, eps, dt_of_mass[key] / dt0))
     return rows

@@ -9,7 +9,8 @@ above the low-volume threshold, v_e*w_std below it (w_std = smallest tensor
 GLL weight). The QP is solved by an active-set method on the bounds with
 block activation, as in Portugal, Judice and Vicente (1994): every free
 weight below the bound becomes active at once, and at a feasible point the
-most negative bound multiplier is released. Should an active set repeat,
+most negative bound multiplier below -tol is released, tol scaled to the
+terms of the gradient (`_release_tol`). Should an active set repeat,
 Murty's single-index rule (exchange only the largest infeasible index)
 takes over. A is square and non-singular, so the KKT point reached is the
 unique optimum.
@@ -39,7 +40,7 @@ from scipy.linalg.lapack import dgglse
 
 from .errors import ConfigError, DegenerateDiagonal, Infeasible, SolverStall, VoidElement
 
-_KKT_TOL = 1e-10
+_KKT_RTOL = 1e-13
 LUMPING_SCHEMES = ("fitted", "hrz", "scaled")
 
 
@@ -160,7 +161,9 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
             active[low] = True
             continue
         mu, _ = _kkt_terms(a_mat, b_vec, w, active)
-        release = np.flatnonzero(active)[mu < -_KKT_TOL]
+        # the threshold costs two products with |A|; it matters only below 0
+        tol = _release_tol(a_mat, b_vec, w) if np.any(mu < 0.0) else 0.0
+        release = np.flatnonzero(active)[mu < -tol]
         if not (low.size or release.size):
             return LumpedElementMass(
                 scheme="fitted",
@@ -176,6 +179,18 @@ def solve_fitted_weights(sys, cutq, cfg, basis):
     mu, stat = _kkt_terms(a_mat, b_vec, w, active)
     kkt = max(stat, -float(np.min(mu, initial=0.0)), float(np.max(w_min - w, initial=0.0)))
     raise SolverStall(f"active-set QP stalled with KKT residual {kkt:g}")
+
+
+def _release_tol(a_mat, b_vec, w):
+    """How negative a bound multiplier must be to release its bound.
+
+    The multipliers are differences of entries of g = A^T (A w - b). Their
+    rounding error scales with the terms that cancel in g, whose size is
+    the largest entry of |A|^T (|A| |w| + |b|), not with g itself, which
+    is small near the optimum: _KKT_RTOL times that size.
+    """
+    abs_a = np.abs(a_mat)
+    return _KKT_RTOL * float(np.max(abs_a.T @ (abs_a @ np.abs(w) + np.abs(b_vec))))
 
 
 def _kkt_terms(a_mat, b_vec, w, active):

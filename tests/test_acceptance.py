@@ -37,7 +37,7 @@ from cutsem.momentfit import (
     solve_fitted_weights,
 )
 
-from helpers import brute_force_fitted_weights
+from helpers import a_apply, brute_force_fitted_weights
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
@@ -260,7 +260,7 @@ def test_criterion_8_lts_correctness():
     z_prev, z_curr = state.z_prev.copy(), state.z_curr.copy()
     for n in range(100):
         state = solver.step(state)
-        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(n * dt) - solver.a_apply(z_curr))
+        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(n * dt) - a_apply(solver, z_curr))
         z_prev, z_curr = z_curr, z_next
         scale = max(float(np.max(np.abs(z_curr))), 1e-300)
         ok &= np.max(np.abs(state.z_curr - z_curr)) <= TOL_LTS_BITMATCH * scale

@@ -28,7 +28,7 @@ from cutsem.gll import tensor_basis
 from cutsem.integrators import LtsConfig, LtsSolver, critical_timestep_table, run_cdm
 from cutsem.momentfit import LumpedElementMass, MomentFitConfig
 
-from helpers import count_shape_evals
+from helpers import a_local, count_shape_evals
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -212,7 +212,7 @@ def assert_lts_sub_step_matches_csr(system, selection):
     a = m_inv_sqrt[solver.nbhd, None] * k_cols.toarray()[solver.nbhd] * m_inv_sqrt[sel]
     q = np.random.default_rng(5).standard_normal(len(solver.nbhd))
     expect = a @ q[solver.fine]
-    err = np.abs(solver.a_local(q) - expect).max(initial=0.0)
+    err = np.abs(a_local(solver, q) - expect).max(initial=0.0)
     assert err <= 1e-14 * np.abs(expect).max(initial=0.0)
 
 
@@ -266,6 +266,54 @@ def test_empty_operator_applies_as_float_zeros():
         assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(op.size))
     empty = ElementBatches(0).apply(np.zeros(0))
     assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_restriction_to_an_empty_selection_applies_as_float_zeros():
+    system = assemble_global(CartesianMesh(lx=1.0, ly=1.0, nx=2, ny=2, p=2), MAT)
+    nbhd, op = system.stiffness.restrict(np.zeros(system.dof_count, dtype=bool))
+    assert nbhd.size == 0 and op.size == 1
+    kx = op.apply(np.zeros(1))
+    assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(1))
+
+
+def cut_plate_stiffness():
+    """K of a free p = 3 mesh around a circular void: full and cut elements."""
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=4, ny=4, p=3, level_set=circle(0.5, 0.5, 0.3), depth=2)
+    return assemble_global(mesh, MAT).stiffness
+
+
+def test_apply_returns_a_fresh_array():
+    # both products go through one values buffer per operator; a result
+    # must not be a view of it
+    k = cut_plate_stiffness()
+    _, local = k.restrict(np.random.default_rng(6).random(k.size) < 0.3)
+    rng = np.random.default_rng(7)
+    for op in (k, local):
+        x, y = rng.standard_normal((2, op.size))
+        first = op.apply(x)
+        kept = first.copy()
+        second = op.apply(y)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+def test_restricted_operator_reads_no_entry_outside_cols(density):
+    k = cut_plate_stiffness()
+    cols = np.random.default_rng(8).random(k.size) < density
+    nbhd, op = k.restrict(cols)
+    assert op.size == len(nbhd) + 1 and len(op.stack_dofs) > 0 and len(op.batch_dofs) > 0
+    on_cols = cols[nbhd]
+    x = np.zeros(op.size)
+    x[:-1][on_cols] = np.random.default_rng(9).standard_normal(on_cols.sum())
+    filled = x.copy()
+    filled[:-1][~on_cols] = np.nan
+    got = op.apply(filled)
+    assert got.tobytes() == op.apply(x).tobytes()
+    assert got[-1] == 0.0  # no row adds to the zero slot
+    # and op is K[nbhd, cols] on nbhd's numbering
+    expect = k.to_csr()[nbhd][:, cols] @ x[:-1][on_cols]
+    assert np.abs(got[:-1] - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_batch_gemm_applies_k_e_not_its_transpose():
@@ -450,7 +498,15 @@ def test_restriction_to_every_stacked_element_shares_the_stack():
     selection[system.cut_element_dofs] = True
     nbhd, op = k.restrict(selection)
     assert len(k.stack_k_e) == 2 and np.shares_memory(op.stack_k_e, k.stack_k_e)
-    copied = ElementBatches(op.size, op.batch_dofs, op.batch_k_e, op.stack_dofs, k.stack_k_e.copy())
+    copied = ElementBatches(
+        op.size,
+        op.batch_dofs,
+        op.batch_k_e,
+        op.stack_dofs,
+        k.stack_k_e.copy(),
+        batch_cols=op.batch_cols,
+        stack_cols=op.stack_cols,
+    )
     x = np.random.default_rng(2).standard_normal(op.size)
     assert op.apply(x).tobytes() == copied.apply(x).tobytes()
     assert_lts_sub_step_matches_csr(system, selection)

@@ -35,7 +35,7 @@ from cutsem.integrators import (
 )
 from cutsem.momentfit import MomentFitConfig
 
-from helpers import count_shape_evals, critical_dt_sweep_oracle
+from helpers import a_apply, count_shape_evals, critical_dt_sweep_oracle
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -188,6 +188,26 @@ def test_cdm_harmonic_oscillator_period_error():
     assert 3.6 <= ratio <= 4.4
 
 
+def test_summed_form_cdm_matches_the_three_term_recurrence():
+    # u_{n+1} = 2 u_n - u_{n-1} + dt^2 M^-1 (f(t_n) - K u_n) from the same
+    # Taylor start, on the loaded cut bar clamped at x = 0
+    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=20, scheme="fitted")
+    mesh, system = build_bar_system(cfg)
+    dt = CFL_SAFETY * critical_timestep_table(mesh, cfg.material, scheme="fitted").dt_c
+    rng = np.random.default_rng(23)
+    u0 = 1e-3 * rng.standard_normal(system.dof_count)
+    u0[system.dirichlet_dofs] = 0.0
+    us = []
+    run_cdm(system, dt, 300, u0=u0, record=lambda s, t, u: us.append(u.copy()))
+    m_inv, k = system.m_inv, system.k_csr()
+    u_prev = u0 + 0.5 * dt * dt * m_inv * (system.force(0.0) - k @ u0)
+    u = u0
+    for n, got in enumerate(us):
+        u_prev, u = u, 2.0 * u - u_prev + dt * dt * m_inv * (system.force(n * dt) - k @ u)
+        assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u)), n
+    assert np.any(system.force((len(us) - 1) * dt))  # the load is on by the end
+
+
 def test_lts_pt1_all_selected_matches_reference_leapfrog():
     _, system = make_system(nx=5, p=3)
     selection = np.ones(system.dof_count, dtype=bool)
@@ -202,7 +222,7 @@ def test_lts_pt1_all_selected_matches_reference_leapfrog():
     for n in range(100):
         state = solver.step(state)
         t = n * dt
-        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(t) - solver.a_apply(z_curr))
+        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(t) - a_apply(solver, z_curr))
         z_prev, z_curr = z_curr, z_next
         scale = max(np.max(np.abs(z_curr)), 1e-300)
         assert np.max(np.abs(state.z_curr - z_curr)) <= 1e-12 * scale
@@ -284,15 +304,15 @@ def full_mask_sub_steps(solver, z_n, t_n, r_of):
     sel = solver.cfg.selection
     r_n = r_of(t_n)
     h = dt / p_t
-    w = np.where(sel, 0.0, r_n) - solver.a_apply(np.where(sel, 0.0, z_n))
+    w = np.where(sel, 0.0, r_n) - a_apply(solver, np.where(sel, 0.0, z_n))
     q_prev = 2.0 * z_n
     q = q_prev + 0.5 * h * h * (
-        2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - solver.a_apply(np.where(sel, q_prev, 0.0))
+        2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - a_apply(solver, np.where(sel, q_prev, 0.0))
     )
     for m in range(1, p_t):
         src = r_of(t_n + m * h) + r_of(t_n - m * h)
         q_next = 2.0 * q - q_prev + h * h * (
-            2.0 * w + np.where(sel, src, 0.0) - solver.a_apply(np.where(sel, q, 0.0))
+            2.0 * w + np.where(sel, src, 0.0) - a_apply(solver, np.where(sel, q, 0.0))
         )
         q_prev, q = q, q_next
     return q
@@ -554,6 +574,33 @@ def test_critical_dt_sweep_evaluates_shape_functions_once_per_cut_rule(monkeypat
     assert len(calls) == len(DTCRIT_FRACTIONS) + 1
 
 
+def count_eigen_solves(monkeypatch):
+    """A list that gets one entry per element_max_eigenvalue call of the sweep."""
+    import cutsem.integrators as integrators
+
+    calls = []
+    solve = integrators.element_max_eigenvalue
+
+    def counted(*a):
+        calls.append(1)
+        return solve(*a)
+
+    monkeypatch.setattr(integrators, "element_max_eigenvalue", counted)
+    return calls
+
+
+def test_default_sweep_solves_each_distinct_lumped_mass_once(monkeypatch):
+    # at fraction 0.1 the volume ratio falls below the low-volume threshold,
+    # where the fitted bound, and so the mass, does not depend on epsilon
+    calls = count_eigen_solves(monkeypatch)
+    orders = [4, 5, 6, 7]
+    rows = run_dtcrit_sweep(orders, DTCRIT_FRACTIONS, DTCRIT_SCHEMES, [0.01, 0.1])
+    # one solve per order for the uncut element, one per row, less one per order
+    assert len(rows) == 144 and len(calls) == 144
+    shared = [r for r in rows if r[2] == "fitted" and r[1] == 0.1]
+    assert len(shared) == 8 and all(a[4] == b[4] for a, b in zip(shared[::2], shared[1::2]))
+
+
 @pytest.mark.parametrize(
     "sweep, args",
     [
@@ -570,16 +617,7 @@ def test_critical_dt_sweep_evaluates_shape_functions_once_per_cut_rule(monkeypat
     ],
 )
 def test_sweep_rejects_a_bad_grid_before_any_eigen_solve(monkeypatch, sweep, args):
-    import cutsem.integrators as integrators
-
-    calls = []
-    solve = integrators.element_max_eigenvalue
-
-    def counted(*a):
-        calls.append(1)
-        return solve(*a)
-
-    monkeypatch.setattr(integrators, "element_max_eigenvalue", counted)
+    calls = count_eigen_solves(monkeypatch)
     with pytest.raises(ConfigError):
         sweep(*args)
     assert calls == []

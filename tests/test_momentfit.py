@@ -238,6 +238,23 @@ def test_qp_that_revisits_an_active_set_still_converges():
     assert max(report.values()) <= 1e-9, report
 
 
+def test_qp_releases_a_small_negative_multiplier_on_an_ill_conditioned_cut():
+    # p = 8, eps = 1, a disk clipping one corner: cond(A) is 2.9e5 and the
+    # gradient's terms are about 44, so its rounding is about 1e-14. An
+    # absolute release threshold of 1e-10 certified an active set with a
+    # multiplier of -9.6e-11 here; scaled to those terms the bound is
+    # released and the optimum has no negative multiplier
+    basis = tensor_basis(8)
+    cutq = build_cut_quadrature(circle(0.95, 1.39, 0.42), UNIT_BOX, depth=4, gauss_degree=16)
+    assert 0.99 < cutq.volume_ratio < 1.0
+    sys = build_moment_system(basis, cutq)
+    cfg = MomentFitConfig(epsilon=1.0)
+    out = solve_fitted_weights(sys, cutq, cfg, basis)
+    report = kkt_report(sys, out, cutq, cfg, basis)
+    assert report["dual_feasibility"] <= 0.0, report
+    assert max(report.values()) <= 1e-12, report
+
+
 def test_qp_that_never_certifies_stalls_at_the_iteration_cap(monkeypatch):
     # a multiplier that always reads negative keeps releasing bounds; the
     # loop must stop at its cap and report the last iterate's KKT residual,

@@ -119,7 +119,8 @@ class CartesianMesh:
 
     def _classify_elements(self, level_set, depth):
         if level_set is None:
-            level_set = geometry.LevelSet(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
+            # no cut: every element is full, with the same rule
+            level_set = geometry.half_plane(1.0, 0.0, 2.0 * self.lx)
             depth = 0
         keys = list(self.elements())
         boxes = [self.element_box(*key) for key in keys]
@@ -311,13 +312,12 @@ class GlobalSystem:
     pulse(t), zero when the system is unloaded. K and f_shape include the
     Dirichlet DOFs; `m_inv` and `m_inv_sqrt`, M^-1 and M^-1/2, are zero
     there, so an integrator that scales by them never moves those DOFs.
+    The DOF count and the cut-element DOFs are read from K.
     """
 
     stiffness: ElementBatches
     lumped_mass: np.ndarray
-    dof_count: int
     dirichlet_dofs: np.ndarray
-    cut_element_dofs: np.ndarray
     f_shape: np.ndarray = None  # zeros of dof_count when not given
     pulse: object = zero_pulse  # scalar history t -> p(t)
     _k_csr: object = field(default=None, init=False, repr=False)
@@ -327,6 +327,15 @@ class GlobalSystem:
             self.f_shape = np.zeros(self.dof_count)
         if np.any(self._zero_on_dirichlet(self.lumped_mass <= 0)):
             raise SingularMass("a free DOF received zero lumped mass")
+
+    @property
+    def dof_count(self):
+        return self.stiffness.size
+
+    @property
+    def cut_element_dofs(self):
+        """The DOFs of the elements with a stiffness each: K's stack."""
+        return np.unique(self.stiffness.stack_dofs)
 
     def _zero_on_dirichlet(self, values):
         values[self.dirichlet_dofs] = 0
@@ -475,31 +484,25 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     stack_k_e = np.array([rec.k_e for rec, c in zip(recs, cut) if c]).reshape(-1, width, width)
     # the one record every full element shares
     batch_k_e = next((rec.k_e for rec, c in zip(recs, cut) if not c), np.zeros((width, width)))
-    stack = dofs[cut]
     return GlobalSystem(
-        stiffness=ElementBatches(ndof, dofs[~cut], batch_k_e, stack, stack_k_e),
+        stiffness=ElementBatches(ndof, dofs[~cut], batch_k_e, dofs[cut], stack_k_e),
         lumped_mass=mass,
-        dof_count=ndof,
         dirichlet_dofs=np.array(sorted(mesh.dirichlet_dofs), dtype=np.int64),
-        cut_element_dofs=np.unique(stack),
     )
 
 
-def assemble_interface_traction(mesh, direction):
-    """f_shape of a traction on the non-conforming interface.
+def _line_load(mesh, rules, direction):
+    """f_shape of the traction `direction` on the line rules {(ex, ey): rule}.
 
-    f_shape carries the arc-length line integral of the shape functions
-    against the unit `direction`, taken with the interface rules the mesh
-    built with its volume rules.
+    Each rule is an InterfaceQuadrature in its element's reference frame:
+    the arc-length line integral of the shape functions is taken with its
+    weights, mapped to physical arc length along its tangents. This is the
+    one loop over line-rule points of both traction loads.
     """
     direction = np.asarray(direction, dtype=float)
     jx, jy = mesh.hx / 2.0, mesh.hy / 2.0
     f_shape = np.zeros(mesh.dof_count)
-    for (ex, ey), cutq in mesh.cut_quadratures.items():
-        iq = cutq.interface
-        # a sliver keeps an interface rule, but its nodes may be pruned
-        if cutq.is_void or not len(iq.points):
-            continue
+    for (ex, ey), iq in rules.items():
         dofs = mesh.element_dofs(ex, ey)
         # reference arc length -> physical arc length along the tangent
         scale = np.hypot(jx * iq.tangents[:, 0], jy * iq.tangents[:, 1])
@@ -510,24 +513,38 @@ def assemble_interface_traction(mesh, direction):
     return f_shape
 
 
+def assemble_interface_traction(mesh, direction):
+    """f_shape of a traction on the non-conforming interface.
+
+    The line integral is taken with the interface rules the mesh built
+    with its volume rules.
+    """
+    rules = {
+        key: cutq.interface
+        for key, cutq in mesh.cut_quadratures.items()
+        # a sliver keeps an interface rule, but its nodes may be pruned
+        if not cutq.is_void and len(cutq.interface.points)
+    }
+    return _line_load(mesh, rules, direction)
+
+
 def assemble_edge_traction(mesh, direction):
     """f_shape of a conforming traction on the right mesh edge.
 
-    This is the load of the uncut baseline.
+    This is the load of the uncut baseline: the line integral with the GLL
+    rule on xi = 1 of every right-column element, whose shape values at
+    its points are 0 and 1, so each edge node gets its GLL weight.
     """
-    direction = np.asarray(direction, dtype=float)
-    f_shape = np.zeros(mesh.dof_count)
-    jy = mesh.hy / 2.0
-    by = mesh.basis.rule
-    for ey in range(mesh.ny):
-        ex = mesh.nx - 1
-        if mesh.cut_quadratures[(ex, ey)].is_void:
-            continue
-        dofs = mesh.element_dofs(ex, ey)
-        # right edge: xi = 1, nodes i = p within each eta row
-        for j in range(mesh.p + 1):
-            k = j * (mesh.p + 1) + mesh.p
-            w = by.weights[j] * jy
-            f_shape[dofs[2 * k]] += w * direction[0]
-            f_shape[dofs[2 * k + 1]] += w * direction[1]
-    return f_shape
+    rule = mesh.basis.rule
+    m = len(rule.nodes)
+    edge = geometry.InterfaceQuadrature(
+        points=np.column_stack([np.ones(m), rule.nodes]),
+        weights=rule.weights,
+        normals=np.tile([1.0, 0.0], (m, 1)),
+        tangents=np.tile([0.0, 1.0], (m, 1)),
+    )
+    ex = mesh.nx - 1
+    rules = {
+        (ex, ey): edge for ey in range(mesh.ny) if not mesh.cut_quadratures[(ex, ey)].is_void
+    }
+    return _line_load(mesh, rules, direction)

@@ -10,9 +10,11 @@ With cut_fraction = 1 the mesh ends exactly at lx and the conformal-SEM
 baseline is run instead (no level set, edge traction).
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .assembly import (
 from .errors import ConfigError, ReflectionRegime, ZeroReference
 from .geometry import _gauss_square
 from .integrators import (
+    CFL_SAFETY,
     LtsConfig,
     LtsSolver,
     _advance_cdm,
@@ -41,15 +44,16 @@ from .momentfit import MomentFitConfig
 
 @dataclass(frozen=True)
 class HannPulse:
-    """p(t) = amplitude * sin(w t) * sin^2(w t / (2 n)) on [0, n/f], else 0."""
+    """p(t) = amplitude * sin(w t) * sin^2(w t / (2 n)) on [0, n/f], else 0.
+
+    Every study runs the one pulse shape, f = 20 and n = 5; only the
+    amplitude is set.
+    """
 
     amplitude: float = 1e6
-    frequency: float = 20.0
-    cycles: int = 5
-
-    @property
-    def duration(self):
-        return self.cycles / self.frequency
+    frequency: ClassVar[float] = 20.0
+    cycles: ClassVar[int] = 5
+    duration: ClassVar[float] = cycles / frequency
 
     def __call__(self, t):
         if t < 0.0 or t >= self.duration:
@@ -60,8 +64,10 @@ class HannPulse:
 
 @dataclass
 class BarBenchmarkConfig:
-    lx: float = 1.0
-    ly: float = 0.1
+    """One cut-bar run. Every study runs the one bar, lx = 1 by ly = 0.1."""
+
+    lx: ClassVar[float] = 1.0
+    ly: ClassVar[float] = 0.1
     cut_fraction: float = 0.5  # physical fraction dlx/h of the cut column; 1 = conformal
     order: int = 5
     elements_x: int = 20
@@ -173,7 +179,7 @@ def run_bar_lts(cfg):
         mesh, cfg.material, scheme=cfg.scheme, cfg=MomentFitConfig(epsilon=cfg.epsilon)
     )
     # land exactly on t_end with an integer number of steps
-    n_steps = int(math.ceil(cfg.t_end / (0.95 * table.dt_uncut_min)))
+    n_steps = int(math.ceil(cfg.t_end / (CFL_SAFETY * table.dt_uncut_min)))
     dt_coarse = cfg.t_end / n_steps
     p_t = choose_pt(dt_coarse, table.dt_cut_min)
     selection = np.zeros(system.dof_count, dtype=bool)
@@ -260,28 +266,20 @@ def run_bar_case(cfg):
 
 
 def run_bar_convergence(base_cfg, elements_list, orders, fractions, schemes, epsilons):
-    """Grid sweep; rows in deterministic grid order."""
-    cells = []
-    for p in orders:
-        for n in elements_list:
-            for frac in fractions:
-                for scheme in schemes:
-                    eps_list = epsilons if scheme == "fitted" else [epsilons[0]]
-                    if frac >= 1.0:
-                        eps_list = [epsilons[0]]
-                    for eps in eps_list:
-                        cells.append(
-                            replace(
-                                base_cfg,
-                                order=p,
-                                elements_x=n,
-                                cut_fraction=frac,
-                                scheme=scheme,
-                                epsilon=eps,
-                            )
-                        )
-                    if frac >= 1.0:
-                        break  # schemes coincide on a conformal mesh
+    """Grid sweep; rows in grid order: order, elements, fraction, then (scheme, epsilon).
+
+    Only the fitted scheme runs every epsilon, the others the first. A
+    conformal mesh, on which the schemes coincide, runs only the first
+    (scheme, epsilon) pair. The whole grid is checked before any cell runs.
+    """
+    # the cut fractions are checked by each cell's config, which allows 1
+    check_sweep_grid(orders, [], schemes, epsilons)
+    pairs = [(s, e) for s in schemes for e in (epsilons if s == "fitted" else epsilons[:1])]
+    cells = [
+        replace(base_cfg, order=p, elements_x=n, cut_fraction=frac, scheme=s, epsilon=e)
+        for p, n, frac in itertools.product(orders, elements_list, fractions)
+        for s, e in (pairs[:1] if frac >= 1.0 else pairs)
+    ]
     return [run_bar_case(c) for c in cells]
 
 

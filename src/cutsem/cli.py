@@ -50,7 +50,7 @@ def _bar_cfg_from_args(args):
     if args.h is not None:
         if not (math.isfinite(args.h) and args.h > 0):
             raise ConfigError(f"h must be positive and finite, got {args.h!r}")
-        n = max(2, int(round(1.0 / args.h + 1.0 - args.cut_fraction)))
+        n = max(2, int(round(BarBenchmarkConfig.lx / args.h + 1.0 - args.cut_fraction)))
         kwargs["elements_x"] = n
     if args.elements is not None:
         kwargs["elements_x"] = args.elements
@@ -216,10 +216,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -54,24 +54,20 @@ _MIN_SLOPE = 0.5  # least |d_k Phi| / |grad Phi| of a height direction k
 class LevelSet:
     """Signed-distance field wrapper; evaluator takes physical (x, y).
 
-    The built-in level sets also know their exact gradient; any other
-    evaluator gets central differences.
+    gradient(x, y) returns (d_x Phi, d_y Phi) at arrays of one shape; the
+    built-in level sets give it exactly.
     """
 
-    def __init__(self, evaluator, gradient=None):
+    def __init__(self, evaluator, gradient):
         self._evaluator = evaluator
         self._gradient = gradient
 
     def __call__(self, x, y):
         return self._evaluator(x, y)
 
-    def gradient(self, x, y, h=1e-7):
-        """(d_x Phi, d_y Phi): exact if known, else central differences of step h."""
-        if self._gradient is not None:
-            return self._gradient(*np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)))
-        gx = (self(x + h, y) - self(x - h, y)) / (2 * h)
-        gy = (self(x, y + h) - self(x, y - h)) / (2 * h)
-        return gx, gy
+    def gradient(self, x, y):
+        """(d_x Phi, d_y Phi) at the points (x, y), broadcast to one shape."""
+        return self._gradient(*np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)))
 
 
 def half_plane(nx, ny, offset):
@@ -258,7 +254,6 @@ class _ElementMaps:
         size = boxes[:, :, 1] - boxes[:, :, 0]
         self.frame = np.stack([boxes[:, :, 0], 0.5 * size], axis=1)  # (origin, half) per box
         self.half = self.frame[:, 1]
-        self.grad_h = 1e-7 * size.max(axis=1)
 
     def _map(self, p, box):
         """Physical points of the reference points p (..., 2) of the boxes box (...), and half."""
@@ -273,7 +268,7 @@ class _ElementMaps:
     def ref_gradient(self, p, box):
         """(d_xi Phi, d_eta Phi) at the reference points p, on a new first axis."""
         x, half = self._map(p, box)
-        gx, gy = self.ls.gradient(x[..., 0], x[..., 1], h=self.grad_h[box])
+        gx, gy = self.ls.gradient(x[..., 0], x[..., 1])
         return np.array([gx * half[..., 0], gy * half[..., 1]])
 
     def split_points(self, lines, box):

@@ -47,8 +47,7 @@ LUMPING_SCHEMES = ("fitted", "hrz", "scaled")
 @dataclass(frozen=True)
 class MomentFitSystem:
     monomial_matrix: np.ndarray  # (m, n), m = n; the basis's read-only table
-    rhs: np.ndarray  # (m,)
-    exponents: np.ndarray  # (m, 2) pairs (a, b) in graded lexicographic order
+    rhs: np.ndarray  # (m,), in the order of the basis's exponents
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ class LumpedElementMass:
 def build_moment_system(basis, cutq):
     """Monomials at the GLL tensor nodes vs. their cut-domain integrals.
 
-    The monomial matrix and the exponents are the basis's own read-only
-    tables; only the moments are computed here.
+    The monomial matrix is the basis's own read-only table; only the
+    moments are computed here, in the order of the basis's exponents.
     """
     if cutq.is_void:
         raise VoidElement("cannot build a moment system for a void element")
@@ -84,9 +83,7 @@ def build_moment_system(basis, cutq):
     moments = (cutq.weights[:, None] * vx).T @ vy
     exps = basis.exponents
     return MomentFitSystem(
-        monomial_matrix=basis.monomial_matrix,
-        rhs=moments[exps[:, 0], exps[:, 1]],
-        exponents=exps,
+        monomial_matrix=basis.monomial_matrix, rhs=moments[exps[:, 0], exps[:, 1]]
     )
 
 

@@ -247,15 +247,14 @@ def test_batched_stiffness_matches_assembled_csr(level_set, ny, clamp):
 
 def test_bare_global_system_has_an_empty_batch():
     k = sp.random(7, 7, density=0.5, random_state=3, format="csr").toarray()
-    empty = np.array([], dtype=np.int64)
     system = GlobalSystem(
         stiffness=ElementBatches(7, stack_dofs=[np.arange(7)], stack_k_e=[k]),
         lumped_mass=np.ones(7),
-        dof_count=7,
-        dirichlet_dofs=empty,
-        cut_element_dofs=empty,
+        dirichlet_dofs=np.array([], dtype=np.int64),
     )
     assert system.stiffness.batch_dofs.size == 0 and np.array_equal(system.k_csr().toarray(), k)
+    # the sizes are read from K: its one stacked element holds every DOF
+    assert system.dof_count == 7 and np.array_equal(system.cut_element_dofs, np.arange(7))
     assert_matvec_matches_csr(system)
 
 
@@ -414,12 +413,28 @@ def test_edge_traction_total_force():
     assert np.max(np.abs(f[1::2])) == 0.0
 
 
+@pytest.mark.parametrize("ny", [1, 2])
+def test_edge_traction_loads_each_right_edge_node_by_its_gll_weight(ny):
+    mesh = CartesianMesh(lx=1.0, ly=0.1 * ny, nx=3, ny=ny, p=3)
+    direction = np.array([0.6, -0.8])
+    f = assemble_edge_traction(mesh, direction)
+    w = mesh.basis.rule.weights * (mesh.hy / 2.0)
+    expected = np.zeros(mesh.dof_count)
+    for ey in range(ny):
+        # the right-edge nodes of element (nx - 1, ey), bottom to top; a node
+        # two elements share gets both weights
+        edge = mesh.element_nodes(mesh.nx - 1, ey)[mesh.p :: mesh.p + 1]
+        for node, wj in zip(edge, w):
+            expected[mesh.node_dofs([node])] += wj * direction
+    assert np.array_equal(f, expected)
+
+
 def test_interface_traction_makes_no_level_set_call(monkeypatch):
     # the mesh's own pass built the interface rules with the volume rules
     mesh = build_bar_mesh(BarBenchmarkConfig(cut_fraction=0.5, order=4, elements_x=6))
     calls = []
     monkeypatch.setattr(LevelSet, "__call__", lambda self, x, y: calls.append("phi"))
-    monkeypatch.setattr(LevelSet, "gradient", lambda self, x, y, h=0.0: calls.append("grad"))
+    monkeypatch.setattr(LevelSet, "gradient", lambda self, x, y: calls.append("grad"))
     f = assemble_interface_traction(mesh, (1.0, 0.0))
     assert calls == []
     assert abs(f[0::2].sum() - 0.1) < 1e-9

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from cutsem import benchmark
 from cutsem.benchmark import (
     BarBenchmarkConfig,
     CONVERGENCE_CSV_HEADER,
@@ -17,6 +18,7 @@ from cutsem.benchmark import (
     convergence_csv_rows,
     l2_velocity_error,
     run_bar_case,
+    run_bar_convergence,
     run_cdm_continue,
 )
 from cutsem.errors import ConfigError, ReflectionRegime, ZeroReference
@@ -116,6 +118,21 @@ def test_csv_rows_deterministic_excluding_wall_time():
     row1 = convergence_csv_rows([r1])[1].rsplit(",", 1)[0]
     row2 = convergence_csv_rows([r2])[1].rsplit(",", 1)[0]
     assert row1 == row2
+
+
+def test_convergence_grid_cells_in_row_order(monkeypatch):
+    monkeypatch.setattr(
+        benchmark,
+        "run_bar_case",
+        lambda cfg: (cfg.order, cfg.elements_x, cfg.cut_fraction, cfg.scheme, cfg.epsilon),
+    )
+    rows = run_bar_convergence(
+        BarBenchmarkConfig(), [6, 4], [3, 5], [1.0, 0.5], ["fitted", "hrz"], [0.01, 0.1]
+    )
+    # order, then elements, then fraction; the conformal mesh runs the first
+    # (scheme, epsilon) pair only, and hrz the first epsilon
+    per_mesh = [(1.0, "fitted", 0.01), (0.5, "fitted", 0.01), (0.5, "fitted", 0.1), (0.5, "hrz", 0.01)]
+    assert rows == [(p, n) + cell for p in (3, 5) for n in (6, 4) for cell in per_mesh]
 
 
 def test_cdm_continue_matches_one_longer_run():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cutsem
-from cutsem import __version__
+from cutsem import __version__, benchmark
 from cutsem.cli import main
 
 
@@ -83,6 +83,27 @@ def test_bar2d_sweep_unknown_key_exits_2(tmp_path, capsys, line):
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "schemes = bogus\ncut_fractions = 1.0",
+        "orders = 3,99\ncut_fractions = 1.0",
+        "schemes = hrz,fitted\nepsilons = 0.01,2.0\ncut_fractions = 0.5",
+    ],
+    ids=["scheme", "order", "epsilon"],
+)
+def test_bar2d_sweep_rejects_a_bad_grid_before_any_cell_runs(tmp_path, monkeypatch, lines):
+    # a scheme the conformal cells never use, and cells that would fail only
+    # after others had run, are caught with the whole grid
+    ran = []
+    monkeypatch.setattr(benchmark, "run_bar_case", ran.append)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"[bar2d]\nelements = 3\n{lines}\n")
+    out = tmp_path / "x.csv"
+    assert main(["bar2d-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ran == [] and not out.exists()
 
 
 def test_bar2d_h_and_elements_are_exclusive():

@@ -165,9 +165,7 @@ def test_cdm_harmonic_oscillator_period_error():
     system = GlobalSystem(
         stiffness=ElementBatches(1, stack_dofs=[[0]], stack_k_e=[[[omega**2]]]),
         lumped_mass=np.ones(1),
-        dof_count=1,
         dirichlet_dofs=np.array([], dtype=np.int64),
-        cut_element_dofs=np.array([], dtype=np.int64),
     )
     period = 2.0 * math.pi / omega
     err_period = abs(

@@ -22,6 +22,7 @@ from cutsem.benchmark import (
     run_cdm_continue,
 )
 from cutsem.errors import ConfigError, ReflectionRegime, ZeroReference
+from cutsem.geometry import _gauss_square
 from cutsem.integrators import run_cdm
 
 
@@ -97,6 +98,51 @@ def test_l2_error_metric_identities():
 
     with pytest.raises(ZeroReference):
         l2_velocity_error(mesh, v, cfg, reference=zero_ref)
+
+
+def per_element_l2_velocity_error(mesh, nodal_velocity, cfg):
+    """The relative L2 velocity error one element at a time, as a reference.
+
+    Full elements use the (2p + 2)-point Gauss rule and cut elements their
+    own rule; each element's velocities, points and reference are its own.
+    """
+    basis = mesh.basis
+    jx, jy = mesh.hx / 2.0, mesh.hy / 2.0
+    num = den = 0.0
+    for ex, ey in mesh.elements():
+        cutq = mesh.cut_quadratures[(ex, ey)]
+        if cutq.is_void:
+            continue
+        if cutq.classification == "full":
+            pts, wts = _gauss_square(2 * mesh.p + 2)
+        else:
+            pts, wts = cutq.points, cutq.weights
+        vals, _ = basis.shape_eval_2d_batch(pts)
+        dofs = mesh.element_dofs(ex, ey)
+        (x0, _), _ = mesh.element_box(ex, ey)
+        rx = analytic_rod_velocity(x0 + (pts[:, 0] + 1.0) * jx, cfg.t_end, cfg)
+        uhx = vals @ nodal_velocity[dofs[0::2]]
+        uhy = vals @ nodal_velocity[dofs[1::2]]
+        w = wts * jx * jy
+        num += w @ ((uhx - rx) ** 2 + uhy**2)
+        den += w @ rx**2
+    return math.sqrt(num / den)
+
+
+@pytest.mark.parametrize("cut_fraction", [1.0, 0.5, 0.05])
+def test_l2_error_equals_the_per_element_loop(cut_fraction):
+    # the full elements are batched, which sums in another order
+    cfg = BarBenchmarkConfig(cut_fraction=cut_fraction, elements_x=12, order=4, t_end=0.5)
+    mesh, system = build_bar_system(cfg)
+    ids = np.flatnonzero(mesh.node_active)
+    x = mesh.node_coords(ids)[:, 0]
+    dofs = mesh.node_dofs(ids)
+    v = np.zeros(system.dof_count)
+    v[dofs[0::2]] = analytic_rod_velocity(x, cfg.t_end, cfg) * (1.0 + 0.05 * np.sin(7.0 * x))
+    v[dofs[1::2]] = 1e3 * np.cos(5.0 * x)
+    want = per_element_l2_velocity_error(mesh, v, cfg)
+    assert 1e-3 < want < 1.0
+    assert l2_velocity_error(mesh, v, cfg) == pytest.approx(want, rel=1e-13)
 
 
 def test_run_bar_case_report_fields():

@@ -2,12 +2,14 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutsem import integrators
 from cutsem.assembly import (
     CartesianMesh,
     ElementBatches,
@@ -17,15 +19,21 @@ from cutsem.assembly import (
     element_operators,
     element_stiffness,
 )
-from cutsem.benchmark import BarBenchmarkConfig, build_bar_system, run_dtcrit_sweep
+from cutsem.benchmark import (
+    BarBenchmarkConfig,
+    build_bar_system,
+    run_cdm_continue,
+    run_dtcrit_sweep,
+)
 from cutsem.errors import ConfigError, Diverged, SingularMass, VoidElement
-from cutsem.geometry import _gauss_square, build_cut_quadrature, half_plane
+from cutsem.geometry import _gauss_square, build_cut_quadrature, circle, half_plane, union_of_voids
 from cutsem.gll import tensor_basis
 from cutsem.integrators import (
     CFL_SAFETY,
     LtsConfig,
     LtsSolver,
     LtsState,
+    _NEGLIGIBLE,
     _vertical_cut_rules,
     choose_pt,
     critical_dt_sweep,
@@ -393,18 +401,20 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
 
 def test_lts_run_is_initial_state_then_steps_bitwise():
     # run and step share one coarse-step kernel, and the load samples that
-    # run carries over from step to step are the ones step evaluates afresh
+    # run carries over from step to step are the ones step evaluates afresh;
+    # both check and flush after the same steps, and run's end-of-run check
+    # does not flush
     _, solvers = cut_bar_lts_solvers()
     for solver in solvers:
-        n = 30
-        run = solver.run(n)
-        state = solver.initial_state()
-        for _ in range(n):
-            state = solver.step(state)
-        assert (run.step, run.t) == (state.step, state.t)
-        assert np.max(np.abs(run.z_curr)) > 0.0
-        for got, want in ((run.z_prev, state.z_prev), (run.z_curr, state.z_curr)):
-            assert got.tobytes() == want.tobytes(), solver.cfg.p_t
+        for n in (30, 49, 50, 51):
+            run = solver.run(n)
+            state = solver.initial_state()
+            for _ in range(n):
+                state = solver.step(state)
+            assert (run.step, run.t) == (state.step, state.t)
+            assert np.max(np.abs(run.z_curr)) > 0.0
+            for got, want in ((run.z_prev, state.z_prev), (run.z_curr, state.z_curr)):
+                assert got.tobytes() == want.tobytes(), (solver.cfg.p_t, n)
 
 
 def test_lts_step_leaves_its_state_untouched():
@@ -519,6 +529,248 @@ def test_lts_released_from_displacement_conserves_energy():
         run_cdm(system, dt / p_t, 200 * p_t, u0=u0, record=lambda s, t, u: cdm.append(u.copy()))
         ref = centred_energy_drift(system, cdm[::p_t], dt)
         assert centred_energy_drift(system, lts, dt) <= 1.2 * ref, fraction
+
+
+@functools.cache
+def long_cut_bar():
+    """The bar benchmarks' cut bar: 100 elements, p = 5, the last column cut in half.
+
+    Returns the system, the CDM step (0.95 of the global critical step) and
+    an LTS config (0.95 of the uncut step, choose_pt's ratio on the
+    cut-column DOFs). Unless it is flushed, the wave front's tail ahead of
+    the pulse decays into the subnormal range within the first 300 CDM steps.
+    """
+    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=100)
+    mesh, system = build_bar_system(cfg)
+    table = critical_timestep_table(mesh, cfg.material, cfg=MomentFitConfig())
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    selection[system.dirichlet_dofs] = False
+    dt_lts = CFL_SAFETY * table.dt_uncut_min
+    lts = LtsConfig(dt_lts, choose_pt(dt_lts, table.dt_cut_min), selection)
+    return system, CFL_SAFETY * table.dt_c, lts
+
+
+def test_cdm_flush_leaves_no_subnormal_state_after_the_first_check():
+    system, dt, _ = long_cut_bar()
+    tiny = np.finfo(float).tiny
+    subnormal = []
+
+    def record(step, t, u):
+        a = np.abs(u)
+        if step > 25 and np.any((a > 0.0) & (a < tiny)):
+            subnormal.append(step)
+
+    run_cdm(system, dt, int(0.1 / dt), record=record)
+    assert subnormal == []
+
+
+@pytest.mark.parametrize("split", [24, 25, 26, 49, 50, 51])
+def test_cdm_continued_across_a_flush_is_one_longer_run_bitwise(split):
+    # the flush is keyed to the absolute step count, and the end-of-run check
+    # does not flush; the check after step 50 zeroes entries on this bar
+    system, dt, _ = long_cut_bar()
+    longer = run_cdm(system, dt, 60)
+    continued = run_cdm_continue(system, run_cdm(system, dt, split), 60 - split)
+    assert continued.step == longer.step == 60
+    assert continued.u_curr.tobytes() == longer.u_curr.tobytes()
+    assert continued.du.tobytes() == longer.du.tobytes()
+
+
+def assert_flushed(got, want, floor, flush):
+    """got is want with the entries below floor set to 0 when flush, else want bitwise."""
+    below = np.abs(want) < floor if flush else np.zeros(want.shape, dtype=bool)
+    assert not np.any(got[below])
+    assert got[~below].tobytes() == want[~below].tobytes()
+    return int(np.count_nonzero(want[below]))
+
+
+# The run-level bound on what the flush moves, in units of _NEGLIGIBLE max |u|.
+# The flushed entries sit in the tail ahead of the wave front. Once they
+# differ, the two runs' round-off differs there too, at the size of the
+# tail, which grows as the front nears: by up to 8e12 under CDM to t = 0.1
+# and 1e6 under LTS here. The bound stays about 450 binades below the
+# round-off of the largest entry.
+FLUSH_GROWTH = 2.0**100
+
+
+def test_cdm_flush_zeroes_only_entries_below_the_floor():
+    # each step is the unflushed summed-form step from the same history,
+    # except that after every 25th step, counted from 0, the entries of u
+    # and du below _NEGLIGIBLE max |u| are 0; a free-running unflushed loop
+    # stays within FLUSH_GROWTH of that floor
+    system, dt, _ = long_cut_bar()
+    c = dt * dt * system.m_inv
+    loaded = np.flatnonzero(c * system.f_shape)
+    c_f = (c * system.f_shape)[loaded]
+
+    def unflushed_step(u, du, step):
+        ku = system.k_matvec(u)
+        ku *= c
+        du = du - ku
+        p = system.pulse(step * dt)
+        if p != 0.0:
+            du[loaded] += p * c_f
+        return u + du, du
+
+    hist = run_cdm(system, dt, 0)
+    free = hist.u_curr.copy(), hist.du.copy()
+    zeroed = 0
+    for step in range(int(0.1 / dt)):
+        u, du = unflushed_step(hist.u_curr, hist.du, step)
+        nxt = run_cdm_continue(system, hist, 1)
+        floor = _NEGLIGIBLE * np.max(np.abs(u))
+        flush = step % 25 == 0
+        zeroed += assert_flushed(nxt.u_curr, u, floor, flush)
+        zeroed += assert_flushed(nxt.du, du, floor, flush)
+        hist = nxt
+        free = unflushed_step(*free, step)
+        moved = np.max(np.abs(hist.u_curr - free[0]))
+        assert moved <= FLUSH_GROWTH * _NEGLIGIBLE * np.max(np.abs(free[0])), step
+    assert zeroed > 0
+
+
+def test_lts_flush_zeroes_only_entries_below_the_floor():
+    # the same for LTS: each step is the unflushed coarse step from the same
+    # state, flushed after every 25th; run(n) is the stepped state bitwise
+    # around the check after step 100, which zeroes entries on this bar
+    system, _, cfg = long_cut_bar()
+    solver = LtsSolver(system, cfg)
+
+    def unflushed_step(z_prev, z, n):
+        z_next = z_prev.copy()
+        solver._coarse_step(z_next, z, solver._pulse_samples(n), solver._pulse_samples(n - 1))
+        return z, z_next
+
+    state = solver.initial_state()
+    free = state.z_prev, state.z_curr
+    zeroed = 0
+    for n in range(125):
+        z_prev, z = unflushed_step(state.z_prev, state.z_curr, n)
+        nxt = solver.step(state)
+        floor = _NEGLIGIBLE * np.max(np.abs(z))
+        flush = (n + 1) % 25 == 0
+        zeroed += assert_flushed(nxt.z_curr, z, floor, flush)
+        zeroed += assert_flushed(nxt.z_prev, z_prev, floor, flush)
+        state = nxt
+        if state.step in (99, 100, 101):
+            run = solver.run(state.step)
+            assert run.z_prev.tobytes() == state.z_prev.tobytes(), state.step
+            assert run.z_curr.tobytes() == state.z_curr.tobytes(), state.step
+        free = unflushed_step(*free, n)
+        moved = np.max(np.abs(state.z_curr - free[1]))
+        assert moved <= FLUSH_GROWTH * _NEGLIGIBLE * np.max(np.abs(free[1])), n
+    assert zeroed > 0
+
+
+def count_zeroed(monkeypatch):
+    """A list that gets the number of entries each check-and-flush set to 0."""
+    counts = []
+    original = integrators._check_divergence
+
+    def counted(z, scale, **partner):
+        fields = [z, *partner.values()]
+        before = sum(np.count_nonzero(f) for f in fields)
+        original(z, scale, **partner)
+        counts.append(before - sum(np.count_nonzero(f) for f in fields))
+
+    monkeypatch.setattr(integrators, "_check_divergence", counted)
+    return counts
+
+
+@functools.cache
+def free_void_plate():
+    """A free, unloaded 5 x 5 plate, p = 3, nu = 0.3, with two circular voids."""
+    voids = union_of_voids([circle(0.33, 0.41, 0.13), circle(0.71, 0.68, 0.11)])
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=5, ny=5, p=3, level_set=voids)
+    mat = Material(youngs_modulus=1.0, poisson_ratio=0.3, density=1.0)
+    return mesh, assemble_global(mesh, mat), critical_timestep_table(mesh, mat)
+
+
+@pytest.mark.parametrize("start", ["random", "localized"])
+@pytest.mark.parametrize("integrator", ["cdm", "lts"])
+def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
+    # z_{n+1} - 2 z_n + z_{n-1} = -dt^2 B z_n with B symmetric keeps
+    # E_{n+1/2} = |z_{n+1} - z_n|^2 / (2 dt^2) + z_{n+1}^T B z_n / 2 constant:
+    # B = M^-1/2 K M^-1/2 under CDM, the coarse step's operator under LTS.
+    # The localized start is a narrow bump in a corner, whose tail lies below
+    # the flush floor; its first check flushes it
+    mesh, system, table = free_void_plate()
+    u0 = np.zeros(system.dof_count)
+    if start == "random":
+        u0[:] = np.random.default_rng(9).standard_normal(system.dof_count)
+    else:
+        ids = np.flatnonzero(mesh.node_active)
+        xy = mesh.node_coords(ids)
+        u0[mesh.node_dofs(ids)[0::2]] = np.exp(-(xy[:, 0] ** 2 + xy[:, 1] ** 2) / (2.0 * 0.025**2))
+    m_sqrt = np.sqrt(system.lumped_mass)
+    zeroed = count_zeroed(monkeypatch)
+    n_steps = 2000
+    if integrator == "cdm":
+        dt = 0.9 * table.dt_c
+        k = system.k_csr()
+        zs = [m_sqrt * u0]
+        run_cdm(system, dt, n_steps, u0=u0, record=lambda s, t, u: zs.append(m_sqrt * u))
+
+        def b_apply(z):
+            return system.m_inv_sqrt * (k @ (system.m_inv_sqrt * z))
+    else:
+        dt = CFL_SAFETY * table.dt_uncut_min
+        selection = np.zeros(system.dof_count, dtype=bool)
+        selection[system.cut_element_dofs] = True
+        solver = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
+        state = solver.initial_state(u0=u0)
+        # unloaded, so the step count only keys the checks: started at 24,
+        # the first step is checked and flushed, as CDM's is
+        state = LtsState(state.z_prev, state.z_curr, step=24, t=24 * dt)
+        zs = [state.z_curr]
+        for _ in range(n_steps):
+            state = solver.step(state)
+            zs.append(state.z_curr)
+
+        def b_apply(z):
+            return (z - solver.step(LtsState(z, z, step=0, t=0.0)).z_curr) / dt**2
+
+    energies = np.array([
+        0.5 * (zs[n + 1] - zs[n]) @ (zs[n + 1] - zs[n]) / dt**2 + 0.5 * zs[n + 1] @ b_apply(zs[n])
+        for n in range(n_steps)
+    ])
+    assert np.max(np.abs(energies / energies[0] - 1.0)) <= 1e-13
+    if start == "localized":
+        assert zeroed[0] > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("integrator", ["cdm", "lts_run", "lts_step"])
+def test_nonfinite_state_raises_diverged_at_the_check(integrator, bad):
+    # a load sample that is not finite puts NaN or an infinity of its sign on
+    # one DOF of a checked state, before any matvec reads it; the check
+    # raises, with no RuntimeWarning on the way. CDM checks u_{n+1} after the
+    # step from t_n with n % 25 == 0, LTS z_{n+1} after the one with
+    # (n + 1) % 25 == 0
+    _, system = make_system(nx=5, p=3)
+    dt = 1e-4
+    free_dof = np.setdiff1d(np.arange(system.dof_count), system.dirichlet_dofs)[-1]
+    system.f_shape = np.zeros(system.dof_count)
+    system.f_shape[free_dof] = 1.0
+    t_bad = (25 if integrator == "cdm" else 24) * dt
+    system.pulse = lambda t: bad if abs(t - t_bad) < 0.5 * dt else 0.0
+    steps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged):
+            if integrator == "cdm":
+                run_cdm(system, dt, 100, record=lambda s, t, u: steps.append(s))
+            else:
+                solver = LtsSolver(system, LtsConfig(dt, 1, np.zeros(system.dof_count, dtype=bool)))
+                if integrator == "lts_run":
+                    solver.run(100, record=lambda s, t, u: steps.append(s))
+                else:
+                    state = solver.initial_state()
+                    for _ in range(100):
+                        state = solver.step(state)
+                        steps.append(state.step)
+    assert steps[-1] == (25 if integrator == "cdm" else 24)
 
 
 def test_critical_dt_sweep_rows():

@@ -41,8 +41,8 @@ class Material:
     density: float
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0 or self.density <= 0:
-            raise ConfigError("E and rho must be positive")
+        if not (0 < self.youngs_modulus < np.inf and 0 < self.density < np.inf):
+            raise ConfigError("E and rho must be positive and finite")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ConfigError("nu must lie in [0, 0.5)")
 

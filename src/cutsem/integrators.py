@@ -25,7 +25,9 @@ acceleration and then the state takes the increment, two passes a step
 where the three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with
 less round-off. A CDM history carries its increment, so a continued run
 is bitwise one longer run. LTS's coarse update overwrites the older of
-its two states. dt^2 (CDM, and LTS's coarse update) or h^2 = (dt/p_t)^2
+its two states, and LTS has one loop, `LtsSolver._advance`: `run` runs it
+from `initial_state` on two buffers of its own, `step` for one step on
+copies of its state. dt^2 (CDM, and LTS's coarse update) or h^2 = (dt/p_t)^2
 (LTS's sub-steps) is folded into diagonal scalings made once per run or
 solver. A load term is added only when the pulse is nonzero, on the DOFs
 its shape loads. LTS samples the pulse once per sub-step grid point and
@@ -47,7 +49,8 @@ and it lies 547 binades below the round-off of the largest entry, so the
 flushed entries change no output. A floor at the subnormal limit itself
 saves little: the tail regrows below it within a step, and flushing every
 step costs more than the subnormal steps do. The check at the end of a run
-does not flush.
+does not flush. Both integrators reject a time step that is not positive
+and finite.
 """
 
 import math
@@ -128,8 +131,8 @@ def critical_timestep_table(mesh, mat, scheme="fitted", cfg=None):
 
 def choose_pt(dt_coarse, cut_dt_min):
     """Smallest refinement ratio with dt_coarse/p_t <= CFL_SAFETY * cut_dt_min."""
-    if dt_coarse <= 0 or cut_dt_min <= 0:
-        raise ConfigError("time steps must be positive")
+    if not (0 < dt_coarse < math.inf and cut_dt_min > 0):
+        raise ConfigError("time steps must be positive, and dt_coarse finite")
     return max(1, math.ceil(dt_coarse / (CFL_SAFETY * cut_dt_min) - 1e-12))
 
 
@@ -194,6 +197,8 @@ def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
     invoked after every accepted step when given; u is overwritten by the
     next step, so a record that keeps it copies it.
     """
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     _check_start_on_dirichlet(system, u0, v0)
     n = system.dof_count
     u_curr = np.zeros(n) if u0 is None else u0.copy()
@@ -245,8 +250,10 @@ class LtsConfig:
     """Coarse step, refinement ratio, and the fine-DOF selection mask."""
 
     def __init__(self, dt, p_t, selection):
-        if p_t < 1:
-            raise ConfigError("p_t must be >= 1")
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {dt!r}")
+        if not (1 <= p_t < math.inf and p_t == int(p_t)):
+            raise ConfigError(f"p_t must be a whole number >= 1, got {p_t!r}")
         self.dt = float(dt)
         self.p_t = int(p_t)
         self.selection = np.asarray(selection, dtype=bool)
@@ -280,9 +287,10 @@ class LtsSolver:
     and no P r term, so it has the closed form q_m = 2 z_n + m^2 h^2 w and
     the coarse update there is z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
 
-    `run` and `step` share one in-place kernel, `_coarse_step`, with h^2
-    and dt^2 folded into the scalings made here. The load is sampled at the
-    sub-step grid points t = n dt + m h, n from the state's step count.
+    `run` and `step` share one loop, `_advance`, and its in-place kernel,
+    `_coarse_step`, with h^2 and dt^2 folded into the scalings made here.
+    The load is sampled at the sub-step grid points t = n dt + m h, n from
+    the state's step count.
     """
 
     def __init__(self, system, cfg):
@@ -403,18 +411,11 @@ class LtsSolver:
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update.
 
-        The state is left as it is; the new one gets a fresh z_curr. On the
-        steps at which `run` checks and flushes, so does this, on a copy of
-        z_prev, with no bound on the magnitude but finiteness.
+        `_advance` for one step on copies of the state, which is left as it
+        is. The new state is checked as `run` checks its last one, for
+        finiteness only, and flushed where `run` would flush it.
         """
-        n = state.step
-        z_next = state.z_prev.copy()
-        self._coarse_step(z_next, state.z_curr, self._pulse_samples(n), self._pulse_samples(n - 1))
-        z_prev = state.z_curr
-        if (n + 1) % _CHECK_EVERY == 0:
-            z_prev = z_prev.copy()
-            _check_divergence(z_next, math.inf, partner=z_prev)
-        return LtsState(z_prev=z_prev, z_curr=z_next, step=n + 1, t=(n + 1) * self.cfg.dt)
+        return self._advance(state.z_prev.copy(), state.z_curr.copy(), state.step, 1, math.inf)
 
     def displacement(self, state):
         return self.m_inv_sqrt * state.z_curr
@@ -422,21 +423,31 @@ class LtsSolver:
     def run(self, n_steps, u0=None, v0=None, record=None):
         """initial_state and n_steps coarse steps, on two buffers updated in place."""
         state = self.initial_state(u0, v0)
-        z_prev, z = state.z_prev, state.z_curr
-        scale = max(float(np.max(np.abs(z))), 1.0)
+        scale = max(float(np.max(np.abs(state.z_curr))), 1.0)
+        return self._advance(state.z_prev, state.z_curr, 0, n_steps, scale, record)
+
+    def _advance(self, z_prev, z, first, n_steps, scale, record=None):
+        """The one LTS loop: coarse steps first, ..., first + n_steps - 1 on z_prev and z.
+
+        Both buffers are updated in place. The state after the step to t_n
+        is checked against scale and flushed when n % 25 == 0, and checked
+        after the last step. record(n, t_n, u_n) is invoked after every
+        step when given.
+        """
         dt = self.cfg.dt
-        bwd = self._pulse_samples(-1)
-        for n in range(n_steps):
+        end = first + n_steps
+        bwd = self._pulse_samples(first - 1)
+        for n in range(first, end):
             fwd = self._pulse_samples(n)
             self._coarse_step(z_prev, z, fwd, bwd)
             z_prev, z, bwd = z, z_prev, fwd
             if (n + 1) % _CHECK_EVERY == 0:
                 _check_divergence(z, scale, partner=z_prev)
-            elif n + 1 == n_steps:
+            elif n + 1 == end:
                 _check_divergence(z, scale)
             if record is not None:
                 record(n + 1, (n + 1) * dt, self.m_inv_sqrt * z)
-        return LtsState(z_prev=z_prev, z_curr=z, step=n_steps, t=n_steps * dt)
+        return LtsState(z_prev=z_prev, z_curr=z, step=end, t=end * dt)
 
 
 def _vertical_cut_rules(fractions, depth, gauss_degree):

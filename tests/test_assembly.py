@@ -42,6 +42,14 @@ def test_material_validation():
         Material(youngs_modulus=1.0, poisson_ratio=0.0, density=-1.0)
 
 
+@pytest.mark.parametrize("field", ["youngs_modulus", "density"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_material_rejects_a_non_finite_modulus_or_density(field, value):
+    # else the element eigen-solve fails later as a bare ValueError
+    with pytest.raises(ConfigError):
+        Material(**{"youngs_modulus": 1.0, "poisson_ratio": 0.0, "density": 1.0, field: value})
+
+
 def test_plane_strain_matrix():
     d = plane_strain_d(MAT)
     np.testing.assert_allclose(d, np.diag([1.0, 1.0, 0.5]), atol=1e-15)

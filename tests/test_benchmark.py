@@ -21,8 +21,9 @@ from cutsem.benchmark import (
     run_bar_convergence,
     run_cdm_continue,
 )
+from cutsem.assembly import CartesianMesh
 from cutsem.errors import ConfigError, ReflectionRegime, ZeroReference
-from cutsem.geometry import _gauss_square
+from cutsem.geometry import _gauss_square, circle, union_of_voids
 from cutsem.integrators import run_cdm
 
 
@@ -100,12 +101,17 @@ def test_l2_error_metric_identities():
         l2_velocity_error(mesh, v, cfg, reference=zero_ref)
 
 
-def per_element_l2_velocity_error(mesh, nodal_velocity, cfg):
+def per_element_l2_velocity_error(mesh, nodal_velocity, cfg, reference=None):
     """The relative L2 velocity error one element at a time, as a reference.
 
     Full elements use the (2p + 2)-point Gauss rule and cut elements their
     own rule; each element's velocities, points and reference are its own.
+    The reference defaults to the rod solution.
     """
+    if reference is None:
+        def reference(x, y, t):
+            return analytic_rod_velocity(x, t, cfg), 0.0
+
     basis = mesh.basis
     jx, jy = mesh.hx / 2.0, mesh.hy / 2.0
     num = den = 0.0
@@ -119,30 +125,50 @@ def per_element_l2_velocity_error(mesh, nodal_velocity, cfg):
             pts, wts = cutq.points, cutq.weights
         vals, _ = basis.shape_eval_2d_batch(pts)
         dofs = mesh.element_dofs(ex, ey)
-        (x0, _), _ = mesh.element_box(ex, ey)
-        rx = analytic_rod_velocity(x0 + (pts[:, 0] + 1.0) * jx, cfg.t_end, cfg)
+        (x0, _), (y0, _) = mesh.element_box(ex, ey)
+        rx, ry = reference(x0 + (pts[:, 0] + 1.0) * jx, y0 + (pts[:, 1] + 1.0) * jy, cfg.t_end)
         uhx = vals @ nodal_velocity[dofs[0::2]]
         uhy = vals @ nodal_velocity[dofs[1::2]]
         w = wts * jx * jy
-        num += w @ ((uhx - rx) ** 2 + uhy**2)
-        den += w @ rx**2
+        num += w @ ((uhx - rx) ** 2 + (uhy - ry) ** 2)
+        den += w @ (rx**2 + ry**2)
     return math.sqrt(num / den)
 
 
-@pytest.mark.parametrize("cut_fraction", [1.0, 0.5, 0.05])
-def test_l2_error_equals_the_per_element_loop(cut_fraction):
-    # the full elements are batched, which sums in another order
-    cfg = BarBenchmarkConfig(cut_fraction=cut_fraction, elements_x=12, order=4, t_end=0.5)
-    mesh, system = build_bar_system(cfg)
+def plate_reference(x, y, t):
+    return np.sin(3.0 * x + t) * np.cos(2.0 * y), x * y
+
+
+@pytest.mark.parametrize("case", [1.0, 0.5, 0.05, "voids"])
+def test_l2_error_equals_the_per_element_loop(case):
+    # the full elements are one rule group, which sums in another order;
+    # each bar has one cut element, and the plate with two voids has 15 cut
+    # elements, each a group of its own, and 4 void ones
+    if case == "voids":
+        cfg = BarBenchmarkConfig(t_end=0.5)
+        level_set = union_of_voids([circle(0.5, 0.5, 0.3), circle(1.0, 0.0, 0.2)])
+        mesh = CartesianMesh(lx=1.0, ly=1.0, nx=6, ny=6, p=3, level_set=level_set)
+        kinds = list(mesh.classification.values())
+        assert (kinds.count("cut"), kinds.count("void")) == (15, 4)
+        reference = plate_reference
+    else:
+        cfg = BarBenchmarkConfig(cut_fraction=case, elements_x=12, order=4, t_end=0.5)
+        mesh = build_bar_mesh(cfg)
+        reference = None
     ids = np.flatnonzero(mesh.node_active)
-    x = mesh.node_coords(ids)[:, 0]
+    x, y = mesh.node_coords(ids).T
     dofs = mesh.node_dofs(ids)
-    v = np.zeros(system.dof_count)
-    v[dofs[0::2]] = analytic_rod_velocity(x, cfg.t_end, cfg) * (1.0 + 0.05 * np.sin(7.0 * x))
-    v[dofs[1::2]] = 1e3 * np.cos(5.0 * x)
-    want = per_element_l2_velocity_error(mesh, v, cfg)
+    v = np.zeros(mesh.dof_count)
+    if reference is None:
+        v[dofs[0::2]] = analytic_rod_velocity(x, cfg.t_end, cfg) * (1.0 + 0.05 * np.sin(7.0 * x))
+        v[dofs[1::2]] = 1e3 * np.cos(5.0 * x)
+    else:
+        rx, ry = reference(x, y, cfg.t_end)
+        v[dofs[0::2]] = rx * (1.0 + 0.05 * np.sin(7.0 * y))
+        v[dofs[1::2]] = ry + 0.05 * np.cos(5.0 * x)
+    want = per_element_l2_velocity_error(mesh, v, cfg, reference)
     assert 1e-3 < want < 1.0
-    assert l2_velocity_error(mesh, v, cfg) == pytest.approx(want, rel=1e-13)
+    assert l2_velocity_error(mesh, v, cfg, reference) == pytest.approx(want, rel=1e-13)
 
 
 def test_run_bar_case_report_fields():

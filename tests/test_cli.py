@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,8 +92,9 @@ def test_bar2d_sweep_unknown_key_exits_2(tmp_path, capsys, line):
         "schemes = bogus\ncut_fractions = 1.0",
         "orders = 3,99\ncut_fractions = 1.0",
         "schemes = hrz,fitted\nepsilons = 0.01,2.0\ncut_fractions = 0.5",
+        "cut_fractions = 0.5,1e-10",
     ],
-    ids=["scheme", "order", "epsilon"],
+    ids=["scheme", "order", "epsilon", "sliver"],
 )
 def test_bar2d_sweep_rejects_a_bad_grid_before_any_cell_runs(tmp_path, monkeypatch, lines):
     # a scheme the conformal cells never use, and cells that would fail only
@@ -172,6 +174,19 @@ def test_bar2d_rejects_t_end_off_the_step_grid(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fraction, rc", [("1e-11", 2), ("1e-10", 2), ("1e-9", 0)])
+def test_bar2d_rejects_a_sliver_cut_column(tmp_path, capsys, fraction, rc):
+    # a cut column below the sliver volume ratio gets a void rule: the pulse
+    # on its interface would load nothing and the run report error 1
+    out = tmp_path / "x.csv"
+    args = ["bar2d", "--elements", "4", "--order", "3", "--dt", "1e-4", "--t-end", "0.3"]
+    assert main([*args, "--cut-fraction", fraction, "--out", str(out)]) == rc
+    if rc == 2:
+        assert "cut_fraction" in capsys.readouterr().err and not out.exists()
+    else:
+        assert float(out.read_text().splitlines()[1].split(",")[7]) != 1.0
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # a step far above the critical one must report a numerical failure
     rc = main(
@@ -204,6 +219,42 @@ def test_dtcrit_sweep_subcommand(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "order,cut_fraction,scheme,epsilon,dt_ratio"
     assert len(lines) == 5
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def numeric_cells(path):
+    """Header and rows of a CSV, numbers parsed, the wall_time column dropped."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    keep = [i for i, name in enumerate(header) if name != "wall_time"]
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    return [header[i] for i in keep], [[cell(row[i]) for i in keep] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["dtcrit-sweep"], "dtcrit_sweep_default.csv"),
+        (["bar2d-sweep", "--config", str(DATA / "bar2d_sweep_small.ini")], "bar2d_sweep_small.csv"),
+    ],
+    ids=["dtcrit-sweep", "bar2d-sweep"],
+)
+def test_cli_output_matches_its_golden_file(tmp_path, args, golden):
+    # every numeric cell to 1e-12 relative, apart from wall_time
+    out = tmp_path / golden
+    assert main([*args, "--out", str(out)]) == 0
+    got_header, got = numeric_cells(out)
+    want_header, want = numeric_cells(DATA / golden)
+    assert got_header == want_header and len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert got_row == pytest.approx(want_row, rel=1e-12, abs=0.0)
 
 
 def test_quadrature_check_subcommand(tmp_path):

@@ -113,8 +113,12 @@ def test_choose_pt():
     assert choose_pt(4e-8, 2.5e-9) == 17
     assert choose_pt(1.0, 2.0) == 1
     assert choose_pt(0.95, 1.0) == 1  # exact ratio must not round up
-    with pytest.raises(ConfigError):
-        choose_pt(0.0, 1.0)
+    assert choose_pt(1.0, math.inf) == 1  # no cut element
+    # unchecked, NaN or an infinite coarse step ends as a bare ValueError or
+    # OverflowError in math.ceil
+    for args in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ConfigError):
+            choose_pt(*args)
 
 
 def test_critical_timestep_table_uncut_vs_cut():
@@ -400,10 +404,10 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
 
 
 def test_lts_run_is_initial_state_then_steps_bitwise():
-    # run and step share one coarse-step kernel, and the load samples that
-    # run carries over from step to step are the ones step evaluates afresh;
-    # both check and flush after the same steps, and run's end-of-run check
-    # does not flush
+    # step is run's loop for one step on copies of the state: the load
+    # samples that run carries over from step to step are the ones step
+    # evaluates afresh, both flush after the same steps, and the check after
+    # a last step does not flush
     _, solvers = cut_bar_lts_solvers()
     for solver in solvers:
         for n in (30, 49, 50, 51):
@@ -483,10 +487,38 @@ def test_start_state_must_be_zero_on_dirichlet_dofs(integrator, field):
 
 def test_lts_rejects_bad_config():
     _, system = make_system(nx=3, p=2)
-    with pytest.raises(ConfigError):
-        LtsConfig(1e-4, 0, np.zeros(system.dof_count, dtype=bool))
+    # unchecked, a fractional p_t is truncated, and NaN ends as a bare
+    # ValueError
+    for p_t in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            LtsConfig(1e-4, p_t, np.zeros(system.dof_count, dtype=bool))
     with pytest.raises(ConfigError):
         LtsSolver(system, LtsConfig(1e-4, 2, np.zeros(system.dof_count + 1, dtype=bool)))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("integrator", ["cdm", "lts"])
+def test_integrators_reject_a_step_that_is_not_positive_and_finite(integrator, dt):
+    # unchecked, a negative or zero step runs to a wrong state, and NaN
+    # ends as Diverged
+    _, system = make_system(nx=3, p=2)
+    with pytest.raises(ConfigError, match="dt"):
+        if integrator == "cdm":
+            run_cdm(system, dt, 10)
+        else:
+            LtsConfig(dt, 1, np.zeros(system.dof_count, dtype=bool))
+
+
+def test_lts_step_checks_its_state_at_every_step():
+    # step is run's loop for one step, so it checks the state as run checks
+    # its last one, here at step 3, which is no multiple of 25
+    _, solvers = cut_bar_lts_solvers()
+    state = solvers[0].run(2)
+    state.z_curr[np.flatnonzero(state.z_curr)[0]] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged):
+            solvers[0].step(state)
 
 
 def centred_energy_drift(system, us, dt):

@@ -35,22 +35,24 @@ reuses one coarse step's samples as the next one's backward samples, and
 its start-up skips the sub-step sweep from a zero displacement. Both
 integrators require the start state to be zero on the Dirichlet DOFs.
 
-Every 25 steps both loops check the state and flush its negligible tail in
-one fused pass: CDM after each step from t_n with n % 25 == 0, LTS after
-each coarse step to t_n with n % 25 == 0. The step count is absolute, so a
-continued run is bitwise one longer run. The max of |u| (NaN-propagating)
-is tested for divergence, and then every entry of both leap-frog fields
-(CDM's u and du, LTS's z_n and z_{n-1}) below _NEGLIGIBLE = 2^-600 times
-that max is set to 0. A pulse launched into a body at rest drags a numerical
-precursor ahead of the wave whose tail decays into the subnormal range,
-where each flop takes a microcode assist, and numpy cannot set the CPU's
-flush-to-zero mode. The floor is relative, so it does not depend on units,
-and it lies 547 binades below the round-off of the largest entry, so the
-flushed entries change no output. A floor at the subnormal limit itself
-saves little: the tail regrows below it within a step, and flushing every
-step costs more than the subnormal steps do. The check at the end of a run
-does not flush. Both integrators reject a time step that is not positive
-and finite.
+Both loops check the state and flush its negligible tail by one rule,
+`_check_divergence`, called once per step: after each step from t_n with
+n % 25 == 0 it checks and flushes in one fused pass, and after the last
+step of a call it only checks. The step count is absolute, so a continued
+CDM run is bitwise one longer run, and LTS `run(n)` is `initial_state`
+followed by n `step`s. The max of |u| (NaN-propagating) must be finite and
+at most 1e12 times the max of the state the call started from (at least
+1), and then every entry of both leap-frog fields (CDM's u and du, LTS's
+z_n and z_{n-1}) below _NEGLIGIBLE = 2^-600 times that max is set to 0. A
+pulse launched into a body at rest drags a numerical precursor ahead of
+the wave whose tail decays into the subnormal range, where each flop takes
+a microcode assist, and numpy cannot set the CPU's flush-to-zero mode. The
+floor is relative, so it does not depend on units, and it lies 547
+binades below the round-off of the largest entry, so the flushed entries
+change no output. A floor at the subnormal limit itself saves little: the
+tail regrows below it within a step, and flushing every step costs more
+than the subnormal steps do. Both integrators reject a time step that is
+not positive and finite.
 """
 
 import math
@@ -78,8 +80,8 @@ from .momentfit import (
 )
 
 CFL_SAFETY = 0.95
-# the divergence check and flush of the module docstring: every _CHECK_EVERY
-# steps, entries below _NEGLIGIBLE times the state's max go to 0
+# the divergence check and flush of the module docstring: after every
+# _CHECK_EVERY-th step, entries below _NEGLIGIBLE times the state's max go to 0
 _CHECK_EVERY = 25
 _NEGLIGIBLE = 2.0**-600
 
@@ -154,18 +156,23 @@ class TimeHistory:
         return self.u_curr - self.du
 
 
-def _check_divergence(z, scale, partner=None):
-    """Raise Diverged unless max |z| is finite and at most 1e12 x scale.
+def _check_divergence(n, last, z, partner, scale):
+    """The one check rule of both leap-frog loops, called after the step from t_n.
 
-    Given the other leap-frog field as partner, every entry of z and of
-    partner below _NEGLIGIBLE max |z| is then set to 0, in place. The max
-    propagates NaN, so testing it alone for finiteness covers every entry.
+    When n % _CHECK_EVERY == 0, raise Diverged unless max |z| is finite and
+    at most 1e12 x scale, then set every entry of z and of its leap-frog
+    partner below _NEGLIGIBLE max |z| to 0, in place. When n == last, the
+    step ending the call, only check. The max propagates NaN, so testing
+    it alone for finiteness covers every entry.
     """
+    flush = n % _CHECK_EVERY == 0
+    if not (flush or n == last):
+        return
     mag = np.abs(z)
     peak = mag.max()
     if not (math.isfinite(peak) and peak <= 1e12 * scale):
         raise Diverged("solution is not finite or exceeded 1e12 x initial scale")
-    if partner is not None:
+    if flush:
         floor = _NEGLIGIBLE * peak
         np.copyto(z, 0.0, where=mag < floor)
         np.copyto(partner, 0.0, where=np.abs(partner) < floor)
@@ -237,10 +244,7 @@ def _advance_cdm(system, hist, n_steps, record=None):
         if p != 0.0:
             du[loaded] += p * c_f
         u += du
-        if step % _CHECK_EVERY == 0:
-            _check_divergence(u, scale, partner=du)
-        elif step == end - 1:
-            _check_divergence(u, scale)
+        _check_divergence(step, end - 1, u, du, scale)
         if record is not None:
             record(step + 1, t + dt, u)
     return TimeHistory(u_curr=u, du=du, step=end, dt=dt)
@@ -412,10 +416,10 @@ class LtsSolver:
         """One coarse step of the second-order leap-frog LTS update.
 
         `_advance` for one step on copies of the state, which is left as it
-        is. The new state is checked as `run` checks its last one, for
-        finiteness only, and flushed where `run` would flush it.
+        is, so the new state is checked against the scale of `state` and
+        flushed where `run` would flush it.
         """
-        return self._advance(state.z_prev.copy(), state.z_curr.copy(), state.step, 1, math.inf)
+        return self._advance(state.z_prev.copy(), state.z_curr.copy(), state.step, 1)
 
     def displacement(self, state):
         return self.m_inv_sqrt * state.z_curr
@@ -423,28 +427,25 @@ class LtsSolver:
     def run(self, n_steps, u0=None, v0=None, record=None):
         """initial_state and n_steps coarse steps, on two buffers updated in place."""
         state = self.initial_state(u0, v0)
-        scale = max(float(np.max(np.abs(state.z_curr))), 1.0)
-        return self._advance(state.z_prev, state.z_curr, 0, n_steps, scale, record)
+        return self._advance(state.z_prev, state.z_curr, 0, n_steps, record)
 
-    def _advance(self, z_prev, z, first, n_steps, scale, record=None):
+    def _advance(self, z_prev, z, first, n_steps, record=None):
         """The one LTS loop: coarse steps first, ..., first + n_steps - 1 on z_prev and z.
 
-        Both buffers are updated in place. The state after the step to t_n
-        is checked against scale and flushed when n % 25 == 0, and checked
-        after the last step. record(n, t_n, u_n) is invoked after every
-        step when given.
+        Both buffers are updated in place, and each step is checked by
+        `_check_divergence` against the scale of the start state z, as CDM's
+        loop checks. record(n, t_n, u_n) is invoked after every step when
+        given.
         """
         dt = self.cfg.dt
+        scale = max(float(np.max(np.abs(z))), 1.0)
         end = first + n_steps
         bwd = self._pulse_samples(first - 1)
         for n in range(first, end):
             fwd = self._pulse_samples(n)
             self._coarse_step(z_prev, z, fwd, bwd)
             z_prev, z, bwd = z, z_prev, fwd
-            if (n + 1) % _CHECK_EVERY == 0:
-                _check_divergence(z, scale, partner=z_prev)
-            elif n + 1 == end:
-                _check_divergence(z, scale)
+            _check_divergence(n, end - 1, z, z_prev, scale)
             if record is not None:
                 record(n + 1, (n + 1) * dt, self.m_inv_sqrt * z)
         return LtsState(z_prev=z_prev, z_curr=z, step=end, t=end * dt)
@@ -453,17 +454,16 @@ class LtsSolver:
 def _vertical_cut_rules(fractions, depth, gauss_degree):
     """Cut rules of the unit square cut at x = f, for each f, from one geometry pass.
 
-    Element i lies in the strip 2i <= y <= 2i + 1 of one level set that is
-    f_i - x there: the values half_plane(1, 0, f_i) takes on the unit
-    square, so each rule is bitwise the one-element rule of that half-plane.
+    Each element is the box [-f, 1 - f] x [0, 1] of the one half-plane
+    x <= 0. Its width (1 - f) + f rounds to 1, so it maps a reference point
+    to -f + s where the unit square maps it to s, and Phi = -(-f + s) there
+    is exactly f - s, the value half_plane(1, 0, f) takes on the unit
+    square. Each rule is bitwise the one-element rule of that half-plane.
     """
-    fractions = np.asarray(fractions, dtype=float)
-    strips = geometry.LevelSet(
-        lambda x, y: fractions[(y // 2).astype(int)] - x,
-        gradient=lambda x, y: (np.full(x.shape, -1.0), np.zeros(y.shape)),
+    boxes = [((-f, 1.0 - f), (0.0, 1.0)) for f in fractions]
+    return geometry.build_cut_quadratures(
+        geometry.half_plane(1.0, 0.0, 0.0), boxes, depth=depth, gauss_degree=gauss_degree
     )
-    boxes = [((0.0, 1.0), (2.0 * i, 2.0 * i + 1.0)) for i in range(len(fractions))]
-    return geometry.build_cut_quadratures(strips, boxes, depth=depth, gauss_degree=gauss_degree)
 
 
 def check_sweep_grid(orders, cut_fractions, schemes, epsilons):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cutsem.benchmark import (
     l2_velocity_error,
     run_bar_case,
     run_bar_convergence,
+    run_bar_lts,
     run_cdm_continue,
 )
 from cutsem.assembly import CartesianMesh
@@ -66,6 +68,10 @@ def test_config_validation_and_mesh_length():
         BarBenchmarkConfig(cut_fraction=0.0)
     with pytest.raises(ConfigError):
         BarBenchmarkConfig(elements_x=1)
+    # the rod solution the error is taken against ends at lx / c + 0.25
+    assert BarBenchmarkConfig().reflection_time == 1.25
+    with pytest.raises(ConfigError, match="t_end"):
+        BarBenchmarkConfig(t_end=1.25)
     cfg = BarBenchmarkConfig(cut_fraction=0.5, elements_x=20)
     # the mesh overshoots so the cut column keeps the requested fraction
     assert cfg.h == pytest.approx(1.0 / 19.5)
@@ -218,3 +224,37 @@ def test_cdm_continue_matches_one_longer_run():
     assert continued.step == longer.step == n + 1
     assert np.array_equal(continued.u_curr, longer.u_curr)
     assert np.array_equal(continued.u_prev, longer.u_prev)
+
+
+LTS_GOLDEN = Path(__file__).parent / "data" / "bar_lts_small.csv"
+
+
+def lts_golden_rows():
+    """`run_bar_lts` to t = 0.3 on the 40-element bar cut at 0.5: p = 4 and 5, fitted and hrz.
+
+    tests/data/bar_lts_small.csv holds these rows; write them there with
+    `python -c "import test_benchmark as t; print(*t.lts_golden_rows(), sep=chr(10))"`
+    run from tests/.
+    """
+    rows = ["order,scheme,dt_coarse,p_t,error"]
+    for p in (4, 5):
+        for scheme in ("fitted", "hrz"):
+            cfg = BarBenchmarkConfig(
+                cut_fraction=0.5, order=p, elements_x=40, scheme=scheme, t_end=0.3
+            )
+            mesh, _, velocity, dt_coarse, p_t = run_bar_lts(cfg)
+            err = l2_velocity_error(mesh, velocity, cfg)
+            rows.append(f"{p},{scheme},{dt_coarse!r},{p_t},{err!r}")
+    return rows
+
+
+def test_lts_bar_matches_its_golden_file():
+    # p_t exactly, every other number to 1e-12 relative
+    got = [line.split(",") for line in lts_golden_rows()]
+    want = [line.split(",") for line in LTS_GOLDEN.read_text().splitlines()]
+    assert got[0] == want[0] and len(got) == len(want) == 5
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert got_row[:2] == want_row[:2] and int(got_row[3]) == int(want_row[3])
+        got_num = [float(got_row[i]) for i in (2, 4)]
+        want_num = [float(want_row[i]) for i in (2, 4)]
+        assert got_num == pytest.approx(want_num, rel=1e-12, abs=0.0)

@@ -188,7 +188,8 @@ def test_bar2d_rejects_a_sliver_cut_column(tmp_path, capsys, fraction, rc):
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    # a step far above the critical one must report a numerical failure
+    # a step far above the critical one (1.51 dt_c) must report a numerical
+    # failure, within the rod solution's validity
     rc = main(
         [
             "bar2d",
@@ -196,11 +197,33 @@ def test_numerical_failure_exits_3(tmp_path):
             "--order", "4",
             "--cut-fraction", "1.0",
             "--dt", "2e-2",
-            "--t-end", "2.0",
+            "--t-end", "1.0",
             "--out", str(tmp_path / "x.csv"),
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize("t_end, rc", [("1.3", 2), ("1.25", 2), ("1.2", 0)])
+def test_bar2d_rejects_t_end_past_the_rod_solution(tmp_path, capsys, t_end, rc):
+    # the rod solution ends at lx / c + the pulse duration, 1.25: a later
+    # t_end is refused before any step runs, not after all of them
+    out = tmp_path / "x.csv"
+    args = ["bar2d", "--elements", "4", "--order", "3", "--dt", "4e-4", "--t-end", t_end]
+    assert main([*args, "--out", str(out)]) == rc
+    if rc == 2:
+        assert "t_end must lie below 1.25" in capsys.readouterr().err and not out.exists()
+
+
+def test_bar2d_sweep_rejects_t_end_past_the_rod_solution(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[bar2d]\nelements = 3,4\norders = 3\ndt = 1e-4\nt_end = 1.3\n")
+    cells = []
+    monkeypatch.setattr(benchmark, "run_bar_case", cells.append)
+    out = tmp_path / "x.csv"
+    assert main(["bar2d-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "t_end must lie below" in capsys.readouterr().err
+    assert cells == [] and not out.exists()
 
 
 def test_dtcrit_sweep_subcommand(tmp_path):

@@ -664,8 +664,9 @@ def test_cdm_flush_zeroes_only_entries_below_the_floor():
 
 def test_lts_flush_zeroes_only_entries_below_the_floor():
     # the same for LTS: each step is the unflushed coarse step from the same
-    # state, flushed after every 25th; run(n) is the stepped state bitwise
-    # around the check after step 100, which zeroes entries on this bar
+    # state, flushed after every 25th, counted from 0, as CDM's; run(n) is the
+    # stepped state bitwise around the check after the step from t_100, the
+    # one that zeroes entries on this bar
     system, _, cfg = long_cut_bar()
     solver = LtsSolver(system, cfg)
 
@@ -681,11 +682,11 @@ def test_lts_flush_zeroes_only_entries_below_the_floor():
         z_prev, z = unflushed_step(state.z_prev, state.z_curr, n)
         nxt = solver.step(state)
         floor = _NEGLIGIBLE * np.max(np.abs(z))
-        flush = (n + 1) % 25 == 0
+        flush = n % 25 == 0
         zeroed += assert_flushed(nxt.z_curr, z, floor, flush)
         zeroed += assert_flushed(nxt.z_prev, z_prev, floor, flush)
         state = nxt
-        if state.step in (99, 100, 101):
+        if state.step in (100, 101, 102):
             run = solver.run(state.step)
             assert run.z_prev.tobytes() == state.z_prev.tobytes(), state.step
             assert run.z_curr.tobytes() == state.z_curr.tobytes(), state.step
@@ -696,15 +697,14 @@ def test_lts_flush_zeroes_only_entries_below_the_floor():
 
 
 def count_zeroed(monkeypatch):
-    """A list that gets the number of entries each check-and-flush set to 0."""
+    """A list that gets the number of entries each step's check set to 0."""
     counts = []
     original = integrators._check_divergence
 
-    def counted(z, scale, **partner):
-        fields = [z, *partner.values()]
-        before = sum(np.count_nonzero(f) for f in fields)
-        original(z, scale, **partner)
-        counts.append(before - sum(np.count_nonzero(f) for f in fields))
+    def counted(n, last, z, partner, scale):
+        before = np.count_nonzero(z) + np.count_nonzero(partner)
+        original(n, last, z, partner, scale)
+        counts.append(before - np.count_nonzero(z) - np.count_nonzero(partner))
 
     monkeypatch.setattr(integrators, "_check_divergence", counted)
     return counts
@@ -752,9 +752,6 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         selection[system.cut_element_dofs] = True
         solver = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
         state = solver.initial_state(u0=u0)
-        # unloaded, so the step count only keys the checks: started at 24,
-        # the first step is checked and flushed, as CDM's is
-        state = LtsState(state.z_prev, state.z_curr, step=24, t=24 * dt)
         zs = [state.z_curr]
         for _ in range(n_steps):
             state = solver.step(state)
@@ -777,15 +774,14 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
 def test_nonfinite_state_raises_diverged_at_the_check(integrator, bad):
     # a load sample that is not finite puts NaN or an infinity of its sign on
     # one DOF of a checked state, before any matvec reads it; the check
-    # raises, with no RuntimeWarning on the way. CDM checks u_{n+1} after the
-    # step from t_n with n % 25 == 0, LTS z_{n+1} after the one with
-    # (n + 1) % 25 == 0
+    # raises, with no RuntimeWarning on the way. Both integrators check the
+    # state after the step from t_n with n % 25 == 0
     _, system = make_system(nx=5, p=3)
     dt = 1e-4
     free_dof = np.setdiff1d(np.arange(system.dof_count), system.dirichlet_dofs)[-1]
     system.f_shape = np.zeros(system.dof_count)
     system.f_shape[free_dof] = 1.0
-    t_bad = (25 if integrator == "cdm" else 24) * dt
+    t_bad = 25 * dt
     system.pulse = lambda t: bad if abs(t - t_bad) < 0.5 * dt else 0.0
     steps = []
     with warnings.catch_warnings():
@@ -802,7 +798,24 @@ def test_nonfinite_state_raises_diverged_at_the_check(integrator, bad):
                     for _ in range(100):
                         state = solver.step(state)
                         steps.append(state.step)
-    assert steps[-1] == (25 if integrator == "cdm" else 24)
+    assert steps[-1] == 25
+
+
+@pytest.mark.parametrize("integrator", ["lts_run", "lts_step"])
+def test_lts_run_and_step_raise_past_the_bound_of_their_start(integrator):
+    # a pulse of 1e30 at t = 0 sends the bar from rest to max |z| = 4.6e23
+    # in one step, past 1e12 x the start scale, 1; run and step check by one
+    # rule, so both raise
+    _, system = make_system(nx=6, p=3)
+    system.f_shape = np.zeros(system.dof_count)
+    system.f_shape[np.setdiff1d(np.arange(system.dof_count), system.dirichlet_dofs)[-1]] = 1.0
+    system.pulse = lambda t: 1e30 if t == 0.0 else 0.0
+    solver = LtsSolver(system, LtsConfig(1e-4, 1, np.zeros(system.dof_count, dtype=bool)))
+    with pytest.raises(Diverged):
+        if integrator == "lts_run":
+            solver.run(1)
+        else:
+            solver.step(solver.initial_state())
 
 
 def test_critical_dt_sweep_rows():
@@ -822,8 +835,9 @@ def test_critical_dt_sweep_rows():
     depth=st.integers(0, 4),
 )
 def test_sweep_cut_rules_equal_one_element_half_plane_rules_bitwise(fractions, p, depth):
-    # the sweep builds all its fractions' rules in one pass, each element in
-    # a strip of its own; every rule must be the one-element rule bit for bit
+    # the sweep builds all its fractions' rules in one pass, each element the
+    # box of its fraction on the half-plane x <= 0; every rule must be the
+    # one-element rule bit for bit
     rules = _vertical_cut_rules(fractions, depth, 2 * p)
     for frac, cutq in zip(fractions, rules, strict=True):
         one = build_cut_quadrature(

@@ -276,6 +276,16 @@ class ElementBatches:
         )
         return nbhd, op
 
+    def to_dense(self):
+        """The dense (size, size) matrix of the map `apply` applies, summed in batch order."""
+        k = np.zeros((self.size, self.size))
+        for dofs, cols, k_e in (
+            (self.batch_dofs, self.batch_cols, self.batch_k_e),
+            (self.stack_dofs, self.stack_cols, self.stack_k_e),
+        ):
+            np.add.at(k, (dofs[:, :, None], cols[:, None, :]), k_e)
+        return k
+
     def to_csr(self):
         """The assembled sparse matrix, summed in batch order: rows from the
         DOF tables, columns from the gather tables, so it is the map that

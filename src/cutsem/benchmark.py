@@ -92,9 +92,9 @@ class BarBenchmarkConfig:
             raise ConfigError("need at least 2 elements along the bar")
         if not (self.dt > 0 and self.t_end > 0):
             raise ConfigError("dt and t_end must be positive")
-        if self.t_end >= self.reflection_time:
+        if self.t_end > self.reflection_time:
             raise ConfigError(
-                f"t_end must lie below {self.reflection_time!r}, where the rod solution ends"
+                f"t_end must not exceed {self.reflection_time!r}, where the rod solution ends"
             )
         # the error is taken against the analytic solution at t_end, so the
         # run must land on it
@@ -116,16 +116,17 @@ class BarBenchmarkConfig:
 
     @property
     def reflection_time(self):
-        """lx / c + the pulse duration: the analytic rod solution, and so the error, ends here."""
-        return self.lx / self.wave_speed + self.pulse.duration
+        """lx / c: the wave front reaches the clamped end, and the analytic rod
+        solution, and so the error, ends here."""
+        return self.lx / self.wave_speed
 
 
 def analytic_rod_velocity(x, t, cfg):
-    """Rod-wave velocity of the Hann pulse, valid before any reflection."""
+    """Rod-wave velocity of the Hann pulse, valid up to cfg.reflection_time."""
     c = cfg.wave_speed
     pulse = cfg.pulse
-    if t >= cfg.reflection_time:
-        raise ReflectionRegime("analytic rod solution is invalid once the packet reflects")
+    if t > cfg.reflection_time:
+        raise ReflectionRegime("analytic rod solution is invalid once the wave front reflects")
     x = np.asarray(x, dtype=float)
     ell = x + c * t - cfg.lx
     w = 2.0 * math.pi * pulse.frequency

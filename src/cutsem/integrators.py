@@ -18,6 +18,20 @@ batches, restricted once per solver to the elements that touch sel, to v
 as it is, and scale the result by h^2 M^-1. Everywhere else the sub-step
 recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
 
+On nbhd(sel) the coarse step is a fixed polynomial of degree p_t in the
+local operator (Diaz & Grote, SIAM J. Sci. Comput. 31, 2009): v_{p_t} is
+linear in x = [v_0; M^(-1/2) h^2 w2; s], s the p_t load coefficients, so
+v_{p_t} = W x for one dense map W of shape (n, 2n + p_t), n =
+k_local.size. A sweep multiplies p_t e element-matrix entries, e those of
+one k_local apply, and its cost is mostly numpy's per-call overhead on
+short vectors; W x multiplies n (2n + p_t) in one call. So when n (2n +
+p_t) < p_t e and n <= _MAP_MAX_SIZE, the solver tabulates W once, by
+running the same sub-step recurrence on the identity's columns with
+k_local dense, and each coarse step does one W x in place of the sweep.
+W x evaluates the same polynomial in another order, so it matches the
+sweep up to round-off; the cap bounds W's memory and the p_t dense
+products of its build.
+
 Each integrator advances its state with one in-place kernel. CDM and the
 LTS sub-steps are leap-frog in summed form (Hairer, Lubich & Wanner,
 Geometric Numerical Integration, 2006): the increment takes the
@@ -84,6 +98,11 @@ CFL_SAFETY = 0.95
 # _CHECK_EVERY-th step, entries below _NEGLIGIBLE times the state's max go to 0
 _CHECK_EVERY = 25
 _NEGLIGIBLE = 2.0**-600
+# the LTS sub-step map of the module docstring: tabulated only for a k_local
+# of at most _MAP_MAX_SIZE (nbhd(sel) and the zero slot), which bounds its
+# memory and the dense products of its build; built _MAP_BLOCK columns at a time
+_MAP_MAX_SIZE = 256
+_MAP_BLOCK = 64
 
 
 def element_max_eigenvalue(k_e, m_e_diag):
@@ -291,6 +310,18 @@ class LtsSolver:
     and no P r term, so it has the closed form q_m = 2 z_n + m^2 h^2 w and
     the coarse update there is z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
 
+    The p_t sub-steps are linear in x = [v_0; M^(-1/2) h^2 w2; s], where s
+    holds the load coefficients s_0 = 2 pulse(t_n) and s_m = pulse(t_n + m h)
+    + pulse(t_n - m h). With n = k_local.size and e the element-matrix
+    entries one k_local apply multiplies, a sweep multiplies p_t e entries
+    and the map W with v_{p_t} = W x has n (2n + p_t). When n (2n + p_t) <
+    p_t e and n <= _MAP_MAX_SIZE, W is tabulated here, by running the
+    sub-steps once on the identity's columns with k_local as a dense
+    matrix, and each coarse step does one product W x in place of the p_t
+    sub-steps. W x is the sweep's polynomial in the local operator, so the
+    two agree up to round-off; `sub_step_map` is W, or None when the
+    sub-steps are swept.
+
     `run` and `step` share one loop, `_advance`, and its in-place kernel,
     `_coarse_step`, with h^2 and dt^2 folded into the scalings made here.
     The load is sampled at the sub-step grid points t = n dt + m h, n from
@@ -302,11 +333,11 @@ class LtsSolver:
         self.cfg = cfg
         if cfg.selection.shape != (system.dof_count,):
             raise ConfigError("selection mask must cover all DOFs")
-        dt, sel = cfg.dt, cfg.selection
-        h2 = (dt / cfg.p_t) ** 2
+        dt, p_t, sel = cfg.dt, cfg.p_t, cfg.selection
+        h2 = (dt / p_t) ** 2
         self.m_inv_sqrt = system.m_inv_sqrt
         self.nbhd, self.k_local = system.stiffness.restrict(sel)
-        nb = self.nbhd
+        nb, n = self.nbhd, self.k_local.size
         self.fine = sel[nb]  # P restricted to nbhd(sel)
         # the full matvec's input and output scalings, M^(-1/2) (1-P) and
         # dt^2 M^(-1/2)
@@ -317,12 +348,18 @@ class LtsSolver:
         # slot) and q = M^(1/2) v
         m_inv_sqrt_nb = self.m_inv_sqrt[nb]
         self._v_in = 2.0 * m_inv_sqrt_nb
-        self._w2_scale = (-2.0 / cfg.p_t**2) * m_inv_sqrt_nb
+        self._w2_scale = (-2.0 / p_t**2) * m_inv_sqrt_nb
         self._h2_m_inv = np.append(h2 * system.m_inv[nb], 0.0)
         self._m_sqrt = np.sqrt(system.lumped_mass[nb])
-        # v and M^(-1/2) h^2 w2 on nbhd(sel) and the zero slot, which stays 0
-        self._v = np.zeros(len(nb) + 1)
-        self._h2w2 = np.zeros(len(nb) + 1)
+        # x = [v; M^(-1/2) h^2 w2; s]: v and h2w2 on nbhd(sel) and the zero
+        # slot, which stays 0, and the p_t load coefficients
+        self._x = np.zeros(2 * n + p_t)
+        self._v, self._h2w2, self._s = self._x[:n], self._x[n : 2 * n], self._x[2 * n :]
+        # each coarse step's temporaries: the full matvec's input, a gather
+        # on nbhd(sel) and q
+        self._z_in = np.empty(system.dof_count)
+        self._gathered = np.empty(len(nb))
+        self._q = np.empty(len(nb))
         # r(t) = M^(-1/2) f_shape pulse(t), split into its unrefined part,
         # scaled by dt^2, and its refined part on nbhd(sel), scaled by
         # h^2 M^(-1/2) for v; each kept on its nonzero entries
@@ -331,6 +368,47 @@ class LtsSolver:
         self._fine_load = _loaded_entries(
             h2 * np.where(self.fine, m_inv_sqrt_nb * r_shape[nb], 0.0)
         )
+        k = self.k_local
+        e_local = len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size
+        self._map = None
+        if n <= _MAP_MAX_SIZE and n * (2 * n + p_t) < p_t * e_local:
+            self._map = self._tabulate()
+            self._v_map = np.empty(n)
+
+    @property
+    def sub_step_map(self):
+        """W, read-only, with v_{p_t} = W [v_0; M^(-1/2) h^2 w2; s], or None.
+
+        Its shape is (n, 2n + p_t), n = k_local.size, and both vectors are
+        zero on the zero slot. None when the sub-steps run as a sweep.
+        """
+        return self._map
+
+    def _tabulate(self):
+        """W: the sub-steps run on the identity's columns, _MAP_BLOCK at a time.
+
+        The columns are swept as the rows of a stack, with k_local as a dense
+        matrix on the selected columns: it reads no other column of v.
+        """
+        n, p_t = self.k_local.size, self.cfg.p_t
+        fine = np.flatnonzero(self.fine)
+        k_fine_t = np.ascontiguousarray(self.k_local.to_dense()[:, fine].T)
+        fine_vals = self._fine_load[1]
+        # row j of W^T is W's column j, the sub-steps from the unit input
+        # e_j: its v_0 part starts as row j of [I 0 0]^T, and its h2w2 and s
+        # parts are rows of identities shifted by n and 2n. Each block of
+        # rows is swept in place
+        w_t = np.zeros((2 * n + p_t, n))
+        np.fill_diagonal(w_t, 1.0)
+        for j in range(0, len(w_t), _MAP_BLOCK):
+            v = w_t[j : j + _MAP_BLOCK]
+            h2w2 = np.eye(len(v), n, j - n)
+            loads = [None] * p_t  # the block holds no row of s
+            if j + len(v) > 2 * n:
+                loads = (np.multiply.outer(c, fine_vals) for c in np.eye(p_t, len(v), 2 * n - j))
+            self._sub_steps(v, h2w2, loads, lambda rows: rows[:, fine] @ k_fine_t)
+        w_t.flags.writeable = False
+        return w_t.T
 
     def r_of(self, t):
         return self.m_inv_sqrt * self.system.force(t)
@@ -340,37 +418,24 @@ class LtsSolver:
         dt, p_t = self.cfg.dt, self.cfg.p_t
         h = dt / p_t
         pulse = self.system.pulse
-        return [pulse(n * dt + m * h) for m in range(p_t)]
+        return np.array([pulse(n * dt + m * h) for m in range(p_t)])
 
-    def _coarse_step(self, z_prev, z, fwd, bwd):
-        """Overwrite z_prev = z_{n-1} with z_{n+1}; z = z_n is only read.
+    def _sub_steps(self, v, h2w2, loads, apply):
+        """The p_t sub-steps: v from v_0 to v_{p_t}, in place.
 
-        fwd are the load samples of this coarse step's sub-step grid and bwd
-        those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
-        One full stiffness matvec gives g = dt^2 (A (1-P) z_n - (1-P) r_n)
-        = -dt^2 w; the p_t sub-steps, one restricted apply each, run from
-        v_0 = M^(-1/2) q_0 = 2 M^(-1/2) z_n on nbhd(sel)-sized vectors, and
-        z_{n+1} = M^(1/2) v_{p_t} - z_{n-1} there.
+        v and h2w2 = M^(-1/2) h^2 w2 are k_local-sized vectors, zero on the
+        zero slot, or stacks of them as rows; apply(v) is k_local applied to
+        each. loads yields, per sub-step m, s_m times the refined load's
+        nonzero entries, or None when s_m is 0.
         """
-        p_t, nb = self.cfg.p_t, self.nbhd
-        g = self.system.k_matvec(self._coarse_in * z)
-        g *= self._coarse_out
-        if fwd[0] != 0.0:
-            idx, vals = self._coarse_load
-            g[idx] -= fwd[0] * vals
-        v, h2w2 = self._v, self._h2w2
-        np.multiply(z[nb], self._v_in, out=v[:-1])
-        np.multiply(g[nb], self._w2_scale, out=h2w2[:-1])
-
-        fine_idx, fine_vals = self._fine_load
-        for m in range(p_t):
-            a = self.k_local.apply(v)
+        fine_idx = self._fine_load[0]
+        for m, load in enumerate(loads):
+            a = apply(v)
             a *= self._h2_m_inv
             # a <- M^(-1/2) h^2 (w2 + s_m r_fine - A_local q_m)
             np.subtract(h2w2, a, out=a)
-            s = 2.0 * fwd[0] if m == 0 else fwd[m] + bwd[p_t - m]
-            if s != 0.0:
-                a[fine_idx] += s * fine_vals
+            if load is not None:
+                a[..., fine_idx] += load
             # v_{m+1} = v_m + dv_{m+1/2}, dv_{m+1/2} = dv_{m-1/2} + a; the
             # first sub-step is a half step from v_{-1} = v_1
             if m == 0:
@@ -379,8 +444,44 @@ class LtsSolver:
             else:
                 dv += a
             v += dv
-        q = self._m_sqrt * v[:-1]
-        q -= z_prev[nb]
+
+    def _coarse_step(self, z_prev, z, fwd, bwd):
+        """Overwrite z_prev = z_{n-1} with z_{n+1}; z = z_n is only read.
+
+        fwd are the load samples of this coarse step's sub-step grid and bwd
+        those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
+        One full stiffness matvec gives g = dt^2 (A (1-P) z_n - (1-P) r_n)
+        = -dt^2 w; the p_t sub-steps, swept or by the map, run from
+        v_0 = M^(-1/2) q_0 = 2 M^(-1/2) z_n on nbhd(sel)-sized vectors, and
+        z_{n+1} = M^(1/2) v_{p_t} - z_{n-1} there. Every temporary but the
+        matvec's and the sweep's results lives in a buffer made once.
+        """
+        nb = self.nbhd
+        np.multiply(self._coarse_in, z, out=self._z_in)
+        g = self.system.k_matvec(self._z_in)
+        g *= self._coarse_out
+        if fwd[0] != 0.0:
+            idx, vals = self._coarse_load
+            g[idx] -= fwd[0] * vals
+        # nb is in range; mode="clip" lets take write to out unbuffered
+        v, h2w2, s, gathered = self._v, self._h2w2, self._s, self._gathered
+        z.take(nb, out=gathered, mode="clip")
+        np.multiply(gathered, self._v_in, out=v[:-1])
+        g.take(nb, out=gathered, mode="clip")
+        np.multiply(gathered, self._w2_scale, out=h2w2[:-1])
+        s[0] = 2.0 * fwd[0]
+        np.add(fwd[1:], bwd[:0:-1], out=s[1:])
+
+        if self._map is None:
+            fine_vals = self._fine_load[1]
+            loads = (c * fine_vals if c != 0.0 else None for c in s)
+            self._sub_steps(v, h2w2, loads, self.k_local.apply)
+        else:
+            v = np.matmul(self._map, self._x, out=self._v_map)
+        q = self._q
+        np.multiply(self._m_sqrt, v[:-1], out=q)
+        z_prev.take(nb, out=gathered, mode="clip")
+        q -= gathered
 
         # z_{n+1} = 2 z_n - z_{n-1} + dt^2 w off nbhd(sel), q_{p_t} - z_{n-1} on it
         np.subtract(z, z_prev, out=z_prev)
@@ -407,7 +508,7 @@ class LtsSolver:
         z_m1 = -dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
         if np.any(z0):
             q0 = np.zeros(n)
-            unloaded = [0.0] * self.cfg.p_t
+            unloaded = np.zeros(self.cfg.p_t)
             self._coarse_step(q0, z0, unloaded, unloaded)
             z_m1 += 0.5 * q0
         return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)

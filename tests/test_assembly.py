@@ -323,6 +323,26 @@ def test_restricted_operator_reads_no_entry_outside_cols(density):
     assert np.abs(got[:-1] - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("which", ["full", "restricted", "asymmetric", "empty"])
+def test_dense_matrix_is_the_map_apply_applies(which):
+    k = cut_plate_stiffness()
+    op = {
+        "full": lambda: k,
+        "restricted": lambda: k.restrict(np.random.default_rng(10).random(k.size) < 0.3)[1],
+        "asymmetric": lambda: ElementBatches(
+            6, batch_dofs=[[0, 1, 2, 3], [2, 3, 4, 5]], batch_k_e=np.arange(16.0).reshape(4, 4)
+        ),
+        "empty": lambda: ElementBatches(4),
+    }[which]()
+    # the sums add the same terms as the CSR's, not always in its order
+    dense = op.to_dense()
+    scale = np.abs(dense).max(initial=1.0)
+    assert dense.shape == (op.size, op.size)
+    assert np.abs(dense - op.to_csr().toarray()).max(initial=0.0) <= 1e-15 * scale
+    x = np.random.default_rng(11).standard_normal(op.size)
+    assert np.abs(dense @ x - op.apply(x)).max(initial=0.0) <= 1e-14 * scale * np.abs(x).max()
+
+
 def test_batch_gemm_applies_k_e_not_its_transpose():
     k = np.arange(16.0).reshape(4, 4)  # not symmetric, unlike every element stiffness
     op = ElementBatches(6, batch_dofs=[[0, 1, 2, 3], [2, 3, 4, 5]], batch_k_e=k)

@@ -49,8 +49,10 @@ def test_analytic_rod_velocity():
     # carrier peak: matches the pulse value scaled by c/E = 1
     v = analytic_rod_velocity(1.0 - 0.1 + 0.0125, 0.1, cfg)
     assert v == pytest.approx(2.447e4, rel=1e-3)
+    # valid up to the front's arrival at the clamped end, lx / c, and no later
+    assert analytic_rod_velocity(0.0, cfg.lx / cfg.wave_speed, cfg) == 0.0
     with pytest.raises(ReflectionRegime):
-        analytic_rod_velocity(0.5, cfg.lx / cfg.wave_speed + cfg.pulse.duration, cfg)
+        analytic_rod_velocity(0.5, np.nextafter(cfg.lx / cfg.wave_speed, 2.0), cfg)
 
 
 def test_analytic_packet_has_zero_net_displacement():
@@ -68,10 +70,12 @@ def test_config_validation_and_mesh_length():
         BarBenchmarkConfig(cut_fraction=0.0)
     with pytest.raises(ConfigError):
         BarBenchmarkConfig(elements_x=1)
-    # the rod solution the error is taken against ends at lx / c + 0.25
-    assert BarBenchmarkConfig().reflection_time == 1.25
+    # the rod solution the error is taken against ends at lx / c, where the
+    # wave front reaches the clamped end
+    assert BarBenchmarkConfig().reflection_time == 1.0
+    assert BarBenchmarkConfig(t_end=1.0, dt=1e-4).t_end == 1.0
     with pytest.raises(ConfigError, match="t_end"):
-        BarBenchmarkConfig(t_end=1.25)
+        BarBenchmarkConfig(t_end=1.0001, dt=1e-4)
     cfg = BarBenchmarkConfig(cut_fraction=0.5, elements_x=20)
     # the mesh overshoots so the cut column keeps the requested fraction
     assert cfg.h == pytest.approx(1.0 / 19.5)

@@ -204,15 +204,18 @@ def test_numerical_failure_exits_3(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("t_end, rc", [("1.3", 2), ("1.25", 2), ("1.2", 0)])
+@pytest.mark.parametrize(
+    "t_end, rc", [("1.3", 2), ("1.25", 2), ("1.2", 2), ("1.0004", 2), ("1.0", 0)]
+)
 def test_bar2d_rejects_t_end_past_the_rod_solution(tmp_path, capsys, t_end, rc):
-    # the rod solution ends at lx / c + the pulse duration, 1.25: a later
-    # t_end is refused before any step runs, not after all of them
+    # the rod solution ends at lx / c = 1.0, where the wave front reaches the
+    # clamped end: a later t_end is refused before any step runs, not after
+    # all of them
     out = tmp_path / "x.csv"
     args = ["bar2d", "--elements", "4", "--order", "3", "--dt", "4e-4", "--t-end", t_end]
     assert main([*args, "--out", str(out)]) == rc
     if rc == 2:
-        assert "t_end must lie below 1.25" in capsys.readouterr().err and not out.exists()
+        assert "t_end must not exceed 1.0" in capsys.readouterr().err and not out.exists()
 
 
 def test_bar2d_sweep_rejects_t_end_past_the_rod_solution(tmp_path, capsys, monkeypatch):
@@ -222,7 +225,7 @@ def test_bar2d_sweep_rejects_t_end_past_the_rod_solution(tmp_path, capsys, monke
     monkeypatch.setattr(benchmark, "run_bar_case", cells.append)
     out = tmp_path / "x.csv"
     assert main(["bar2d-sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "t_end must lie below" in capsys.readouterr().err
+    assert "t_end must not exceed" in capsys.readouterr().err
     assert cells == [] and not out.exists()
 
 

@@ -33,6 +33,7 @@ from cutsem.integrators import (
     LtsConfig,
     LtsSolver,
     LtsState,
+    _MAP_MAX_SIZE,
     _NEGLIGIBLE,
     _vertical_cut_rules,
     choose_pt,
@@ -711,23 +712,31 @@ def count_zeroed(monkeypatch):
 
 
 @functools.cache
-def free_void_plate():
-    """A free, unloaded 5 x 5 plate, p = 3, nu = 0.3, with two circular voids."""
-    voids = union_of_voids([circle(0.33, 0.41, 0.13), circle(0.71, 0.68, 0.11)])
-    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=5, ny=5, p=3, level_set=voids)
+def free_void_plate(voids="two"):
+    """A free, unloaded 5 x 5 plate, p = 3, nu = 0.3, with circular voids.
+
+    "two" has two voids; "one" has one void inside one
+    element, so nbhd(sel) holds the 100 nodes of its 3 x 3 elements.
+    """
+    circles = {"two": [(0.33, 0.41, 0.13), (0.71, 0.68, 0.11)], "one": [(0.3, 0.3, 0.05)]}[voids]
+    level_set = union_of_voids([circle(*c) for c in circles])
+    mesh = CartesianMesh(lx=1.0, ly=1.0, nx=5, ny=5, p=3, level_set=level_set)
     mat = Material(youngs_modulus=1.0, poisson_ratio=0.3, density=1.0)
     return mesh, assemble_global(mesh, mat), critical_timestep_table(mesh, mat)
 
 
 @pytest.mark.parametrize("start", ["random", "localized"])
-@pytest.mark.parametrize("integrator", ["cdm", "lts"])
+@pytest.mark.parametrize("integrator", ["cdm", "lts", "lts_map"])
 def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
     # z_{n+1} - 2 z_n + z_{n-1} = -dt^2 B z_n with B symmetric keeps
     # E_{n+1/2} = |z_{n+1} - z_n|^2 / (2 dt^2) + z_{n+1}^T B z_n / 2 constant:
     # B = M^-1/2 K M^-1/2 under CDM, the coarse step's operator under LTS.
-    # The localized start is a narrow bump in a corner, whose tail lies below
-    # the flush floor; its first check flushes it
-    mesh, system, table = free_void_plate()
+    # "lts" sweeps its sub-steps (nbhd(sel) is above the cap); "lts_map", on
+    # the one-void plate at p_t = 12, tabulates them, and B holds the map's
+    # round-off once for every step. The localized start is a narrow bump in
+    # a corner, whose tail lies below the flush floor; its first check
+    # flushes it
+    mesh, system, table = free_void_plate("one" if integrator == "lts_map" else "two")
     u0 = np.zeros(system.dof_count)
     if start == "random":
         u0[:] = np.random.default_rng(9).standard_normal(system.dof_count)
@@ -750,7 +759,11 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         dt = CFL_SAFETY * table.dt_uncut_min
         selection = np.zeros(system.dof_count, dtype=bool)
         selection[system.cut_element_dofs] = True
-        solver = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
+        p_t = choose_pt(dt, table.dt_cut_min)
+        if integrator == "lts_map":
+            p_t = max(p_t, 12)
+        solver = LtsSolver(system, LtsConfig(dt, p_t, selection))
+        assert (solver.sub_step_map is not None) == (integrator == "lts_map")
         state = solver.initial_state(u0=u0)
         zs = [state.z_curr]
         for _ in range(n_steps):
@@ -767,6 +780,68 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
     assert np.max(np.abs(energies / energies[0] - 1.0)) <= 1e-13
     if start == "localized":
         assert zeroed[0] > 0
+
+
+@pytest.mark.parametrize("inputs", ["state", "load", "all"])
+def test_sub_step_map_equals_the_sweep(inputs):
+    # W x against the p_t sub-steps swept from the same x = [v_0; M^-1/2
+    # h^2 w2; s], random and zero on both zero slots: s is zero for "state"
+    # and the only nonzero part for "load", whose term is far smaller
+    system, _, cfg = long_cut_bar()
+    solver = LtsSolver(system, cfg)
+    n = solver.k_local.size
+    x = np.random.default_rng(24).standard_normal(2 * n + cfg.p_t)
+    x[[n - 1, 2 * n - 1]] = 0.0
+    if inputs == "state":
+        x[2 * n :] = 0.0
+    elif inputs == "load":
+        x[: 2 * n] = 0.0
+    fine_vals = solver._fine_load[1]
+    assert fine_vals.size > 0  # the interface load is on the refined DOFs
+    v = x[:n].copy()
+    solver._sub_steps(v, x[n : 2 * n], (c * fine_vals for c in x[2 * n :]), solver.k_local.apply)
+    got = solver.sub_step_map @ x
+    assert np.abs(got - v).max() <= 1e-13 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("case", ["bar_lts", "above_cap", "pt1"])
+def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
+    # with n = k_local.size and e the element-matrix entries one k_local
+    # apply multiplies, the map is tabulated when n (2n + p_t) < p_t e and
+    # n <= _MAP_MAX_SIZE: on the bar benchmark's 100-element bar at its dt
+    # and p_t, not on the two-void plate above the cap (where the cost test
+    # alone would pick it), and not at p_t = 1
+    if case == "above_cap":
+        _, system, table = free_void_plate()
+        dt = CFL_SAFETY * table.dt_uncut_min
+        selection = np.zeros(system.dof_count, dtype=bool)
+        selection[system.cut_element_dofs] = True
+        cfg = LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection)
+    else:
+        system, _, cfg = long_cut_bar()
+        if case == "pt1":
+            cfg = LtsConfig(cfg.dt, 1, cfg.selection)
+    solver = LtsSolver(system, cfg)
+    k, p_t = solver.k_local, cfg.p_t
+    n = k.size
+    cheaper = n * (2 * n + p_t) < p_t * (len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size)
+    w = solver.sub_step_map
+    if case == "bar_lts":
+        assert (n, p_t, cheaper) == (133, 10, True)
+        assert w.shape == (n, 2 * n + p_t)
+    elif case == "above_cap":
+        assert n > _MAP_MAX_SIZE and cheaper and w is None
+    else:
+        assert not cheaper and w is None
+
+
+def test_sub_step_map_is_read_only():
+    system, _, cfg = long_cut_bar()
+    solver = LtsSolver(system, cfg)
+    with pytest.raises(AttributeError):
+        solver.sub_step_map = None
+    with pytest.raises(ValueError):
+        solver.sub_step_map[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

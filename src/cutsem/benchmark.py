@@ -32,7 +32,7 @@ from .integrators import (
     CFL_SAFETY,
     LtsConfig,
     LtsSolver,
-    _advance_cdm,
+    _cdm_solver,
     check_sweep_grid,
     choose_pt,
     critical_dt_sweep,
@@ -164,22 +164,26 @@ def build_bar_system(cfg):
     return mesh, system
 
 
+def _centred_velocity(solver, state):
+    """(u_{n+1} - u_{n-1}) / (2 dt) at the state's step n: u_prev, then one more step."""
+    return (solver.step(state).u_curr - state.u_prev) / (2.0 * state.dt)
+
+
 def run_bar_cdm(cfg):
     """CDM run to t_end; returns (mesh, system, nodal velocity at t_end)."""
     mesh, system = build_bar_system(cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    hist = run_cdm(system, cfg.dt, n_steps)
-    u_nm1 = hist.u_prev
-    # one extra step for the centered velocity at t_end
-    hist2 = run_cdm_continue(system, hist, 1)
-    u_np1 = hist2.u_curr
-    velocity = (u_np1 - u_nm1) / (2.0 * cfg.dt)
-    return mesh, system, velocity
+    state = run_cdm(system, cfg.dt, n_steps)
+    return mesh, system, _centred_velocity(_cdm_solver(system, cfg.dt), state)
 
 
 def run_cdm_continue(system, hist, extra_steps):
-    """Advance an existing CDM history by extra_steps."""
-    return _advance_cdm(system, hist, extra_steps)
+    """Advance a CDM state by extra_steps, bitwise one longer `run_cdm`.
+
+    Its one caller outside the tests is perfbench's BarCdm (ROADMAP item 1).
+    """
+    u, du = hist.u_curr.copy(), hist.du.copy()
+    return _cdm_solver(system, hist.dt)._advance(u, du, hist.step, extra_steps)
 
 
 def run_bar_lts(cfg):
@@ -198,11 +202,7 @@ def run_bar_lts(cfg):
     selection = np.zeros(system.dof_count, dtype=bool)
     selection[system.cut_element_dofs] = True
     solver = LtsSolver(system, LtsConfig(dt_coarse, p_t, selection))
-    state = solver.run(n_steps)
-    z_nm1 = state.z_prev
-    state = solver.step(state)
-    z_np1 = state.z_curr
-    velocity = solver.m_inv_sqrt * (z_np1 - z_nm1) / (2.0 * dt_coarse)
+    velocity = _centred_velocity(solver, solver.run(n_steps))
     return mesh, system, velocity, dt_coarse, p_t
 
 

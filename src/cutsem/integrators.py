@@ -5,72 +5,70 @@ the largest generalized eigenvalue of its stiffness and lumped mass, taken
 from the per-element operators that assembly builds once per mesh and
 found with LAPACK's `eigh`.
 
-Two integrators operate on the assembled system: the central difference
-method in displacement variables, and a second-order leap-frog scheme with
-local time stepping in mass-transformed variables z = M^(1/2) u. The LTS
-scheme advances a selected DOF subset (cut elements) with step dt/p_t while
-the rest of the domain keeps dt; with an empty selection or p_t = 1 it
-degenerates to the standard leap-frog update. Each coarse step does one
-full stiffness matvec. The p_t sub-steps run only on nbhd(sel), the
-selected DOFs and the DOFs coupled to them, in the scaled variables
-v = M^(-1/2) q: they apply K[nbhd, sel] as the stiffness's own element
+One leap-frog loop integrates the assembled system: local time stepping
+(LTS, Diaz & Grote, SIAM J. Sci. Comput. 31, 2009), which advances a
+selected DOF subset (cut elements) with step dt/p_t while the rest of the
+domain keeps dt. With an empty selection it is the central difference
+method (CDM), and `run_cdm` is the LTS with nothing selected and p_t = 1.
+The loop runs on the displacement u in summed form (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, 2006): it carries u_n and the
+increment du = u_n - u_{n-1}; the increment takes the acceleration and
+then the state takes the increment, two passes a step where the
+three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with less
+round-off. A continued run is bitwise one longer run.
+
+Each coarse step does one full stiffness matvec, g = dt^2 M^-1 K (1-P) u_n
+with P the selection mask; P and M are diagonal, so they commute. Off
+nbhd(sel), the selected DOFs and the DOFs coupled to them, the step is
+du <- du - g plus the load dt^2 M^-1 (1-P) f(t_n), then u <- u + du: with
+nothing selected, CDM's operations in CDM's order. On nbhd(sel) the p_t
+sub-steps run from v_0 = 2 u_n, in the variables v = M^(-1/2) q of the
+Diaz-Grote recurrence for z = M^(1/2) u, and du <- v_{p_t} - 2 u_n + du
+there. A sub-step applies K[nbhd, sel] as the stiffness's own element
 batches, restricted once per solver to the elements that touch sel, to v
-as it is, and scale the result by h^2 M^-1. Everywhere else the sub-step
-recurrence has the closed form q_m = 2 z_n + m^2 h^2 w.
+as it is, and scales the result by h^2 M^-1, h = dt/p_t.
 
 On nbhd(sel) the coarse step is a fixed polynomial of degree p_t in the
-local operator (Diaz & Grote, SIAM J. Sci. Comput. 31, 2009): v_{p_t} is
-linear in x = [v_0; M^(-1/2) h^2 w2; s], s the p_t load coefficients, so
-v_{p_t} = W x for one dense map W of shape (n, 2n + p_t), n =
-k_local.size. A sweep multiplies p_t e element-matrix entries, e those of
-one k_local apply, and its cost is mostly numpy's per-call overhead on
-short vectors; W x multiplies n (2n + p_t) in one call. So when n (2n +
-p_t) < p_t e and n <= _MAP_MAX_SIZE, the solver tabulates W once, by
-running the same sub-step recurrence on the identity's columns with
-k_local dense, and each coarse step does one W x in place of the sweep.
-W x evaluates the same polynomial in another order, so it matches the
-sweep up to round-off; the cap bounds W's memory and the p_t dense
-products of its build.
+local operator: v_{p_t} is linear in x = [v_0; h2w2; s], h2w2 the coarse
+part's contribution and s the p_t load coefficients, so v_{p_t} = W x for
+one dense map W of shape (n, 2n + p_t), n = k_local.size. A sweep
+multiplies p_t e element-matrix entries, e those of one k_local apply, and
+its cost is mostly numpy's per-call overhead on short vectors; W x
+multiplies n (2n + p_t) in one call. So when n (2n + p_t) < p_t e and
+n <= _MAP_MAX_SIZE, the solver tabulates W once, by running the same
+sub-step recurrence on the identity's columns with k_local dense, and each
+coarse step does one W x in place of the sweep. W x evaluates the same
+polynomial in another order, so it matches the sweep up to round-off; the
+cap bounds W's memory and the p_t dense products of its build.
 
-Each integrator advances its state with one in-place kernel. CDM and the
-LTS sub-steps are leap-frog in summed form (Hairer, Lubich & Wanner,
-Geometric Numerical Integration, 2006): the increment takes the
-acceleration and then the state takes the increment, two passes a step
-where the three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with
-less round-off. A CDM history carries its increment, so a continued run
-is bitwise one longer run. LTS's coarse update overwrites the older of
-its two states, and LTS has one loop, `LtsSolver._advance`: `run` runs it
-from `initial_state` on two buffers of its own, `step` for one step on
-copies of its state. dt^2 (CDM, and LTS's coarse update) or h^2 = (dt/p_t)^2
-(LTS's sub-steps) is folded into diagonal scalings made once per run or
-solver. A load term is added only when the pulse is nonzero, on the DOFs
-its shape loads. LTS samples the pulse once per sub-step grid point and
-reuses one coarse step's samples as the next one's backward samples, and
-its start-up skips the sub-step sweep from a zero displacement. Both
-integrators require the start state to be zero on the Dirichlet DOFs.
+dt^2 and h^2 are folded into diagonal scalings made once per solver. A
+load term is added only when the pulse is nonzero, on the DOFs its shape
+loads. The pulse is sampled once per sub-step grid point, one coarse
+step's samples are reused as the next one's backward samples, and the
+start-up skips the sub-step sweep from a zero displacement. The start
+state must be zero on the Dirichlet DOFs.
 
-Both loops check the state and flush its negligible tail by one rule,
+The loop checks the state and flushes its negligible tail by one rule,
 `_check_divergence`, called once per step: after each step from t_n with
 n % 25 == 0 it checks and flushes in one fused pass, and after the last
 step of a call it only checks. The step count is absolute, so a continued
-CDM run is bitwise one longer run, and LTS `run(n)` is `initial_state`
-followed by n `step`s. The max of |u| (NaN-propagating) must be finite and
-at most 1e12 times the max of the state the call started from (at least
-1), and then every entry of both leap-frog fields (CDM's u and du, LTS's
-z_n and z_{n-1}) below _NEGLIGIBLE = 2^-600 times that max is set to 0. A
-pulse launched into a body at rest drags a numerical precursor ahead of
-the wave whose tail decays into the subnormal range, where each flop takes
-a microcode assist, and numpy cannot set the CPU's flush-to-zero mode. The
-floor is relative, so it does not depend on units, and it lies 547
-binades below the round-off of the largest entry, so the flushed entries
-change no output. A floor at the subnormal limit itself saves little: the
-tail regrows below it within a step, and flushing every step costs more
-than the subnormal steps do. Both integrators reject a time step that is
-not positive and finite.
+run is bitwise one longer run, and `run(n)` is `initial_state` followed by
+n `step`s. The max of |u| (NaN-propagating) must be finite and at most
+1e12 times the max of the state the call started from (at least 1), and
+then every entry of u and du below _NEGLIGIBLE = 2^-600 times that max is
+set to 0. A pulse launched into a body at rest drags a numerical precursor
+ahead of the wave whose tail decays into the subnormal range, where each
+flop takes a microcode assist, and numpy cannot set the CPU's
+flush-to-zero mode. The floor is relative, so it does not depend on units,
+and it lies 547 binades below the round-off of the largest entry, so the
+flushed entries change no output. A floor at the subnormal limit itself
+saves little: the tail regrows below it within a step, and flushing every
+step costs more than the subnormal steps do. A time step that is not
+positive and finite is rejected.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -157,52 +155,34 @@ def choose_pt(dt_coarse, cut_dt_min):
     return max(1, math.ceil(dt_coarse / (CFL_SAFETY * cut_dt_min) - 1e-12))
 
 
-@dataclass
-class TimeHistory:
-    """Trailing state of the central-difference loop: u_n and the increment u_n - u_{n-1}.
+def _check_divergence(n, last, u, du, scale):
+    """The one check rule of the leap-frog loop, called after the step from t_n.
 
-    The loop carries the increment, not u_{n-1}, so a history resumes
-    bitwise; `u_prev` is formed from the two on request.
-    """
-
-    u_curr: np.ndarray
-    du: np.ndarray
-    step: int
-    dt: float
-
-    @property
-    def u_prev(self):
-        return self.u_curr - self.du
-
-
-def _check_divergence(n, last, z, partner, scale):
-    """The one check rule of both leap-frog loops, called after the step from t_n.
-
-    When n % _CHECK_EVERY == 0, raise Diverged unless max |z| is finite and
-    at most 1e12 x scale, then set every entry of z and of its leap-frog
-    partner below _NEGLIGIBLE max |z| to 0, in place. When n == last, the
-    step ending the call, only check. The max propagates NaN, so testing
-    it alone for finiteness covers every entry.
+    When n % _CHECK_EVERY == 0, raise Diverged unless max |u| is finite and
+    at most 1e12 x scale, then set every entry of u and of the increment du
+    below _NEGLIGIBLE max |u| to 0, in place. When n == last, the step
+    ending the call, only check. The max propagates NaN, so testing it
+    alone for finiteness covers every entry.
     """
     flush = n % _CHECK_EVERY == 0
     if not (flush or n == last):
         return
-    mag = np.abs(z)
+    mag = np.abs(u)
     peak = mag.max()
     if not (math.isfinite(peak) and peak <= 1e12 * scale):
         raise Diverged("solution is not finite or exceeded 1e12 x initial scale")
     if flush:
         floor = _NEGLIGIBLE * peak
-        np.copyto(z, 0.0, where=mag < floor)
-        np.copyto(partner, 0.0, where=np.abs(partner) < floor)
+        np.copyto(u, 0.0, where=mag < floor)
+        np.copyto(du, 0.0, where=np.abs(du) < floor)
 
 
 def _check_start_on_dirichlet(system, u0, v0):
     """Reject a start displacement or velocity that is nonzero on a Dirichlet DOF.
 
-    Both integrators hold those DOFs through a zero inverse mass: from a
-    nonzero start there CDM would hold the value and LTS read it as zero,
-    and a nonzero start velocity would drift.
+    The loop holds those DOFs through a zero inverse mass: it would hold a
+    nonzero start displacement there, and a nonzero start velocity would
+    drift.
     """
     for name, values in (("u0", u0), ("v0", v0)):
         if values is not None and np.any(values[system.dirichlet_dofs]):
@@ -215,58 +195,23 @@ def _loaded_entries(values):
     return idx, values[idx]
 
 
+def _cdm_solver(system, dt):
+    """The central difference method: the LTS with nothing selected and p_t = 1."""
+    return LtsSolver(system, LtsConfig(dt, 1, np.zeros(system.dof_count, dtype=bool)))
+
+
 def run_cdm(system, dt, n_steps, u0=None, v0=None, record=None):
-    """Central difference time loop; returns the final TimeHistory.
+    """Central differences, the leap-frog loop with nothing refined; returns the final LtsState.
 
     The increment u_0 - u_{-1} comes from a second-order Taylor start. u0
     and v0 must be zero on the Dirichlet DOFs. record(step, t, u) is
-    invoked after every accepted step when given; u is overwritten by the
-    next step, so a record that keeps it copies it.
+    invoked after every step when given, with an array of its own.
     """
-    if not 0 < dt < math.inf:
-        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    _check_start_on_dirichlet(system, u0, v0)
-    n = system.dof_count
-    u_curr = np.zeros(n) if u0 is None else u0.copy()
-    v0 = np.zeros(n) if v0 is None else v0
-    a0 = system.m_inv * (system.force(0.0) - system.k_matvec(u_curr))
-    du = dt * v0 - 0.5 * dt * dt * a0
-    start = TimeHistory(u_curr=u_curr, du=du, step=0, dt=dt)
-    return _advance_cdm(system, start, n_steps, record)
-
-
-def _advance_cdm(system, hist, n_steps, record=None):
-    """Advance a CDM history by n_steps; the one central-difference loop.
-
-    Leap-frog in summed form: with c = dt^2 M^-1, made once, each step is
-    one stiffness matvec and two in-place passes, du <- du - c K u (plus
-    c f_shape pulse(t) on the loaded DOFs when the pulse is nonzero) and
-    u <- u + du. The state lives in buffers of its own: hist is copied once
-    and left as it is, and record gets a buffer that the next step
-    overwrites. c is zero on the Dirichlet DOFs, so they stay at their
-    start value, zero.
-    """
-    dt = hist.dt
-    u, du = hist.u_curr.copy(), hist.du.copy()
-    c = dt * dt * system.m_inv
-    loaded, c_f = _loaded_entries(c * system.f_shape)
-    pulse = system.pulse
-    scale = max(float(np.max(np.abs(u))), 1.0)
-    end = hist.step + n_steps
-    for step in range(hist.step, end):
-        t = step * dt
-        ku = system.k_matvec(u)
-        ku *= c
-        # du_{n+1/2} = du_{n-1/2} + dt^2 M^-1 (f - K u_n); u_{n+1} = u_n + du_{n+1/2}
-        du -= ku
-        p = pulse(t)
-        if p != 0.0:
-            du[loaded] += p * c_f
-        u += du
-        _check_divergence(step, end - 1, u, du, scale)
-        if record is not None:
-            record(step + 1, t + dt, u)
-    return TimeHistory(u_curr=u, du=du, step=end, dt=dt)
+    solver = _cdm_solver(system, dt)
+    state = solver.initial_state(u0, v0)
+    # run's loop, not LtsSolver.run itself: perfbench's tracer wraps that
+    # method to count LTS runs
+    return solver._advance(state.u_curr, state.du, 0, n_steps, record)
 
 
 class LtsConfig:
@@ -284,35 +229,54 @@ class LtsConfig:
 
 @dataclass
 class LtsState:
-    """Leap-frog history in transformed variables z = M^(1/2) u."""
+    """Leap-frog state after `step` steps of dt: u_n and the increment u_n - u_{n-1}.
 
-    z_prev: np.ndarray
-    z_curr: np.ndarray
+    The loop carries the increment, not u_{n-1}, so a state resumes
+    bitwise; `u_prev` is formed from the two on request.
+    """
+
+    u_curr: np.ndarray
+    du: np.ndarray
     step: int
-    t: float
+    dt: float
+    # the lumped mass, read only by z_prev and z_curr
+    mass: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @property
+    def u_prev(self):
+        return self.u_curr - self.du
+
+    @property
+    def z_prev(self):
+        """M^(1/2) u_prev, for perfbench's BarLts only; goes with ROADMAP item 1."""
+        return np.sqrt(self.mass) * self.u_prev
+
+    @property
+    def z_curr(self):
+        """M^(1/2) u_curr, for perfbench's BarLts only; goes with ROADMAP item 1."""
+        return np.sqrt(self.mass) * self.u_curr
 
 
 class LtsSolver:
-    """Leap-frog with local time stepping on the selected DOFs.
+    """Leap-frog with local time stepping on the selected DOFs, on u in summed form.
 
-    A = M^(-1/2) K M^(-1/2) is never materialized: the one full application
-    per coarse step brackets the stiffness matvec with diagonal scalings.
-    M^(-1/2) is the system's, zero on the Dirichlet DOFs, so A and r vanish
-    there and `displacement` reads zero on them. The sub-steps touch only
-    nbhd(sel), the selected DOFs and the DOFs of the elements that hold a
-    selected DOF, and run in the scaled variables v = M^(-1/2) q, zero on
-    the Dirichlet DOFs as q is. A sub-step applies `k_local`, the element
-    batches of those elements renumbered onto nbhd(sel) once here, which
-    gathers every column off sel from a zero slot: it reads v as it is, and
-    its result is scaled by h^2 M^-1. Each sub-step is leap-frog in summed
-    form, dv <- dv + a and v <- v + dv, and q = M^(1/2) v is formed once
-    per coarse step. Outside nbhd(sel) the sub-step recurrence has no A P q
-    and no P r term, so it has the closed form q_m = 2 z_n + m^2 h^2 w and
-    the coarse update there is z_{n+1} = -z_{n-1} + 2 z_n + dt^2 w.
+    One full stiffness matvec per coarse step gives g = c K (1-P) u_n,
+    c = dt^2 M^-1, zero on the Dirichlet DOFs, so u stays zero there. The
+    sub-steps touch only nbhd(sel), the selected DOFs and the DOFs of the
+    elements that hold a selected DOF, and run in v, with v_0 = 2 u_n. A
+    sub-step applies `k_local`, the element batches of those elements
+    renumbered onto nbhd(sel) once here, which gathers every column off sel
+    from a zero slot: it reads v as it is, and its result is scaled by
+    h^2 M^-1. Each sub-step is leap-frog in summed form, dv <- dv + a and
+    v <- v + dv. Outside nbhd(sel) the sub-step recurrence has no K P v and
+    no P f term, so there it has a closed form, and the coarse step is
+    CDM's: du <- du - g + c (1-P) f(t_n) and u <- u + du. On nbhd(sel),
+    du <- v_{p_t} - 2 u_n + du.
 
-    The p_t sub-steps are linear in x = [v_0; M^(-1/2) h^2 w2; s], where s
-    holds the load coefficients s_0 = 2 pulse(t_n) and s_m = pulse(t_n + m h)
-    + pulse(t_n - m h). With n = k_local.size and e the element-matrix
+    The p_t sub-steps are linear in x = [v_0; h2w2; s], where h2w2 =
+    2 h^2 M^-1 ((1-P) f(t_n) - K (1-P) u_n) and s holds the load
+    coefficients s_0 = 2 pulse(t_n) and s_m = pulse(t_n + m h) +
+    pulse(t_n - m h). With n = k_local.size and e the element-matrix
     entries one k_local apply multiplies, a sweep multiplies p_t e entries
     and the map W with v_{p_t} = W x has n (2n + p_t). When n (2n + p_t) <
     p_t e and n <= _MAP_MAX_SIZE, W is tabulated here, by running the
@@ -335,38 +299,38 @@ class LtsSolver:
             raise ConfigError("selection mask must cover all DOFs")
         dt, p_t, sel = cfg.dt, cfg.p_t, cfg.selection
         h2 = (dt / p_t) ** 2
-        self.m_inv_sqrt = system.m_inv_sqrt
+        # the sub-step grid's offsets m h from t_n
+        self._offsets = [m * (dt / p_t) for m in range(p_t)]
         self.nbhd, self.k_local = system.stiffness.restrict(sel)
         nb, n = self.nbhd, self.k_local.size
         self.fine = sel[nb]  # P restricted to nbhd(sel)
-        # the full matvec's input and output scalings, M^(-1/2) (1-P) and
-        # dt^2 M^(-1/2)
-        self._coarse_in = np.where(sel, 0.0, self.m_inv_sqrt)
-        self._coarse_out = dt * dt * self.m_inv_sqrt
-        # on nbhd(sel): v_0 = 2 M^(-1/2) z_n, M^(-1/2) h^2 w2 = -2/p_t^2
-        # M^(-1/2) g, the sub-step output scaling h^2 M^-1 (zero on the zero
-        # slot) and q = M^(1/2) v
-        m_inv_sqrt_nb = self.m_inv_sqrt[nb]
-        self._v_in = 2.0 * m_inv_sqrt_nb
-        self._w2_scale = (-2.0 / p_t**2) * m_inv_sqrt_nb
-        self._h2_m_inv = np.append(h2 * system.m_inv[nb], 0.0)
-        self._m_sqrt = np.sqrt(system.lumped_mass[nb])
-        # x = [v; M^(-1/2) h^2 w2; s]: v and h2w2 on nbhd(sel) and the zero
-        # slot, which stays 0, and the p_t load coefficients
+        # the full matvec's input mask 1-P, none when nothing is selected,
+        # and its output scaling c = dt^2 M^-1
+        self._unrefined = np.where(sel, 0.0, 1.0) if sel.any() else None
+        m_inv = system.m_inv
+        self._c = dt * dt * m_inv
+        # on nbhd(sel): h2w2 = -2/p_t^2 (g - c (1-P) f), and the sub-step
+        # output scaling h^2 M^-1 (zero on the zero slot)
+        self._w2_scale = -2.0 / p_t**2
+        self._h2_m_inv = np.append(h2 * m_inv[nb], 0.0)
+        # x = [v; h2w2; s]: v and h2w2 on nbhd(sel) and the zero slot, which
+        # stays 0, and the p_t load coefficients
         self._x = np.zeros(2 * n + p_t)
         self._v, self._h2w2, self._s = self._x[:n], self._x[n : 2 * n], self._x[2 * n :]
-        # each coarse step's temporaries: the full matvec's input, a gather
-        # on nbhd(sel) and q
-        self._z_in = np.empty(system.dof_count)
+        # each coarse step's temporaries: the full matvec's input and a
+        # gather on nbhd(sel)
+        self._u_in = np.empty(system.dof_count)
         self._gathered = np.empty(len(nb))
-        self._q = np.empty(len(nb))
-        # r(t) = M^(-1/2) f_shape pulse(t), split into its unrefined part,
-        # scaled by dt^2, and its refined part on nbhd(sel), scaled by
-        # h^2 M^(-1/2) for v; each kept on its nonzero entries
-        r_shape = self.m_inv_sqrt * system.f_shape
-        self._coarse_load = _loaded_entries(dt * dt * np.where(sel, 0.0, r_shape))
+        # the load f_shape pulse(t): its unrefined part, scaled by c, is added
+        # to du off nbhd(sel) and to h2w2 on it; its refined part, scaled by
+        # h^2 M^-1, to the sub-steps. Each is kept on its nonzero entries
+        coarse = self._c * system.f_shape
+        coarse[sel] = 0.0
+        self._nbhd_load = _loaded_entries(-self._w2_scale * coarse[nb])
+        coarse[nb] = 0.0
+        self._coarse_load = _loaded_entries(coarse)
         self._fine_load = _loaded_entries(
-            h2 * np.where(self.fine, m_inv_sqrt_nb * r_shape[nb], 0.0)
+            np.where(self.fine, h2 * m_inv[nb] * system.f_shape[nb], 0.0)
         )
         k = self.k_local
         e_local = len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size
@@ -376,8 +340,13 @@ class LtsSolver:
             self._v_map = np.empty(n)
 
     @property
+    def m_inv_sqrt(self):
+        """M^(-1/2), for perfbench's BarLts only; goes with ROADMAP item 1."""
+        return self.system.m_inv_sqrt
+
+    @property
     def sub_step_map(self):
-        """W, read-only, with v_{p_t} = W [v_0; M^(-1/2) h^2 w2; s], or None.
+        """W, read-only, with v_{p_t} = W [v_0; h2w2; s], or None.
 
         Its shape is (n, 2n + p_t), n = k_local.size, and both vectors are
         zero on the zero slot. None when the sub-steps run as a sweep.
@@ -410,29 +379,24 @@ class LtsSolver:
         w_t.flags.writeable = False
         return w_t.T
 
-    def r_of(self, t):
-        return self.m_inv_sqrt * self.system.force(t)
-
     def _pulse_samples(self, n):
-        """pulse(n dt + m h) for m = 0, ..., p_t - 1: coarse step n's sub-step grid."""
-        dt, p_t = self.cfg.dt, self.cfg.p_t
-        h = dt / p_t
-        pulse = self.system.pulse
-        return np.array([pulse(n * dt + m * h) for m in range(p_t)])
+        """pulse(n dt + m h) for m = 0, ..., p_t - 1: coarse step n's sub-step grid, as a list."""
+        t_n, pulse = n * self.cfg.dt, self.system.pulse
+        return [pulse(t_n + mh) for mh in self._offsets]
 
     def _sub_steps(self, v, h2w2, loads, apply):
         """The p_t sub-steps: v from v_0 to v_{p_t}, in place.
 
-        v and h2w2 = M^(-1/2) h^2 w2 are k_local-sized vectors, zero on the
-        zero slot, or stacks of them as rows; apply(v) is k_local applied to
-        each. loads yields, per sub-step m, s_m times the refined load's
-        nonzero entries, or None when s_m is 0.
+        v and h2w2 are k_local-sized vectors, zero on the zero slot, or
+        stacks of them as rows; apply(v) is k_local applied to each. loads
+        yields, per sub-step m, s_m times the refined load's nonzero
+        entries, or None when s_m is 0.
         """
         fine_idx = self._fine_load[0]
         for m, load in enumerate(loads):
             a = apply(v)
             a *= self._h2_m_inv
-            # a <- M^(-1/2) h^2 (w2 + s_m r_fine - A_local q_m)
+            # a <- h2w2 + h^2 M^-1 (s_m P f - K_local v_m)
             np.subtract(h2w2, a, out=a)
             if load is not None:
                 a[..., fine_idx] += load
@@ -445,30 +409,43 @@ class LtsSolver:
                 dv += a
             v += dv
 
-    def _coarse_step(self, z_prev, z, fwd, bwd):
-        """Overwrite z_prev = z_{n-1} with z_{n+1}; z = z_n is only read.
+    def _coarse_step(self, u, du, fwd, bwd):
+        """Advance u = u_n and du = u_n - u_{n-1} to u_{n+1} and u_{n+1} - u_n, in place.
 
         fwd are the load samples of this coarse step's sub-step grid and bwd
         those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
-        One full stiffness matvec gives g = dt^2 (A (1-P) z_n - (1-P) r_n)
-        = -dt^2 w; the p_t sub-steps, swept or by the map, run from
-        v_0 = M^(-1/2) q_0 = 2 M^(-1/2) z_n on nbhd(sel)-sized vectors, and
-        z_{n+1} = M^(1/2) v_{p_t} - z_{n-1} there. Every temporary but the
-        matvec's and the sweep's results lives in a buffer made once.
+        One full stiffness matvec gives g = c K (1-P) u_n; on nbhd(sel)
+        `_local_step` replaces it by 2 u_n - v_{p_t}. Then du <- du - g,
+        plus c (1-P) f(t_n) off nbhd(sel), and u <- u + du.
         """
-        nb = self.nbhd
-        np.multiply(self._coarse_in, z, out=self._z_in)
-        g = self.system.k_matvec(self._z_in)
-        g *= self._coarse_out
+        u_in = u if self._unrefined is None else np.multiply(self._unrefined, u, out=self._u_in)
+        g = self.system.k_matvec(u_in)
+        g *= self._c
+        if len(self.nbhd):
+            self._local_step(u, g, fwd, bwd)
+        # du_{n+1/2} = du_{n-1/2} + c ((1-P) f(t_n) - K (1-P) u_n) off
+        # nbhd(sel), v_{p_t} - 2 u_n + du_{n-1/2} on it; u_{n+1} = u_n + du_{n+1/2}
+        du -= g
         if fwd[0] != 0.0:
             idx, vals = self._coarse_load
-            g[idx] -= fwd[0] * vals
+            du[idx] += fwd[0] * vals
+        u += du
+
+    def _local_step(self, u, g, fwd, bwd):
+        """The p_t sub-steps, swept or by the map, from v_0 = 2 u_n on nbhd(sel).
+
+        Overwrites g there with 2 u_n - v_{p_t}. Every temporary but the
+        sweep's results lives in a buffer made once.
+        """
         # nb is in range; mode="clip" lets take write to out unbuffered
-        v, h2w2, s, gathered = self._v, self._h2w2, self._s, self._gathered
-        z.take(nb, out=gathered, mode="clip")
-        np.multiply(gathered, self._v_in, out=v[:-1])
+        nb, v, h2w2, s, gathered = self.nbhd, self._v, self._h2w2, self._s, self._gathered
         g.take(nb, out=gathered, mode="clip")
         np.multiply(gathered, self._w2_scale, out=h2w2[:-1])
+        if fwd[0] != 0.0:
+            idx, vals = self._nbhd_load
+            h2w2[idx] += fwd[0] * vals
+        u.take(nb, out=gathered, mode="clip")
+        np.add(gathered, gathered, out=v[:-1])
         s[0] = 2.0 * fwd[0]
         np.add(fwd[1:], bwd[:0:-1], out=s[1:])
 
@@ -478,40 +455,33 @@ class LtsSolver:
             self._sub_steps(v, h2w2, loads, self.k_local.apply)
         else:
             v = np.matmul(self._map, self._x, out=self._v_map)
-        q = self._q
-        np.multiply(self._m_sqrt, v[:-1], out=q)
-        z_prev.take(nb, out=gathered, mode="clip")
-        q -= gathered
-
-        # z_{n+1} = 2 z_n - z_{n-1} + dt^2 w off nbhd(sel), q_{p_t} - z_{n-1} on it
-        np.subtract(z, z_prev, out=z_prev)
-        z_prev += z
-        z_prev -= g
-        z_prev[nb] = q
+        gathered += gathered
+        gathered -= v[:-1]
+        g[nb] = gathered
 
     def initial_state(self, u0=None, v0=None):
-        """z_{-1} from z_1 + z_{-1} = q(z_0) and z_1 - z_{-1} = 2 dt zdot_0.
+        """u_0 and du_0 = u_0 - u_{-1}, from u_1 + u_{-1} = q(u_0) and u_1 - u_{-1} = 2 dt v_0.
 
-        q(z_0) is the unloaded coarse step from z_{-1} = 0, so the refined
-        DOFs start from their own recurrence; it is linear in z_0, so from
-        z_0 = 0 it is zero and is not run. The load enters only as the
-        Taylor term dt^2 r(0) / 2: a run from rest starts from the same
-        z_{-1} whatever the load does at the sub-step times. u0 and v0 must
-        be zero on the Dirichlet DOFs.
+        q(u_0) is the unloaded coarse step's u_1 + u_{-1}, so the refined
+        DOFs start from their own recurrence. One unloaded step from u_0 with
+        du = 0 gives d = q(u_0) - 2 u_0 as its increment, and du_0 = -d/2 +
+        dt v_0; d is linear in u_0, so from u_0 = 0 it is zero and is not
+        run. The load enters only as the Taylor term -dt^2 M^-1 f(0) / 2: a
+        run from rest starts from the same du_0 whatever the load does at
+        the sub-step times. u0 and v0 must be zero on the Dirichlet DOFs.
         """
         _check_start_on_dirichlet(self.system, u0, v0)
         n = self.system.dof_count
-        m_sqrt = np.sqrt(self.system.lumped_mass)
-        z0 = np.zeros(n) if u0 is None else m_sqrt * u0
-        zdot0 = np.zeros(n) if v0 is None else m_sqrt * v0
         dt = self.cfg.dt
-        z_m1 = -dt * zdot0 + 0.5 * dt * dt * self.r_of(0.0)
-        if np.any(z0):
-            q0 = np.zeros(n)
+        u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
+        v = np.zeros(n) if v0 is None else v0
+        du = dt * v - 0.5 * dt * dt * (self.system.m_inv * self.system.force(0.0))
+        if np.any(u):
+            d = np.zeros(n)
             unloaded = np.zeros(self.cfg.p_t)
-            self._coarse_step(q0, z0, unloaded, unloaded)
-            z_m1 += 0.5 * q0
-        return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
+            self._coarse_step(u.copy(), d, unloaded, unloaded)
+            du -= 0.5 * d
+        return LtsState(u, du, 0, dt, self.system.lumped_mass)
 
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update.
@@ -520,36 +490,36 @@ class LtsSolver:
         is, so the new state is checked against the scale of `state` and
         flushed where `run` would flush it.
         """
-        return self._advance(state.z_prev.copy(), state.z_curr.copy(), state.step, 1)
+        return self._advance(state.u_curr.copy(), state.du.copy(), state.step, 1)
 
     def displacement(self, state):
-        return self.m_inv_sqrt * state.z_curr
+        return state.u_curr.copy()
 
     def run(self, n_steps, u0=None, v0=None, record=None):
-        """initial_state and n_steps coarse steps, on two buffers updated in place."""
+        """initial_state and n_steps coarse steps, on its two buffers updated in place."""
         state = self.initial_state(u0, v0)
-        return self._advance(state.z_prev, state.z_curr, 0, n_steps, record)
+        return self._advance(state.u_curr, state.du, 0, n_steps, record)
 
-    def _advance(self, z_prev, z, first, n_steps, record=None):
-        """The one LTS loop: coarse steps first, ..., first + n_steps - 1 on z_prev and z.
+    def _advance(self, u, du, first, n_steps, record=None):
+        """The one leap-frog loop: coarse steps first, ..., first + n_steps - 1 on u and du.
 
         Both buffers are updated in place, and each step is checked by
-        `_check_divergence` against the scale of the start state z, as CDM's
-        loop checks. record(n, t_n, u_n) is invoked after every step when
-        given.
+        `_check_divergence` against the scale of the start u.
+        record(n, t_n, u_n) is invoked after every step when given, with an
+        array of its own.
         """
         dt = self.cfg.dt
-        scale = max(float(np.max(np.abs(z))), 1.0)
+        scale = max(float(np.max(np.abs(u))), 1.0)
         end = first + n_steps
         bwd = self._pulse_samples(first - 1)
         for n in range(first, end):
             fwd = self._pulse_samples(n)
-            self._coarse_step(z_prev, z, fwd, bwd)
-            z_prev, z, bwd = z, z_prev, fwd
-            _check_divergence(n, end - 1, z, z_prev, scale)
+            self._coarse_step(u, du, fwd, bwd)
+            bwd = fwd
+            _check_divergence(n, end - 1, u, du, scale)
             if record is not None:
-                record(n + 1, (n + 1) * dt, self.m_inv_sqrt * z)
-        return LtsState(z_prev=z_prev, z_curr=z, step=end, t=end * dt)
+                record(n + 1, (n + 1) * dt, u.copy())
+        return LtsState(u, du, end, dt, self.system.lumped_mass)
 
 
 def _vertical_cut_rules(fractions, depth, gauss_degree):

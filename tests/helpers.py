@@ -4,8 +4,8 @@
 enumeration and `kkt_report` certifies a solution by its KKT residuals.
 `critical_dt_sweep_oracle` computes the critical-time-step sweep one cell
 at a time, and `count_shape_evals` counts shape-function evaluations.
-`a_apply` and `a_local` apply an LTS solver's A = M^(-1/2) K M^(-1/2) in
-full and on nbhd(sel), for the leap-frog references.
+`a_local` applies an LTS solver's sub-step operator M^-1 K[nbhd, sel] on
+nbhd(sel).
 """
 
 import itertools
@@ -138,15 +138,10 @@ def count_shape_evals(monkeypatch):
     return calls
 
 
-def a_apply(solver, z):
-    """A z = M^(-1/2) K M^(-1/2) z, with the solver's M^(-1/2) and the system's K."""
-    return solver.m_inv_sqrt * solver.system.k_matvec(solver.m_inv_sqrt * z)
+def a_local(solver, v):
+    """M^-1 K[nbhd, sel] v[fine] for v on nbhd(sel), from the solver's restricted operator.
 
-
-def a_local(solver, q):
-    """A[nbhd, sel] q[fine] for q on nbhd(sel), from the solver's restricted operator.
-
-    q is given to the operator scaled but unmasked, followed by its zero slot.
+    v is given to the operator unmasked, followed by its zero slot.
     """
-    m_inv_sqrt = solver.m_inv_sqrt[solver.nbhd]
-    return m_inv_sqrt * solver.k_local.apply(np.append(m_inv_sqrt * q, 0.0))[:-1]
+    m_inv = solver.system.m_inv[solver.nbhd]
+    return m_inv * solver.k_local.apply(np.append(v, 0.0))[:-1]

@@ -37,7 +37,7 @@ from cutsem.momentfit import (
     solve_fitted_weights,
 )
 
-from helpers import a_apply, brute_force_fitted_weights
+from helpers import brute_force_fitted_weights
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
@@ -256,14 +256,16 @@ def test_criterion_8_lts_correctness():
     system, _, u0 = _bar_free_vibration_setup()
     dt = 1e-4
     solver = LtsSolver(system, LtsConfig(dt, 1, np.ones(system.dof_count, dtype=bool)))
+    k = system.k_csr()
     state = solver.initial_state(u0=u0)
-    z_prev, z_curr = state.z_prev.copy(), state.z_curr.copy()
+    u_prev, u_curr = state.u_prev, state.u_curr.copy()
     for n in range(100):
         state = solver.step(state)
-        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(n * dt) - a_apply(solver, z_curr))
-        z_prev, z_curr = z_curr, z_next
-        scale = max(float(np.max(np.abs(z_curr))), 1e-300)
-        ok &= np.max(np.abs(state.z_curr - z_curr)) <= TOL_LTS_BITMATCH * scale
+        a = system.m_inv * (system.force(n * dt) - k @ u_curr)
+        u_next = 2.0 * u_curr - u_prev + dt * dt * a
+        u_prev, u_curr = u_curr, u_next
+        scale = max(float(np.max(np.abs(u_curr))), 1e-300)
+        ok &= np.max(np.abs(state.u_curr - u_curr)) <= TOL_LTS_BITMATCH * scale
 
     # cross-solver consistency on the cut bar
     cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=250, scheme="fitted")

@@ -35,6 +35,7 @@ from cutsem.integrators import (
     LtsState,
     _MAP_MAX_SIZE,
     _NEGLIGIBLE,
+    _cdm_solver,
     _vertical_cut_rules,
     choose_pt,
     critical_dt_sweep,
@@ -44,7 +45,7 @@ from cutsem.integrators import (
 )
 from cutsem.momentfit import MomentFitConfig
 
-from helpers import a_apply, count_shape_evals, critical_dt_sweep_oracle
+from helpers import count_shape_evals, critical_dt_sweep_oracle
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -199,44 +200,136 @@ def test_cdm_harmonic_oscillator_period_error():
     assert 3.6 <= ratio <= 4.4
 
 
-def test_summed_form_cdm_matches_the_three_term_recurrence():
-    # u_{n+1} = 2 u_n - u_{n-1} + dt^2 M^-1 (f(t_n) - K u_n) from the same
-    # Taylor start, on the loaded cut bar clamped at x = 0
-    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=20, scheme="fitted")
+def full_mask_sub_steps(solver, u_n, t_n, force):
+    """v_{p_t} of the sub-step recurrence on full-size vectors, from v_0 = 2 u_n, as a reference.
+
+    Every sub-step applies the full stiffness; the selection acts as a mask.
+    At p_t = 1 it is 2 u_n + dt^2 M^-1 (f(t_n) - K u_n), whatever the
+    selection: one leap-frog step's u_{n+1} + u_{n-1}.
+    """
+    system, sel = solver.system, solver.cfg.selection
+    dt, p_t = solver.cfg.dt, solver.cfg.p_t
+    k = system.k_csr()
+
+    def accel(f, u):
+        return system.m_inv * (f - k @ u)
+
+    h = dt / p_t
+    f_n = force(t_n)
+    w = accel(np.where(sel, 0.0, f_n), np.where(sel, 0.0, u_n))
+    v_prev = 2.0 * u_n
+    v = v_prev + 0.5 * h * h * (
+        2.0 * w + accel(2.0 * np.where(sel, f_n, 0.0), np.where(sel, v_prev, 0.0))
+    )
+    for m in range(1, p_t):
+        src = force(t_n + m * h) + force(t_n - m * h)
+        v_next = 2.0 * v - v_prev + h * h * (
+            2.0 * w + accel(np.where(sel, src, 0.0), np.where(sel, v, 0.0))
+        )
+        v_prev, v = v, v_next
+    return v
+
+
+def full_mask_u_prev(solver, u0, v0):
+    """u_{-1} = v(u_0) / 2 - dt v_0 + dt^2 a_0 / 2, v from the unloaded reference.
+
+    a_0 = M^-1 f(0).
+    """
+    system, dt = solver.system, solver.cfg.dt
+    v = full_mask_sub_steps(solver, u0, 0.0, lambda t: np.zeros(system.dof_count))
+    return 0.5 * v - dt * v0 + 0.5 * dt * dt * (system.m_inv * system.force(0.0))
+
+
+def full_mask_run(solver, u0, v0, n_steps):
+    """u_0, ..., u_{n_steps} of the three-term recurrence u_{n+1} = v_{p_t}(u_n) - u_{n-1}."""
+    system, dt = solver.system, solver.cfg.dt
+    us = [full_mask_u_prev(solver, u0, v0), u0]
+    for n in range(n_steps):
+        us.append(full_mask_sub_steps(solver, us[-1], n * dt, system.force) - us[-2])
+    return us[1:]
+
+
+INTEGRATORS = ["cdm", "lts", "lts_map"]
+
+
+@functools.cache
+def cut_bar(elements):
+    """The bar benchmarks' loaded cut bar, p = 5, the last column cut in half, and its solvers.
+
+    "cdm" is the solver `run_cdm` runs: nothing selected, p_t = 1, at 0.95
+    of the global critical step. "lts_map" refines the cut-column DOFs at
+    0.95 of the uncut step and choose_pt's ratio, 10, and tabulates its
+    sub-steps; "lts" refines them at p_t = 3, at the coarse step whose
+    choose_pt ratio is 3, and sweeps them. The interface load lies on the
+    refined DOFs. On 100 elements, unless it is flushed, the wave front's
+    tail ahead of the pulse decays into the subnormal range within the first
+    300 CDM steps.
+    """
+    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=elements, scheme="fitted")
     mesh, system = build_bar_system(cfg)
-    dt = CFL_SAFETY * critical_timestep_table(mesh, cfg.material, scheme="fitted").dt_c
+    table = critical_timestep_table(mesh, cfg.material, scheme="fitted", cfg=MomentFitConfig())
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    selection[system.dirichlet_dofs] = False
+    dt = CFL_SAFETY * table.dt_uncut_min
+    dt3 = 3.0 * CFL_SAFETY * table.dt_cut_min
+    assert choose_pt(dt3, table.dt_cut_min) == 3
+    solvers = {
+        "cdm": _cdm_solver(system, CFL_SAFETY * table.dt_c),
+        "lts": LtsSolver(system, LtsConfig(dt3, 3, selection)),
+        "lts_map": LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection)),
+    }
+    assert solvers["lts"].sub_step_map is None and solvers["lts_map"].sub_step_map is not None
+    return system, solvers
+
+
+def run(integrator, solver, n_steps, **start):
+    """`run_cdm` for "cdm", else `solver.run`."""
+    if integrator == "cdm":
+        return run_cdm(solver.system, solver.cfg.dt, n_steps, **start)
+    return solver.run(n_steps, **start)
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_summed_form_matches_the_three_term_recurrence(integrator):
+    # u_{n+1} = v_{p_t}(u_n) - u_{n-1} from the reference's own start, on the
+    # loaded cut bar clamped at x = 0, from a random displacement, to t =
+    # 0.15 (about 300 CDM steps) while the load is on: for CDM that is u_{n+1} =
+    # 2 u_n - u_{n-1} + dt^2 M^-1 (f(t_n) - K u_n)
+    system, solvers = cut_bar(20)
+    solver = solvers[integrator]
     rng = np.random.default_rng(23)
     u0 = 1e-3 * rng.standard_normal(system.dof_count)
     u0[system.dirichlet_dofs] = 0.0
+    n_steps = round(0.15 / solver.cfg.dt)
     us = []
-    run_cdm(system, dt, 300, u0=u0, record=lambda s, t, u: us.append(u.copy()))
-    m_inv, k = system.m_inv, system.k_csr()
-    u_prev = u0 + 0.5 * dt * dt * m_inv * (system.force(0.0) - k @ u0)
-    u = u0
-    for n, got in enumerate(us):
-        u_prev, u = u, 2.0 * u - u_prev + dt * dt * m_inv * (system.force(n * dt) - k @ u)
-        assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u)), n
-    assert np.any(system.force((len(us) - 1) * dt))  # the load is on by the end
+    run(integrator, solver, n_steps, u0=u0, record=lambda s, t, u: us.append(u))
+    want_us = full_mask_run(solver, u0, np.zeros_like(u0), n_steps)[1:]
+    for n, (got, want) in enumerate(zip(us, want_us, strict=True)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+    assert np.any(system.force((n_steps - 1) * solver.cfg.dt))
 
 
-def test_lts_pt1_all_selected_matches_reference_leapfrog():
-    _, system = make_system(nx=5, p=3)
-    selection = np.ones(system.dof_count, dtype=bool)
-    dt = 1e-4
-    solver = LtsSolver(system, LtsConfig(dt, 1, selection))
-    rng = np.random.default_rng(4)
+def test_lts_pt1_with_its_loaded_dofs_unrefined_matches_cdm():
+    # at p_t = 1 the LTS step is the leap-frog step whatever the selection:
+    # here the cut column's DOFs but for the loaded ones, which then enter
+    # nbhd(sel) with their load on the coarse part
+    system, solvers = cut_bar(20)
+    cdm = solvers["cdm"]
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    selection[system.dirichlet_dofs] = False
+    loaded = np.flatnonzero(system.f_shape)
+    selection[loaded] = False
+    solver = LtsSolver(system, LtsConfig(cdm.cfg.dt, 1, selection))
+    assert np.isin(loaded, solver.nbhd).all() and selection.any()
+    rng = np.random.default_rng(13)
     u0 = 1e-3 * rng.standard_normal(system.dof_count)
     u0[system.dirichlet_dofs] = 0.0
-    state = solver.initial_state(u0=u0)
-    # reference: standard leap-frog in the transformed variables
-    z_prev, z_curr = state.z_prev.copy(), state.z_curr.copy()
-    for n in range(100):
-        state = solver.step(state)
-        t = n * dt
-        z_next = 2.0 * z_curr - z_prev + dt * dt * (solver.r_of(t) - a_apply(solver, z_curr))
-        z_prev, z_curr = z_curr, z_next
-        scale = max(np.max(np.abs(z_curr)), 1e-300)
-        assert np.max(np.abs(state.z_curr - z_curr)) <= 1e-12 * scale
+    want = run_cdm(system, cdm.cfg.dt, 300, u0=u0)
+    got = solver.run(300, u0=u0)
+    assert np.any(system.force(299 * cdm.cfg.dt))
+    assert np.max(np.abs(got.u_curr - want.u_curr)) <= 1e-12 * np.max(np.abs(want.u_curr))
 
 
 def test_lts_empty_selection_matches_pt1():
@@ -248,8 +341,8 @@ def test_lts_empty_selection_matches_pt1():
     empty = np.zeros(system.dof_count, dtype=bool)
     s1 = LtsSolver(system, LtsConfig(dt, 1, empty)).run(100, u0=u0)
     s3 = LtsSolver(system, LtsConfig(dt, 3, empty)).run(100, u0=u0)
-    scale = max(np.max(np.abs(s1.z_curr)), 1e-300)
-    assert np.max(np.abs(s1.z_curr - s3.z_curr)) <= 1e-12 * scale
+    scale = max(np.max(np.abs(s1.u_curr)), 1e-300)
+    assert np.max(np.abs(s1.u_curr - s3.u_curr)) <= 1e-12 * scale
 
 
 def test_lts_matches_cdm_trajectory():
@@ -306,78 +399,17 @@ def test_lts_energy_bounded_at_half_cfl():
     assert np.max(np.abs(energies / energies[0] - 1.0)) < 0.02
 
 
-def full_mask_sub_steps(solver, z_n, t_n, r_of):
-    """q_{p_t} of the sub-step recurrence on full-size vectors, as a reference.
-
-    Every sub-step applies the full stiffness; the selection acts as a mask.
-    """
-    dt, p_t = solver.cfg.dt, solver.cfg.p_t
-    sel = solver.cfg.selection
-    r_n = r_of(t_n)
-    h = dt / p_t
-    w = np.where(sel, 0.0, r_n) - a_apply(solver, np.where(sel, 0.0, z_n))
-    q_prev = 2.0 * z_n
-    q = q_prev + 0.5 * h * h * (
-        2.0 * w + 2.0 * np.where(sel, r_n, 0.0) - a_apply(solver, np.where(sel, q_prev, 0.0))
-    )
-    for m in range(1, p_t):
-        src = r_of(t_n + m * h) + r_of(t_n - m * h)
-        q_next = 2.0 * q - q_prev + h * h * (
-            2.0 * w + np.where(sel, src, 0.0) - a_apply(solver, np.where(sel, q, 0.0))
-        )
-        q_prev, q = q, q_next
-    return q
-
-
-def full_mask_lts_step(solver, state):
-    """One coarse step from the full-mask sub-step reference."""
-    q = full_mask_sub_steps(solver, state.z_curr, state.t, solver.r_of)
-    t = state.t + solver.cfg.dt
-    return LtsState(z_prev=state.z_curr, z_curr=-state.z_prev + q, step=state.step + 1, t=t)
-
-
-def full_mask_initial_state(solver, u0, v0):
-    """z_{-1} = q(z_0) / 2 - dt zdot_0 + dt^2 r(0) / 2, q from the unloaded reference."""
-    m_sqrt = np.sqrt(solver.system.lumped_mass)
-    z0 = m_sqrt * u0
-    q0 = full_mask_sub_steps(solver, z0, 0.0, lambda t: np.zeros(solver.system.dof_count))
-    dt = solver.cfg.dt
-    z_m1 = 0.5 * q0 - dt * (m_sqrt * v0) + 0.5 * dt * dt * solver.r_of(0.0)
-    return LtsState(z_prev=z_m1, z_curr=z0, step=0, t=0.0)
-
-
-def cut_bar_lts_solvers():
-    """LTS solvers on the loaded cut bar: at choose_pt's ratio, and at p_t = 3."""
-    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=20, scheme="fitted")
-    mesh, system = build_bar_system(cfg)
-    table = critical_timestep_table(mesh, cfg.material, scheme="fitted", cfg=MomentFitConfig())
-    selection = np.zeros(system.dof_count, dtype=bool)
-    selection[system.cut_element_dofs] = True
-    selection[system.dirichlet_dofs] = False
-    dt = CFL_SAFETY * table.dt_uncut_min
-    p_t = choose_pt(dt, table.dt_cut_min)
-    assert p_t > 3
-    # a coarse step at which p_t = 3 is the stable ratio
-    dt3 = 3.0 * CFL_SAFETY * table.dt_cut_min
-    assert choose_pt(dt3, table.dt_cut_min) == 3
-    return system, [
-        LtsSolver(system, LtsConfig(dt, p_t, selection)),
-        LtsSolver(system, LtsConfig(dt3, 3, selection)),
-    ]
-
-
 def test_lts_local_step_matches_full_mask_recurrence():
-    system, solvers = cut_bar_lts_solvers()
-    for solver in solvers:
+    system, solvers = cut_bar(20)
+    for solver in (solvers["lts"], solvers["lts_map"]):
         assert solver.nbhd.size < system.dof_count // 4  # the sub-steps stay local
         state = solver.initial_state()
-        ref = LtsState(state.z_prev.copy(), state.z_curr.copy(), 0, 0.0)
-        for _ in range(50):
+        zero = np.zeros(system.dof_count)
+        for want in full_mask_run(solver, zero, zero, 50)[1:]:
             state = solver.step(state)
-            ref = full_mask_lts_step(solver, ref)
-            scale = np.max(np.abs(ref.z_curr))
+            scale = np.max(np.abs(want))
             assert scale > 0.0  # the interface load is on from the first step
-            assert np.max(np.abs(state.z_curr - ref.z_curr)) <= 1e-12 * scale, solver.cfg.p_t
+            assert np.max(np.abs(state.u_curr - want)) <= 1e-12 * scale, solver.cfg.p_t
 
 
 def count_k_matvecs(monkeypatch):
@@ -394,9 +426,9 @@ def count_k_matvecs(monkeypatch):
 
 
 def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
-    _, solvers = cut_bar_lts_solvers()
+    _, solvers = cut_bar(20)
     calls = count_k_matvecs(monkeypatch)
-    for solver in solvers:
+    for solver in (solvers["lts"], solvers["lts_map"]):
         state = solver.initial_state()
         calls.clear()
         for _ in range(7):
@@ -404,72 +436,118 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
         assert len(calls) == 7, solver.cfg.p_t
 
 
-def test_lts_run_is_initial_state_then_steps_bitwise():
-    # step is run's loop for one step on copies of the state: the load
-    # samples that run carries over from step to step are the ones step
-    # evaluates afresh, both flush after the same steps, and the check after
-    # a last step does not flush
-    _, solvers = cut_bar_lts_solvers()
-    for solver in solvers:
-        for n in (30, 49, 50, 51):
-            run = solver.run(n)
-            state = solver.initial_state()
-            for _ in range(n):
-                state = solver.step(state)
-            assert (run.step, run.t) == (state.step, state.t)
-            assert np.max(np.abs(run.z_curr)) > 0.0
-            for got, want in ((run.z_prev, state.z_prev), (run.z_curr, state.z_curr)):
-                assert got.tobytes() == want.tobytes(), (solver.cfg.p_t, n)
+def test_run_cdm_runs_the_loop_without_lts_run(monkeypatch):
+    # perfbench's tracer counts LtsSolver.run calls as LTS runs and reads
+    # matvecs per CDM step: run_cdm must not call that method, and makes one
+    # matvec per step, from rest none to start
+    system, solvers = cut_bar(20)
+
+    def no_run(self, *args, **kwargs):
+        raise AssertionError("run_cdm called LtsSolver.run")
+
+    monkeypatch.setattr(LtsSolver, "run", no_run)
+    calls = count_k_matvecs(monkeypatch)
+    dt = solvers["cdm"].cfg.dt
+    assert run_cdm(system, dt, 40).step == 40
+    assert len(calls) <= 41
+    u0 = np.random.default_rng(3).standard_normal(system.dof_count)
+    u0[system.dirichlet_dofs] = 0.0
+    calls.clear()
+    run_cdm(system, dt, 40, u0=u0)
+    assert len(calls) <= 41
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_record_gets_an_array_of_its_own(integrator):
+    # a record that keeps u without copying it, as perfbench's PlateVoid
+    # does, holds every stepped state
+    system, solvers = cut_bar(20)
+    solver = solvers[integrator]
+    kept = []
+    last = run(integrator, solver, 30, record=lambda s, t, u: kept.append(u))
+    state = solver.initial_state()
+    assert len({id(u) for u in kept}) == len(kept) == 30
+    for u in kept:
+        state = solver.step(state)
+        assert u is not state.u_curr and u.tobytes() == state.u_curr.tobytes()
+    assert kept[-1] is not last.u_curr and np.abs(kept[-1]).max() > 0.0
+
+
+@pytest.mark.parametrize("split", [24, 25, 26, 49, 50, 51])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_continued_run_is_one_longer_run_bitwise(integrator, split):
+    # a run of `split` steps continued by the rest, and initial_state
+    # followed by single steps, are one 60-step run bit for bit: the load
+    # samples a run carries from step to step are the ones a step evaluates
+    # afresh, the flush is keyed to the absolute step count, and the check
+    # after a last step does not flush. Under CDM the check after step 50
+    # zeroes entries on this bar
+    system, solvers = cut_bar(100)
+    solver = solvers[integrator]
+
+    def continued(state, n_steps):
+        if integrator == "cdm":
+            return run_cdm_continue(system, state, n_steps)
+        for _ in range(n_steps):
+            state = solver.step(state)
+        return state
+
+    longer = run(integrator, solver, 60)
+    assert np.max(np.abs(longer.u_curr)) > 0.0
+    split_run = continued(run(integrator, solver, split), 60 - split)
+    for state in (split_run, continued(solver.initial_state(), 60)):
+        assert state.step == longer.step == 60
+        assert state.u_curr.tobytes() == longer.u_curr.tobytes()
+        assert state.du.tobytes() == longer.du.tobytes()
 
 
 def test_lts_step_leaves_its_state_untouched():
-    _, solvers = cut_bar_lts_solvers()
-    for solver in solvers:
+    _, solvers = cut_bar(20)
+    for solver in (solvers["lts"], solvers["lts_map"]):
         state = solver.run(20)
-        before = state.z_prev.copy(), state.z_curr.copy()
+        before = state.u_curr.copy(), state.du.copy()
         nxt = solver.step(state)
-        assert np.array_equal(state.z_prev, before[0]) and np.array_equal(state.z_curr, before[1])
-        assert nxt.z_curr is not state.z_prev and nxt.z_curr is not state.z_curr
+        assert np.array_equal(state.u_curr, before[0]) and np.array_equal(state.du, before[1])
+        assert nxt.u_curr is not state.u_curr and nxt.du is not state.du
         assert (state.step, nxt.step) == (20, 21)
 
 
 def test_lts_zero_start_skips_the_sub_step_sweep(monkeypatch):
-    # the sweep is unloaded and linear in z_0: from z_0 = 0 it is exactly 0
-    system, solvers = cut_bar_lts_solvers()
+    # the sweep is unloaded and linear in u_0: from u_0 = 0 it is exactly 0
+    system, solvers = cut_bar(20)
     rng = np.random.default_rng(21)
     v0 = rng.standard_normal(system.dof_count)
     v0[system.dirichlet_dofs] = 0.0
     u0 = np.zeros(system.dof_count)
     calls = count_k_matvecs(monkeypatch)
-    for solver in solvers:
-        want = full_mask_initial_state(solver, u0, v0)
+    for solver in (solvers["lts"], solvers["lts_map"]):
+        want = full_mask_u_prev(solver, u0, v0)
         calls.clear()
         got = solver.initial_state(v0=v0)
         assert len(calls) == 0, solver.cfg.p_t
-        assert np.array_equal(got.z_prev, want.z_prev) and np.array_equal(got.z_curr, want.z_curr)
+        assert np.array_equal(got.u_prev, want) and np.array_equal(got.u_curr, u0)
 
 
 def test_lts_displaced_start_runs_the_sub_step_sweep(monkeypatch):
-    system, solvers = cut_bar_lts_solvers()
+    system, solvers = cut_bar(20)
     rng = np.random.default_rng(22)
     u0, v0 = 1e-3 * rng.standard_normal((2, system.dof_count))
     u0[system.dirichlet_dofs] = v0[system.dirichlet_dofs] = 0.0
     calls = count_k_matvecs(monkeypatch)
-    for solver in solvers:
-        want = full_mask_initial_state(solver, u0, v0)
+    for solver in (solvers["lts"], solvers["lts_map"]):
+        want = full_mask_u_prev(solver, u0, v0)
         calls.clear()
         got = solver.initial_state(u0=u0, v0=v0)
         assert len(calls) == 1, solver.cfg.p_t
-        assert np.array_equal(got.z_curr, want.z_curr)
-        scale = np.max(np.abs(want.z_prev))
-        assert np.max(np.abs(got.z_prev - want.z_prev)) <= 1e-12 * scale, solver.cfg.p_t
+        assert np.array_equal(got.u_curr, u0)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got.u_prev - want)) <= 1e-12 * scale, solver.cfg.p_t
 
 
 @pytest.mark.parametrize("field", ["u0", "v0"])
 @pytest.mark.parametrize("integrator", ["cdm", "lts"])
 def test_start_state_must_be_zero_on_dirichlet_dofs(integrator, field):
-    # CDM would hold a nonzero u0 there and LTS read it as 0; a nonzero v0
-    # would make both drift
+    # the loop would hold a nonzero u0 there, and a nonzero v0 would drift
     _, system = make_system(nx=5, p=3)
     start = {field: np.zeros(system.dof_count)}
     start[field][system.dirichlet_dofs[0]] = 1e-3
@@ -513,13 +591,14 @@ def test_integrators_reject_a_step_that_is_not_positive_and_finite(integrator, d
 def test_lts_step_checks_its_state_at_every_step():
     # step is run's loop for one step, so it checks the state as run checks
     # its last one, here at step 3, which is no multiple of 25
-    _, solvers = cut_bar_lts_solvers()
-    state = solvers[0].run(2)
-    state.z_curr[np.flatnonzero(state.z_curr)[0]] = math.nan
+    _, solvers = cut_bar(20)
+    solver = solvers["lts_map"]
+    state = solver.run(2)
+    state.u_curr[np.flatnonzero(state.u_curr)[0]] = math.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Diverged):
-            solvers[0].step(state)
+            solver.step(state)
 
 
 def centred_energy_drift(system, us, dt):
@@ -564,28 +643,9 @@ def test_lts_released_from_displacement_conserves_energy():
         assert centred_energy_drift(system, lts, dt) <= 1.2 * ref, fraction
 
 
-@functools.cache
-def long_cut_bar():
-    """The bar benchmarks' cut bar: 100 elements, p = 5, the last column cut in half.
-
-    Returns the system, the CDM step (0.95 of the global critical step) and
-    an LTS config (0.95 of the uncut step, choose_pt's ratio on the
-    cut-column DOFs). Unless it is flushed, the wave front's tail ahead of
-    the pulse decays into the subnormal range within the first 300 CDM steps.
-    """
-    cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=100)
-    mesh, system = build_bar_system(cfg)
-    table = critical_timestep_table(mesh, cfg.material, cfg=MomentFitConfig())
-    selection = np.zeros(system.dof_count, dtype=bool)
-    selection[system.cut_element_dofs] = True
-    selection[system.dirichlet_dofs] = False
-    dt_lts = CFL_SAFETY * table.dt_uncut_min
-    lts = LtsConfig(dt_lts, choose_pt(dt_lts, table.dt_cut_min), selection)
-    return system, CFL_SAFETY * table.dt_c, lts
-
-
 def test_cdm_flush_leaves_no_subnormal_state_after_the_first_check():
-    system, dt, _ = long_cut_bar()
+    system, solvers = cut_bar(100)
+    dt = solvers["cdm"].cfg.dt
     tiny = np.finfo(float).tiny
     subnormal = []
 
@@ -596,18 +656,6 @@ def test_cdm_flush_leaves_no_subnormal_state_after_the_first_check():
 
     run_cdm(system, dt, int(0.1 / dt), record=record)
     assert subnormal == []
-
-
-@pytest.mark.parametrize("split", [24, 25, 26, 49, 50, 51])
-def test_cdm_continued_across_a_flush_is_one_longer_run_bitwise(split):
-    # the flush is keyed to the absolute step count, and the end-of-run check
-    # does not flush; the check after step 50 zeroes entries on this bar
-    system, dt, _ = long_cut_bar()
-    longer = run_cdm(system, dt, 60)
-    continued = run_cdm_continue(system, run_cdm(system, dt, split), 60 - split)
-    assert continued.step == longer.step == 60
-    assert continued.u_curr.tobytes() == longer.u_curr.tobytes()
-    assert continued.du.tobytes() == longer.du.tobytes()
 
 
 def assert_flushed(got, want, floor, flush):
@@ -627,74 +675,41 @@ def assert_flushed(got, want, floor, flush):
 FLUSH_GROWTH = 2.0**100
 
 
-def test_cdm_flush_zeroes_only_entries_below_the_floor():
-    # each step is the unflushed summed-form step from the same history,
-    # except that after every 25th step, counted from 0, the entries of u
-    # and du below _NEGLIGIBLE max |u| are 0; a free-running unflushed loop
-    # stays within FLUSH_GROWTH of that floor
-    system, dt, _ = long_cut_bar()
-    c = dt * dt * system.m_inv
-    loaded = np.flatnonzero(c * system.f_shape)
-    c_f = (c * system.f_shape)[loaded]
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_flush_zeroes_only_entries_below_the_floor(integrator):
+    # each step is the unflushed coarse step from the same state, except that
+    # after every 25th step, counted from 0, the entries of u and du below
+    # _NEGLIGIBLE max |u| are 0; a free-running unflushed loop stays within
+    # FLUSH_GROWTH of that floor, to t = 0.1. A run is the stepped state
+    # bitwise after the first check that zeroes entries
+    system, solvers = cut_bar(100)
+    solver = solvers[integrator]
 
-    def unflushed_step(u, du, step):
-        ku = system.k_matvec(u)
-        ku *= c
-        du = du - ku
-        p = system.pulse(step * dt)
-        if p != 0.0:
-            du[loaded] += p * c_f
-        return u + du, du
-
-    hist = run_cdm(system, dt, 0)
-    free = hist.u_curr.copy(), hist.du.copy()
-    zeroed = 0
-    for step in range(int(0.1 / dt)):
-        u, du = unflushed_step(hist.u_curr, hist.du, step)
-        nxt = run_cdm_continue(system, hist, 1)
-        floor = _NEGLIGIBLE * np.max(np.abs(u))
-        flush = step % 25 == 0
-        zeroed += assert_flushed(nxt.u_curr, u, floor, flush)
-        zeroed += assert_flushed(nxt.du, du, floor, flush)
-        hist = nxt
-        free = unflushed_step(*free, step)
-        moved = np.max(np.abs(hist.u_curr - free[0]))
-        assert moved <= FLUSH_GROWTH * _NEGLIGIBLE * np.max(np.abs(free[0])), step
-    assert zeroed > 0
-
-
-def test_lts_flush_zeroes_only_entries_below_the_floor():
-    # the same for LTS: each step is the unflushed coarse step from the same
-    # state, flushed after every 25th, counted from 0, as CDM's; run(n) is the
-    # stepped state bitwise around the check after the step from t_100, the
-    # one that zeroes entries on this bar
-    system, _, cfg = long_cut_bar()
-    solver = LtsSolver(system, cfg)
-
-    def unflushed_step(z_prev, z, n):
-        z_next = z_prev.copy()
-        solver._coarse_step(z_next, z, solver._pulse_samples(n), solver._pulse_samples(n - 1))
-        return z, z_next
+    def unflushed_step(u, du, n):
+        u, du = u.copy(), du.copy()
+        solver._coarse_step(u, du, solver._pulse_samples(n), solver._pulse_samples(n - 1))
+        return u, du
 
     state = solver.initial_state()
-    free = state.z_prev, state.z_curr
-    zeroed = 0
-    for n in range(125):
-        z_prev, z = unflushed_step(state.z_prev, state.z_curr, n)
-        nxt = solver.step(state)
-        floor = _NEGLIGIBLE * np.max(np.abs(z))
+    free = state.u_curr, state.du
+    zeroed, first_zeroed = 0, None
+    for n in range(int(0.1 / solver.cfg.dt)):
+        u, du = unflushed_step(state.u_curr, state.du, n)
+        nxt = run_cdm_continue(system, state, 1) if integrator == "cdm" else solver.step(state)
+        floor = _NEGLIGIBLE * np.max(np.abs(u))
         flush = n % 25 == 0
-        zeroed += assert_flushed(nxt.z_curr, z, floor, flush)
-        zeroed += assert_flushed(nxt.z_prev, z_prev, floor, flush)
+        now = assert_flushed(nxt.u_curr, u, floor, flush) + assert_flushed(nxt.du, du, floor, flush)
+        if now and not zeroed:
+            first_zeroed = nxt
+        zeroed += now
         state = nxt
-        if state.step in (100, 101, 102):
-            run = solver.run(state.step)
-            assert run.z_prev.tobytes() == state.z_prev.tobytes(), state.step
-            assert run.z_curr.tobytes() == state.z_curr.tobytes(), state.step
         free = unflushed_step(*free, n)
-        moved = np.max(np.abs(state.z_curr - free[1]))
-        assert moved <= FLUSH_GROWTH * _NEGLIGIBLE * np.max(np.abs(free[1])), n
+        moved = np.max(np.abs(state.u_curr - free[0]))
+        assert moved <= FLUSH_GROWTH * _NEGLIGIBLE * np.max(np.abs(free[0])), n
     assert zeroed > 0
+    longer = run(integrator, solver, first_zeroed.step)
+    assert longer.u_curr.tobytes() == first_zeroed.u_curr.tobytes()
+    assert longer.du.tobytes() == first_zeroed.du.tobytes()
 
 
 def count_zeroed(monkeypatch):
@@ -702,10 +717,10 @@ def count_zeroed(monkeypatch):
     counts = []
     original = integrators._check_divergence
 
-    def counted(n, last, z, partner, scale):
-        before = np.count_nonzero(z) + np.count_nonzero(partner)
-        original(n, last, z, partner, scale)
-        counts.append(before - np.count_nonzero(z) - np.count_nonzero(partner))
+    def counted(n, last, u, du, scale):
+        before = np.count_nonzero(u) + np.count_nonzero(du)
+        original(n, last, u, du, scale)
+        counts.append(before - np.count_nonzero(u) - np.count_nonzero(du))
 
     monkeypatch.setattr(integrators, "_check_divergence", counted)
     return counts
@@ -726,16 +741,16 @@ def free_void_plate(voids="two"):
 
 
 @pytest.mark.parametrize("start", ["random", "localized"])
-@pytest.mark.parametrize("integrator", ["cdm", "lts", "lts_map"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
-    # z_{n+1} - 2 z_n + z_{n-1} = -dt^2 B z_n with B symmetric keeps
-    # E_{n+1/2} = |z_{n+1} - z_n|^2 / (2 dt^2) + z_{n+1}^T B z_n / 2 constant:
-    # B = M^-1/2 K M^-1/2 under CDM, the coarse step's operator under LTS.
-    # "lts" sweeps its sub-steps (nbhd(sel) is above the cap); "lts_map", on
-    # the one-void plate at p_t = 12, tabulates them, and B holds the map's
-    # round-off once for every step. The localized start is a narrow bump in
-    # a corner, whose tail lies below the flush floor; its first check
-    # flushes it
+    # u_{n+1} - 2 u_n + u_{n-1} = -dt^2 B u_n with M B symmetric keeps
+    # E_{n+1/2} = |u_{n+1} - u_n|_M^2 / (2 dt^2) + u_{n+1}^T M B u_n / 2
+    # constant: B = M^-1 K under CDM, the coarse step's operator under LTS,
+    # probed as one step from u_{n-1} = u_n. "lts" sweeps its sub-steps
+    # (nbhd(sel) is above the cap); "lts_map", on the one-void plate at
+    # p_t = 12, tabulates them, and B holds the map's round-off once for
+    # every step. The localized start is a narrow bump in a corner, whose
+    # tail lies below the flush floor; its first check flushes it
     mesh, system, table = free_void_plate("one" if integrator == "lts_map" else "two")
     u0 = np.zeros(system.dof_count)
     if start == "random":
@@ -744,17 +759,17 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         ids = np.flatnonzero(mesh.node_active)
         xy = mesh.node_coords(ids)
         u0[mesh.node_dofs(ids)[0::2]] = np.exp(-(xy[:, 0] ** 2 + xy[:, 1] ** 2) / (2.0 * 0.025**2))
-    m_sqrt = np.sqrt(system.lumped_mass)
+    mass = system.lumped_mass
     zeroed = count_zeroed(monkeypatch)
     n_steps = 2000
     if integrator == "cdm":
         dt = 0.9 * table.dt_c
         k = system.k_csr()
-        zs = [m_sqrt * u0]
-        run_cdm(system, dt, n_steps, u0=u0, record=lambda s, t, u: zs.append(m_sqrt * u))
+        us = [u0]
+        run_cdm(system, dt, n_steps, u0=u0, record=lambda s, t, u: us.append(u))
 
-        def b_apply(z):
-            return system.m_inv_sqrt * (k @ (system.m_inv_sqrt * z))
+        def b_apply(u):
+            return system.m_inv * (k @ u)
     else:
         dt = CFL_SAFETY * table.dt_uncut_min
         selection = np.zeros(system.dof_count, dtype=bool)
@@ -765,16 +780,17 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         solver = LtsSolver(system, LtsConfig(dt, p_t, selection))
         assert (solver.sub_step_map is not None) == (integrator == "lts_map")
         state = solver.initial_state(u0=u0)
-        zs = [state.z_curr]
+        us = [state.u_curr]
         for _ in range(n_steps):
             state = solver.step(state)
-            zs.append(state.z_curr)
+            us.append(state.u_curr)
 
-        def b_apply(z):
-            return (z - solver.step(LtsState(z, z, step=0, t=0.0)).z_curr) / dt**2
+        def b_apply(u):
+            return -solver.step(LtsState(u, np.zeros_like(u), step=0, dt=dt)).du / dt**2
 
     energies = np.array([
-        0.5 * (zs[n + 1] - zs[n]) @ (zs[n + 1] - zs[n]) / dt**2 + 0.5 * zs[n + 1] @ b_apply(zs[n])
+        0.5 * (us[n + 1] - us[n]) @ (mass * (us[n + 1] - us[n])) / dt**2
+        + 0.5 * us[n + 1] @ (mass * b_apply(us[n]))
         for n in range(n_steps)
     ])
     assert np.max(np.abs(energies / energies[0] - 1.0)) <= 1e-13
@@ -784,13 +800,13 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
 
 @pytest.mark.parametrize("inputs", ["state", "load", "all"])
 def test_sub_step_map_equals_the_sweep(inputs):
-    # W x against the p_t sub-steps swept from the same x = [v_0; M^-1/2
-    # h^2 w2; s], random and zero on both zero slots: s is zero for "state"
-    # and the only nonzero part for "load", whose term is far smaller
-    system, _, cfg = long_cut_bar()
-    solver = LtsSolver(system, cfg)
-    n = solver.k_local.size
-    x = np.random.default_rng(24).standard_normal(2 * n + cfg.p_t)
+    # W x against the p_t sub-steps swept from the same x = [v_0; h2w2; s],
+    # random and zero on both zero slots: s is zero for "state" and the only
+    # nonzero part for "load", whose term is far smaller
+    system, solvers = cut_bar(100)
+    solver = solvers["lts_map"]
+    n, p_t = solver.k_local.size, solver.cfg.p_t
+    x = np.random.default_rng(24).standard_normal(2 * n + p_t)
     x[[n - 1, 2 * n - 1]] = 0.0
     if inputs == "state":
         x[2 * n :] = 0.0
@@ -818,7 +834,8 @@ def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
         selection[system.cut_element_dofs] = True
         cfg = LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection)
     else:
-        system, _, cfg = long_cut_bar()
+        system, solvers = cut_bar(100)
+        cfg = solvers["lts_map"].cfg
         if case == "pt1":
             cfg = LtsConfig(cfg.dt, 1, cfg.selection)
     solver = LtsSolver(system, cfg)
@@ -836,8 +853,8 @@ def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
 
 
 def test_sub_step_map_is_read_only():
-    system, _, cfg = long_cut_bar()
-    solver = LtsSolver(system, cfg)
+    _, solvers = cut_bar(100)
+    solver = solvers["lts_map"]
     with pytest.raises(AttributeError):
         solver.sub_step_map = None
     with pytest.raises(ValueError):
@@ -878,7 +895,7 @@ def test_nonfinite_state_raises_diverged_at_the_check(integrator, bad):
 
 @pytest.mark.parametrize("integrator", ["lts_run", "lts_step"])
 def test_lts_run_and_step_raise_past_the_bound_of_their_start(integrator):
-    # a pulse of 1e30 at t = 0 sends the bar from rest to max |z| = 4.6e23
+    # a pulse of 1e30 at t = 0 sends the bar from rest to max |u| = 4.3e25
     # in one step, past 1e12 x the start scale, 1; run and step check by one
     # rule, so both raise
     _, system = make_system(nx=6, p=3)

@@ -18,35 +18,45 @@ three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with less
 round-off. A continued run is bitwise one longer run.
 
 Each coarse step does one full stiffness matvec, g = dt^2 M^-1 K (1-P) u_n
-with P the selection mask; P and M are diagonal, so they commute. Off
-nbhd(sel), the selected DOFs and the DOFs coupled to them, the step is
-du <- du - g plus the load dt^2 M^-1 (1-P) f(t_n), then u <- u + du: with
-nothing selected, CDM's operations in CDM's order. On nbhd(sel) the p_t
-sub-steps run from v_0 = 2 u_n, in the variables v = M^(-1/2) q of the
-Diaz-Grote recurrence for z = M^(1/2) u, and du <- v_{p_t} - 2 u_n + du
-there. A sub-step applies K[nbhd, sel] as the stiffness's own element
-batches, restricted once per solver to the elements that touch sel, to v
-as it is, and scales the result by h^2 M^-1, h = dt/p_t.
+with P the selection mask (u_n unmasked under the folded map below); P and
+M are diagonal, so they commute. Off nbhd(sel), the selected DOFs and the
+DOFs coupled to them, the step is du <- du - g plus the load
+dt^2 M^-1 (1-P) f(t_n), then u <- u + du: with nothing selected, CDM's
+operations in CDM's order. On nbhd(sel) the p_t sub-steps run from
+v_0 = 2 u_n, in the variables v = M^(-1/2) q of the Diaz-Grote recurrence
+for z = M^(1/2) u, and du <- v_{p_t} - 2 u_n + du there. A sub-step
+applies K[nbhd, sel] as the stiffness's own element batches, restricted
+once per solver to the elements that touch sel, to v as it is, and scales
+the result by h^2 M^-1, h = dt/p_t.
 
 On nbhd(sel) the coarse step is a fixed polynomial of degree p_t in the
 local operator: v_{p_t} is linear in x = [v_0; h2w2; s], h2w2 the coarse
-part's contribution and s the p_t load coefficients, so v_{p_t} = W x for
-one dense map W of shape (n, 2n + p_t), n = k_local.size. A sweep
-multiplies p_t e element-matrix entries, e those of one k_local apply, and
-its cost is mostly numpy's per-call overhead on short vectors; W x
-multiplies n (2n + p_t) in one call. So when n (2n + p_t) < p_t e and
-n <= _MAP_MAX_SIZE, the solver tabulates W once, by running the same
-sub-step recurrence on the identity's columns with k_local dense, and each
-coarse step does one W x in place of the sweep. W x evaluates the same
-polynomial in another order, so it matches the sweep up to round-off; the
-cap bounds W's memory and the p_t dense products of its build.
+part's contribution and s the p_t load coefficients. A sweep multiplies
+p_t e element-matrix entries, e those of one k_local apply, and its cost
+is mostly numpy's per-call overhead on short vectors. So when
+n (2n + p_t) < p_t e and n <= _MAP_MAX_SIZE, n = k_local.size, the solver
+folds the whole coarse step on nbhd(sel) into one dense map F, tabulated
+once by running the sub-steps on the identity's columns with k_local
+dense. The matvec then takes u_n itself, with no (1-P) pass, and
+g[nbhd] <- F z, z = [g; pulse(t_n); s_1, ..., s_{p_t-1}] on nbhd(sel).
+Dropping the mask is exact off nbhd(sel): no element outside it holds a
+selected DOF, so there g is bytewise the masked g. On nbhd(sel) the mask
+took c K[:, sel] u_n out of g; that term of h2w2 equals the sub-steps'
+own h^2 M^-1 K[:, sel] v_0, so in d = v - v_0 the sub-steps start from
+d_0 = 0, read u_n only through the unmasked g, and end at
+d_{p_t} = v_{p_t} - 2 u_n = -F z. Beyond CDM's step, a folded coarse step
+costs the p_t pulse samples and one k (k + p_t) product, k = len(nbhd),
+with a gather and a scatter. F z evaluates the sweep's polynomial in
+another order, so the two agree to round-off; the cap bounds F's memory
+and the dense products of its build.
 
 dt^2 and h^2 are folded into diagonal scalings made once per solver. A
 load term is added only when the pulse is nonzero, on the DOFs its shape
 loads. The pulse is sampled once per sub-step grid point, one coarse
 step's samples are reused as the next one's backward samples, and the
 start-up skips the sub-step sweep from a zero displacement. The start
-state must be zero on the Dirichlet DOFs.
+state must hold one finite number per DOF and be zero on the Dirichlet
+DOFs.
 
 The loop checks the state and flushes its negligible tail by one rule,
 `_check_divergence`, called once per step: after each step from t_n with
@@ -96,7 +106,7 @@ CFL_SAFETY = 0.95
 # _CHECK_EVERY-th step, entries below _NEGLIGIBLE times the state's max go to 0
 _CHECK_EVERY = 25
 _NEGLIGIBLE = 2.0**-600
-# the LTS sub-step map of the module docstring: tabulated only for a k_local
+# the folded LTS map F of the module docstring: tabulated only for a k_local
 # of at most _MAP_MAX_SIZE (nbhd(sel) and the zero slot), which bounds its
 # memory and the dense products of its build; built _MAP_BLOCK columns at a time
 _MAP_MAX_SIZE = 256
@@ -177,16 +187,22 @@ def _check_divergence(n, last, u, du, scale):
         np.copyto(du, 0.0, where=np.abs(du) < floor)
 
 
-def _check_start_on_dirichlet(system, u0, v0):
-    """Reject a start displacement or velocity that is nonzero on a Dirichlet DOF.
+def _start_vector(system, name, values):
+    """A given start displacement or velocity as a float array, not copied when it is one.
 
-    The loop holds those DOFs through a zero inverse mass: it would hold a
-    nonzero start displacement there, and a nonzero start velocity would
-    drift.
+    Raises ConfigError naming it unless it holds one finite number per DOF
+    and is zero on the Dirichlet DOFs: the loop holds those DOFs through a
+    zero inverse mass, so it would hold a nonzero start displacement there,
+    and a nonzero start velocity would drift.
     """
-    for name, values in (("u0", u0), ("v0", v0)):
-        if values is not None and np.any(values[system.dirichlet_dofs]):
-            raise ConfigError(f"{name} must be zero on the Dirichlet DOFs")
+    values = np.asarray(values, dtype=float)
+    # min and max propagate NaN, and allocate no mask
+    finite = math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))
+    if values.shape != (system.dof_count,) or not finite:
+        raise ConfigError(f"{name} must hold {system.dof_count} finite numbers")
+    if np.any(values[system.dirichlet_dofs]):
+        raise ConfigError(f"{name} must be zero on the Dirichlet DOFs")
+    return values
 
 
 def _loaded_entries(values):
@@ -278,13 +294,27 @@ class LtsSolver:
     coefficients s_0 = 2 pulse(t_n) and s_m = pulse(t_n + m h) +
     pulse(t_n - m h). With n = k_local.size and e the element-matrix
     entries one k_local apply multiplies, a sweep multiplies p_t e entries
-    and the map W with v_{p_t} = W x has n (2n + p_t). When n (2n + p_t) <
-    p_t e and n <= _MAP_MAX_SIZE, W is tabulated here, by running the
+    and a map of the sub-steps about n (2n + p_t). When n (2n + p_t) <
+    p_t e and n <= _MAP_MAX_SIZE, the coarse step on nbhd(sel) is folded
+    here into one map F, k = len(nbhd) rows by k + p_t columns:
+
+        g[nbhd] = F [g; pulse(t_n); s_1, ..., s_{p_t-1}],
+        F = [-w W_h | -2 W_s0 - W_h f_nb | -W_s1:],
+
+    with W = [W_v | W_h | W_s] the sub-steps' map, v_{p_t} = W x, w =
+    -2/p_t^2 and f_nb the load h2w2 receives. g is c K u_n, the matvec of
+    u_n with no (1-P) pass: no element outside nbhd(sel) holds a selected
+    DOF, so off it g is bytewise the masked g. On it the mask's term of
+    h2w2, -w C K_sel u_n (C = c there, K_sel the dense k_local on the
+    selected columns), is h^2 M^-1 K_sel v_0, which cancels the sub-steps'
+    own K_sel v_0: F's block on u_n, 2I - 2 W_v + w W_h C K_sel, is zero,
+    and 2 u_n - v_{p_t} = -d_{p_t} with d = v - v_0 swept from d_0 = 0. F
+    is tabulated so, from the negated unit inputs, by running the
     sub-steps once on the identity's columns with k_local as a dense
-    matrix, and each coarse step does one product W x in place of the p_t
-    sub-steps. W x is the sweep's polynomial in the local operator, so the
-    two agree up to round-off; `sub_step_map` is W, or None when the
-    sub-steps are swept.
+    matrix; F z is the sweep's polynomial, so the two agree up to
+    round-off. Each coarse step then costs CDM's step, the p_t pulse
+    samples, a gather, one k (k + p_t) product and a scatter.
+    `sub_step_map` is F, or None when the sub-steps are swept.
 
     `run` and `step` share one loop, `_advance`, and its in-place kernel,
     `_coarse_step`, with h^2 and dt^2 folded into the scalings made here.
@@ -337,7 +367,10 @@ class LtsSolver:
         self._map = None
         if n <= _MAP_MAX_SIZE and n * (2 * n + p_t) < p_t * e_local:
             self._map = self._tabulate()
-            self._v_map = np.empty(n)
+            # z = [g; pulse(t_n), s_1, ..., s_{p_t - 1}] on nbhd(sel)
+            self._z = np.empty(len(nb) + p_t)
+            self._z_g, self._z_s = self._z[: len(nb)], self._z[len(nb) :]
+            self._unrefined = None  # F restores the mask on nbhd(sel)
 
     @property
     def m_inv_sqrt(self):
@@ -346,38 +379,44 @@ class LtsSolver:
 
     @property
     def sub_step_map(self):
-        """W, read-only, with v_{p_t} = W [v_0; h2w2; s], or None.
+        """F, read-only, with g[nbhd] = F z after the unmasked matvec, or None.
 
-        Its shape is (n, 2n + p_t), n = k_local.size, and both vectors are
-        zero on the zero slot. None when the sub-steps run as a sweep.
+        z = [g; pulse(t_n); s_1, ..., s_{p_t - 1}] on nbhd(sel), g =
+        dt^2 M^-1 K u_n there, so F's shape is (k, k + p_t), k = len(nbhd).
+        None when the sub-steps run as a sweep.
         """
         return self._map
 
     def _tabulate(self):
-        """W: the sub-steps run on the identity's columns, _MAP_BLOCK at a time.
+        """F: the sub-steps in d = v - v_0 run on the identity's columns, _MAP_BLOCK at a time.
 
-        The columns are swept as the rows of a stack, with k_local as a dense
-        matrix on the selected columns: it reads no other column of v.
+        Column j of F is 2 u_n - v_{p_t} = -d_{p_t} from d_0 = 0 under the
+        unit input z = e_j: h2w2 = w e_j for a g row, f_nb with s_0 = 2 for
+        pulse(t_n), and s_m = 1 alone for s_m. The columns are swept as the
+        rows of a stack, from the negated inputs, with k_local as a dense
+        matrix on the selected columns: it reads no other column of d.
         """
         n, p_t = self.k_local.size, self.cfg.p_t
+        k = n - 1
         fine = np.flatnonzero(self.fine)
         k_fine_t = np.ascontiguousarray(self.k_local.to_dense()[:, fine].T)
-        fine_vals = self._fine_load[1]
-        # row j of W^T is W's column j, the sub-steps from the unit input
-        # e_j: its v_0 part starts as row j of [I 0 0]^T, and its h2w2 and s
-        # parts are rows of identities shifted by n and 2n. Each block of
-        # rows is swept in place
-        w_t = np.zeros((2 * n + p_t, n))
-        np.fill_diagonal(w_t, 1.0)
-        for j in range(0, len(w_t), _MAP_BLOCK):
-            v = w_t[j : j + _MAP_BLOCK]
-            h2w2 = np.eye(len(v), n, j - n)
-            loads = [None] * p_t  # the block holds no row of s
-            if j + len(v) > 2 * n:
-                loads = (np.multiply.outer(c, fine_vals) for c in np.eye(p_t, len(v), 2 * n - j))
+        # row j of f_t is F's column j and a last column that is never read;
+        # the block of h2w2 rows and the columns of s hold the rows' inputs
+        f_t = np.zeros((k + p_t, n))
+        s = -np.eye(p_t, len(f_t), k)
+        s[0] *= 2.0
+        for j in range(0, len(f_t), _MAP_BLOCK):
+            v = f_t[j : j + _MAP_BLOCK]
+            h2w2 = -self._w2_scale * np.eye(len(v), n, j)
+            if j <= k < j + len(v):
+                h2w2[k - j, self._nbhd_load[0]] -= self._nbhd_load[1]
+            loads = [None] * p_t  # the block holds no row of the load
+            if j + len(v) > k:
+                loads = (np.multiply.outer(c, self._fine_load[1]) for c in s[:, j : j + len(v)])
             self._sub_steps(v, h2w2, loads, lambda rows: rows[:, fine] @ k_fine_t)
-        w_t.flags.writeable = False
-        return w_t.T
+        f = f_t[:, :k].T
+        f.flags.writeable = False
+        return f
 
     def _pulse_samples(self, n):
         """pulse(n dt + m h) for m = 0, ..., p_t - 1: coarse step n's sub-step grid, as a list."""
@@ -415,13 +454,20 @@ class LtsSolver:
         fwd are the load samples of this coarse step's sub-step grid and bwd
         those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
         One full stiffness matvec gives g = c K (1-P) u_n; on nbhd(sel)
-        `_local_step` replaces it by 2 u_n - v_{p_t}. Then du <- du - g,
-        plus c (1-P) f(t_n) off nbhd(sel), and u <- u + du.
+        `_local_step` replaces it by 2 u_n - v_{p_t}. Under the folded map
+        the matvec takes u_n unmasked and F z replaces g there. Then
+        du <- du - g, plus c (1-P) f(t_n) off nbhd(sel), and u <- u + du.
         """
         u_in = u if self._unrefined is None else np.multiply(self._unrefined, u, out=self._u_in)
         g = self.system.k_matvec(u_in)
         g *= self._c
-        if len(self.nbhd):
+        if self._map is not None:
+            # nb is in range; mode="clip" lets take write to out unbuffered
+            g.take(self.nbhd, out=self._z_g, mode="clip")
+            self._z_s[0] = fwd[0]
+            np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
+            g[self.nbhd] = np.matmul(self._map, self._z, out=self._gathered)
+        elif len(self.nbhd):
             self._local_step(u, g, fwd, bwd)
         # du_{n+1/2} = du_{n-1/2} + c ((1-P) f(t_n) - K (1-P) u_n) off
         # nbhd(sel), v_{p_t} - 2 u_n + du_{n-1/2} on it; u_{n+1} = u_n + du_{n+1/2}
@@ -432,10 +478,11 @@ class LtsSolver:
         u += du
 
     def _local_step(self, u, g, fwd, bwd):
-        """The p_t sub-steps, swept or by the map, from v_0 = 2 u_n on nbhd(sel).
+        """The p_t sub-steps, swept, from v_0 = 2 u_n on nbhd(sel).
 
-        Overwrites g there with 2 u_n - v_{p_t}. Every temporary but the
-        sweep's results lives in a buffer made once.
+        Serves the swept path: g is c K (1-P) u_n, overwritten on nbhd(sel)
+        with 2 u_n - v_{p_t}. Every temporary but the sweep's results lives
+        in a buffer made once.
         """
         # nb is in range; mode="clip" lets take write to out unbuffered
         nb, v, h2w2, s, gathered = self.nbhd, self._v, self._h2w2, self._s, self._gathered
@@ -449,12 +496,9 @@ class LtsSolver:
         s[0] = 2.0 * fwd[0]
         np.add(fwd[1:], bwd[:0:-1], out=s[1:])
 
-        if self._map is None:
-            fine_vals = self._fine_load[1]
-            loads = (c * fine_vals if c != 0.0 else None for c in s)
-            self._sub_steps(v, h2w2, loads, self.k_local.apply)
-        else:
-            v = np.matmul(self._map, self._x, out=self._v_map)
+        fine_vals = self._fine_load[1]
+        loads = (c * fine_vals if c != 0.0 else None for c in s)
+        self._sub_steps(v, h2w2, loads, self.k_local.apply)
         gathered += gathered
         gathered -= v[:-1]
         g[nb] = gathered
@@ -468,13 +512,14 @@ class LtsSolver:
         dt v_0; d is linear in u_0, so from u_0 = 0 it is zero and is not
         run. The load enters only as the Taylor term -dt^2 M^-1 f(0) / 2: a
         run from rest starts from the same du_0 whatever the load does at
-        the sub-step times. u0 and v0 must be zero on the Dirichlet DOFs.
+        the sub-step times. u0 and v0, when given, must hold one finite
+        number per DOF and be zero on the Dirichlet DOFs.
         """
-        _check_start_on_dirichlet(self.system, u0, v0)
         n = self.system.dof_count
         dt = self.cfg.dt
-        u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-        v = np.zeros(n) if v0 is None else v0
+        # u is updated in place by the loop, so a given u0 is copied
+        u = np.zeros(n) if u0 is None else np.array(_start_vector(self.system, "u0", u0))
+        v = np.zeros(n) if v0 is None else _start_vector(self.system, "v0", v0)
         du = dt * v - 0.5 * dt * dt * (self.system.m_inv * self.system.force(0.0))
         if np.any(u):
             d = np.zeros(n)

@@ -195,7 +195,8 @@ class ElementBatches:
     elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
     stacked product. The DOF tables give the rows each element adds to;
     `batch_cols` and `stack_cols`, the same tables unless given, the entries
-    of x it reads. The arrays are read-only. The GEMM multiplies by a
+    of x it reads, and `width`, size unless given, the length of x. The
+    arrays are read-only. The GEMM multiplies by a
     C-contiguous copy of `batch_k_e.T`, made once here, so BLAS takes its
     no-transpose path.
 
@@ -215,6 +216,7 @@ class ElementBatches:
         *,
         batch_cols=None,
         stack_cols=None,
+        width=None,
     ):
         def frozen(a, ndim, dtype):
             a = np.empty((0,) * ndim, dtype) if a is None else np.asarray(a, dtype)
@@ -222,6 +224,7 @@ class ElementBatches:
             return a
 
         self.size = int(size)
+        self.width = self.size if width is None else int(width)
         self.batch_dofs = frozen(batch_dofs, 2, np.int64)
         self.batch_k_e = frozen(batch_k_e, 2, float)
         self.stack_dofs = frozen(stack_dofs, 2, np.int64)
@@ -244,41 +247,64 @@ class ElementBatches:
             float, copy=False
         )
 
-    def restrict(self, cols):
-        """(nbhd, op): op x = K[nbhd, cols] x[cols], on the DOFs nbhd coupled to cols.
+    def split(self, cols):
+        """(ring, inner, outer): K[cols, cols] and K[ring, cols] as element batches.
 
-        cols is a boolean mask. nbhd is cols plus every DOF of the elements
-        that hold a DOF of cols. op works in the numbering of nbhd followed
-        by one zero slot, so op.size is len(nbhd) + 1: every column outside
-        cols is gathered from that slot, so op reads x unmasked, and x must
-        be zero there. No row adds to the slot, so op x is zero there too.
-        When every stacked element is kept, op shares this operator's
-        read-only stack of stiffnesses.
+        cols is a boolean mask, and ring the DOFs outside it of the elements
+        that hold a DOF of it. Both operators read x in the numbering of
+        cols followed by one zero slot, width n + 1 for n DOFs in cols:
+        every column outside cols is gathered from the slot, so x must be
+        zero there. inner, of size n + 1, applies K[cols, cols] in that
+        numbering and outer, of size len(ring) + 1, K[ring, cols] in ring's.
+        Rows outside those add to the last entry of the result, which is to
+        be discarded. The DOF tables serve as gather tables, as they do in
+        the assembled K.
+
+        A host is a stacked element with every DOF in cols. inner adds each
+        other element's cols x cols block into a copy of the first host
+        that holds all of its DOFs in cols, and keeps an element with no
+        such host as it is, in the GEMM batch or the stack. outer holds the
+        elements with DOFs both in and outside cols.
         """
-        in_batch = cols[self.batch_dofs].any(axis=1)
-        in_stack = cols[self.stack_dofs].any(axis=1)
-        keep = cols.copy()
-        keep[self.batch_dofs[in_batch]] = True
-        keep[self.stack_dofs[in_stack]] = True
-        nbhd = np.flatnonzero(keep)
-        local = np.empty(self.size, dtype=np.int64)
-        local[nbhd] = np.arange(len(nbhd))
-        gather = np.where(cols, local, len(nbhd))
-        batch, stack = self.batch_dofs[in_batch], self.stack_dofs[in_stack]
-        op = ElementBatches(
-            len(nbhd) + 1,
-            local[batch],
-            self.batch_k_e,
-            local[stack],
-            self.stack_k_e if in_stack.all() else self.stack_k_e[in_stack],
-            batch_cols=gather[batch],
-            stack_cols=gather[stack],
+        n = int(np.count_nonzero(cols))
+        gather = np.where(cols, np.cumsum(cols) - 1, n)
+        hosts = np.flatnonzero(cols[self.stack_dofs].all(axis=1))
+        tables = []
+        for dofs, k_e in ((self.batch_dofs, self.batch_k_e), (self.stack_dofs, self.stack_k_e)):
+            held = cols[dofs]
+            part = held.any(axis=1) & ~held.all(axis=1)
+            # the elements that hold a DOF of cols, but the hosts
+            guests = np.flatnonzero(part if k_e.ndim == 3 else held.any(axis=1))
+            pairs = _hosted_pairs(held[guests], dofs[guests], self.stack_dofs[hosts])
+            tables.append((dofs, k_e, part, guests, pairs))
+        (b_dofs, b_k, b_part, b_g, b_pairs), (s_dofs, s_k, s_part, s_g, s_pairs) = tables
+        stack = np.concatenate([hosts, s_g[s_pairs[0] < 0]])
+        folded = s_k[stack]
+        for _, k_e, _, guests, (host, f, a, b, at_a, at_b) in tables:
+            vals = k_e[a, b] if k_e.ndim == 2 else k_e[guests[f], a, b]
+            np.add.at(folded, (host[f], at_a, at_b), vals)
+        b_in, b_out, s_out = b_dofs[b_g[b_pairs[0] < 0]], b_dofs[b_part], s_dofs[s_part]
+        ring = np.zeros(self.size, dtype=bool)
+        ring[b_out] = ring[s_out] = True
+        ring = np.flatnonzero(ring & ~cols)
+        rows = np.full(self.size, len(ring))
+        rows[ring] = np.arange(len(ring))
+        inner = ElementBatches(n + 1, gather[b_in], b_k, gather[s_dofs[stack]], folded)
+        outer = ElementBatches(
+            len(ring) + 1,
+            rows[b_out],
+            b_k,
+            rows[s_out],
+            s_k[s_part],
+            batch_cols=gather[b_out],
+            stack_cols=gather[s_out],
+            width=n + 1,
         )
-        return nbhd, op
+        return ring, inner, outer
 
     def to_dense(self):
-        """The dense (size, size) matrix of the map `apply` applies, summed in batch order."""
-        k = np.zeros((self.size, self.size))
+        """The dense (size, width) matrix of the map `apply` applies, summed in batch order."""
+        k = np.zeros((self.size, self.width))
         for dofs, cols, k_e in (
             (self.batch_dofs, self.batch_cols, self.batch_k_e),
             (self.stack_dofs, self.stack_cols, self.stack_k_e),
@@ -302,9 +328,42 @@ class ElementBatches:
         cols = [np.tile(c, c.shape[1]).ravel() for _, c, _ in parts]
         vals = [k.ravel() for _, _, k in parts]
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.size)).tocsr()
+        k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.width)).tocsr()
         k.sum_duplicates()
         return k
+
+
+def _ranges(start, count):
+    """The ranges start[i], ..., start[i] + count[i] - 1, concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _hosted_pairs(held, dofs, host_dofs):
+    """Each guest row's first host row that holds all its DOFs in `held`, and where they sit there.
+
+    Returns (host, f, a, b, at_a, at_b): host has one entry per guest, -1
+    for a guest with no such host, and guest f's entry (a, b) goes to its
+    host's entry (at_a, at_b), for every pair of held DOFs of a hosted
+    guest. A host is counted for a guest once per held DOF it holds, found
+    among the host entries sorted by DOF.
+    """
+    n_h, width = host_dofs.shape
+    by_dof = np.argsort(host_dofs.ravel(), kind="stable")
+    g, a = np.nonzero(held)
+    lo, hi = (np.searchsorted(host_dofs.ravel()[by_dof], dofs[g, a], s) for s in ("left", "right"))
+    g, a = g.repeat(hi - lo), a.repeat(hi - lo)
+    h, at = np.divmod(by_dof[_ranges(lo, hi - lo)], width)
+    codes, counts = np.unique(g * n_h + h, return_counts=True)
+    whole = codes[counts == np.count_nonzero(held, axis=1)[codes // n_h]]
+    first_of, first = np.unique(whole // n_h, return_index=True)
+    host = np.full(len(held), -1)
+    host[first_of] = whole[first] % n_h
+    take = h == host[g]
+    g, a, at = g[take], a[take], at[take]
+    # g is sorted: the pairs of each guest's entries
+    size = np.bincount(g, minlength=len(held))[g]
+    i, j = np.arange(len(g)).repeat(size), _ranges(np.searchsorted(g, g), size)
+    return host, g[i], a[i], a[j], at[i], at[j]
 
 
 def zero_pulse(t):
@@ -433,17 +492,25 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
     """{(ex, ey): ElementOperators} for the non-void elements of the mesh.
 
     Full elements share one record. Cut elements get the stiffness of their
-    cut rule. The result is memoised on the mesh and keyed by value, so
+    cut rule, a read-only view of one stack of them, which assembly takes
+    as K's. The result is memoised on the mesh and keyed by value, so
     equal but distinct configs reuse one pass.
     """
+    return _element_operators(mesh, mat, scheme, cfg)[0]
+
+
+def _element_operators(mesh, mat, scheme, cfg):
+    """(element_operators, the stack of the cut elements' stiffnesses in element order)."""
     cfg = cfg or MomentFitConfig()
     key = (mat, scheme, cfg)
     if key in mesh.operator_cache:
         return mesh.operator_cache[key]
     basis = mesh.basis
     jac = (mesh.hx / 2.0, mesh.hy / 2.0)
+    width = 2 * basis.node_count
+    stack = np.empty((sum(c == "cut" for c in mesh.classification.values()), width, width))
 
-    def build(cutq):
+    def build(cutq, out=None):
         if cutq.classification == "full":
             pts, wts = basis.node_coords(), basis.node_weights()
         else:
@@ -451,10 +518,12 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
         # one shape evaluation serves the stiffness and the HRZ diagonal
         shapes = basis.shape_eval_2d_batch(pts)
         lumped = lump_element(basis, cutq, scheme, cfg, shapes=shapes)
+        k_e = element_stiffness(basis, mat, pts, wts, jac, shapes=shapes)
+        if out is not None:  # a cut element's view of the stack
+            out[...] = k_e
+            k_e = out
         rec = ElementOperators(
-            lumped=lumped,
-            k_e=element_stiffness(basis, mat, pts, wts, jac, shapes=shapes),
-            m_e=element_lumped_mass(lumped, mat, jac),
+            lumped=lumped, k_e=k_e, m_e=element_lumped_mass(lumped, mat, jac)
         )
         for a in (rec.lumped.weights, rec.k_e, rec.m_e):
             a.flags.writeable = False
@@ -462,6 +531,7 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
 
     ops = {}
     full = None
+    cut_k_e = iter(stack)  # views of the stack, in element order
     for ex, ey in mesh.elements():
         cutq = mesh.cut_quadratures[(ex, ey)]
         if cutq.is_void:
@@ -470,9 +540,10 @@ def element_operators(mesh, mat, scheme="fitted", cfg=None):
             full = full or build(cutq)
             ops[(ex, ey)] = full
         else:
-            ops[(ex, ey)] = build(cutq)
-    mesh.operator_cache[key] = ops
-    return ops
+            ops[(ex, ey)] = build(cutq, next(cut_k_e))
+    stack.flags.writeable = False
+    mesh.operator_cache[key] = ops, stack
+    return ops, stack
 
 
 def assemble_global(mesh, mat, scheme="fitted", cfg=None):
@@ -483,7 +554,7 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     """
     ndof = mesh.dof_count
     width = 2 * mesh.basis.node_count
-    ops = element_operators(mesh, mat, scheme, cfg)
+    ops, stack_k_e = _element_operators(mesh, mat, scheme, cfg)
     recs = list(ops.values())
     dofs = np.array([mesh.element_dofs(*key) for key in ops], dtype=np.int64).reshape(-1, width)
     cut = np.array([mesh.classification[key] == "cut" for key in ops], dtype=bool)
@@ -491,7 +562,6 @@ def assemble_global(mesh, mat, scheme="fitted", cfg=None):
     # by element would
     m_e = np.array([rec.m_e for rec in recs], dtype=float).ravel()
     mass = np.bincount(dofs.ravel(), weights=m_e, minlength=ndof).astype(float, copy=False)
-    stack_k_e = np.array([rec.k_e for rec, c in zip(recs, cut) if c]).reshape(-1, width, width)
     # the one record every full element shares
     batch_k_e = next((rec.k_e for rec, c in zip(recs, cut) if not c), np.zeros((width, width)))
     return GlobalSystem(

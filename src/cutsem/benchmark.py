@@ -182,8 +182,8 @@ def run_cdm_continue(system, hist, extra_steps):
 
     Its one caller outside the tests is perfbench's BarCdm (ROADMAP item 1).
     """
-    u, du = hist.u_curr.copy(), hist.du.copy()
-    return _cdm_solver(system, hist.dt)._advance(u, du, hist.step, extra_steps)
+    solver = _cdm_solver(system, hist.dt)
+    return solver._advance(*solver._resume(hist), hist.step, extra_steps)
 
 
 def run_bar_lts(cfg):

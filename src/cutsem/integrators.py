@@ -17,38 +17,44 @@ then the state takes the increment, two passes a step where the
 three-term form u_{n+1} = 2 u_n - u_{n-1} + a needs three, with less
 round-off. A continued run is bitwise one longer run.
 
-Each coarse step does one full stiffness matvec, g = dt^2 M^-1 K (1-P) u_n
-with P the selection mask (u_n unmasked under the folded map below); P and
-M are diagonal, so they commute. Off nbhd(sel), the selected DOFs and the
-DOFs coupled to them, the step is du <- du - g plus the load
-dt^2 M^-1 (1-P) f(t_n), then u <- u + du: with nothing selected, CDM's
-operations in CDM's order. On nbhd(sel) the p_t sub-steps run from
-v_0 = 2 u_n, in the variables v = M^(-1/2) q of the Diaz-Grote recurrence
-for z = M^(1/2) u, and du <- v_{p_t} - 2 u_n + du there. A sub-step
-applies K[nbhd, sel] as the stiffness's own element batches, restricted
-once per solver to the elements that touch sel, to v as it is, and scales
-the result by h^2 M^-1, h = dt/p_t.
+Each coarse step does one full stiffness matvec of u_n itself,
+g = dt^2 M^-1 K u_n. Off nbhd(sel), the selected DOFs and the DOFs coupled
+to them, the step is du <- du - g plus the load dt^2 M^-1 (1-P) f(t_n), P
+the selection mask, then u <- u + du: with nothing selected, CDM's
+operations in CDM's order. The p_t sub-steps of step h = dt/p_t run on sel
+alone, in d = v - v_0 from d_0 = 0, where v_0 = 2 u_n and v = M^(-1/2) q
+are the variables of the Diaz-Grote recurrence for z = M^(1/2) u. The
+recurrence reads g masked, with c K[:, sel] u_n taken out, c = dt^2 M^-1;
+that term of its coarse forcing equals the sub-steps' own
+h^2 M^-1 K[:, sel] v_0, so in d they read u_n only through the unmasked g,
+and du <- d_{p_t} + du on sel. Off nbhd(sel) the unmasked g is bytewise
+the masked one, since no element there holds a selected DOF. A sub-step
+applies K[sel, sel] as `ElementBatches.split` builds it once per solver:
+each cut element whose DOFs are all selected hosts the sel x sel blocks
+of the elements around it, so a sub-step multiplies little beyond the cut
+elements' own matrices.
 
-On nbhd(sel) the coarse step is a fixed polynomial of degree p_t in the
-local operator: v_{p_t} is linear in x = [v_0; h2w2; s], h2w2 the coarse
-part's contribution and s the p_t load coefficients. A sweep multiplies
-p_t e element-matrix entries, e those of one k_local apply, and its cost
-is mostly numpy's per-call overhead on short vectors. So when
-n (2n + p_t) < p_t e and n <= _MAP_MAX_SIZE, n = k_local.size, the solver
-folds the whole coarse step on nbhd(sel) into one dense map F, tabulated
-once by running the sub-steps on the identity's columns with k_local
-dense. The matvec then takes u_n itself, with no (1-P) pass, and
-g[nbhd] <- F z, z = [g; pulse(t_n); s_1, ..., s_{p_t-1}] on nbhd(sel).
-Dropping the mask is exact off nbhd(sel): no element outside it holds a
-selected DOF, so there g is bytewise the masked g. On nbhd(sel) the mask
-took c K[:, sel] u_n out of g; that term of h2w2 equals the sub-steps'
-own h^2 M^-1 K[:, sel] v_0, so in d = v - v_0 the sub-steps start from
-d_0 = 0, read u_n only through the unmasked g, and end at
-d_{p_t} = v_{p_t} - 2 u_n = -F z. Beyond CDM's step, a folded coarse step
-costs the p_t pulse samples and one k (k + p_t) product, k = len(nbhd),
-with a gather and a scatter. F z evaluates the sweep's polynomial in
-another order, so the two agree to round-off; the cap bounds F's memory
-and the dense products of its build.
+On the ring, nbhd(sel) less sel, the sub-step acceleration a_k is linear in
+d_k, and leap-frog in summed form gives d_{p_t} = p_t a_0 / 2 +
+sum_{k=1}^{p_t-1} (p_t - k) a_k. So the ring takes one closed-form product
+a coarse step: g[ring] = dt^2 M^-1 K u~ there, with u~ = u_n off sel and
+u_n + S / p_t^2 on it, S = sum_{k=1}^{p_t-1} (p_t - k) d_k accumulated by
+the sweep; that is, g[ring] += h^2 M^-1 K[ring, sel] S. The load on the
+ring is the coarse one.
+
+On nbhd(sel) the coarse step is thus a fixed polynomial of degree p_t in
+K[sel, sel], linear in z = [g; pulse(t_n); s_1, ..., s_{p_t-1}] on
+nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h). On a small
+nbhd(sel) a sweep's cost is mostly numpy's per-call overhead on short
+vectors, which grows with p_t. So when k < _MAP_MAX_SIZE, k = len(nbhd),
+and k (k + p_t) < p_t e, e the element-matrix entries of the elements
+that hold a selected DOF, the solver folds the coarse step on nbhd(sel)
+into one dense map F, g[nbhd] <- F z, tabulated once by sweeping the
+inputs on sel with K[sel, sel] dense. Beyond CDM's step, a folded coarse
+step costs the p_t pulse samples and one k (k + p_t) product, with a
+gather and a scatter. F z evaluates the sweep's polynomial in another
+order, so the two agree to round-off; the cap bounds F's memory and the
+dense products of its build.
 
 dt^2 and h^2 are folded into diagonal scalings made once per solver. A
 load term is added only when the pulse is nonzero, on the DOFs its shape
@@ -106,9 +112,9 @@ CFL_SAFETY = 0.95
 # _CHECK_EVERY-th step, entries below _NEGLIGIBLE times the state's max go to 0
 _CHECK_EVERY = 25
 _NEGLIGIBLE = 2.0**-600
-# the folded LTS map F of the module docstring: tabulated only for a k_local
-# of at most _MAP_MAX_SIZE (nbhd(sel) and the zero slot), which bounds its
-# memory and the dense products of its build; built _MAP_BLOCK columns at a time
+# the folded LTS map F of the module docstring: tabulated only for fewer than
+# _MAP_MAX_SIZE DOFs in nbhd(sel), which bounds its memory and the dense
+# products of its build; built _MAP_BLOCK columns at a time
 _MAP_MAX_SIZE = 256
 _MAP_BLOCK = 64
 
@@ -276,45 +282,38 @@ class LtsState:
 class LtsSolver:
     """Leap-frog with local time stepping on the selected DOFs, on u in summed form.
 
-    One full stiffness matvec per coarse step gives g = c K (1-P) u_n,
-    c = dt^2 M^-1, zero on the Dirichlet DOFs, so u stays zero there. The
-    sub-steps touch only nbhd(sel), the selected DOFs and the DOFs of the
-    elements that hold a selected DOF, and run in v, with v_0 = 2 u_n. A
-    sub-step applies `k_local`, the element batches of those elements
-    renumbered onto nbhd(sel) once here, which gathers every column off sel
-    from a zero slot: it reads v as it is, and its result is scaled by
-    h^2 M^-1. Each sub-step is leap-frog in summed form, dv <- dv + a and
-    v <- v + dv. Outside nbhd(sel) the sub-step recurrence has no K P v and
-    no P f term, so there it has a closed form, and the coarse step is
-    CDM's: du <- du - g + c (1-P) f(t_n) and u <- u + du. On nbhd(sel),
-    du <- v_{p_t} - 2 u_n + du.
+    One full stiffness matvec per coarse step gives g = c K u_n, c =
+    dt^2 M^-1, zero on the Dirichlet DOFs, so u stays zero there. Off
+    nbhd(sel), the selected DOFs and the DOFs of the elements that hold a
+    selected DOF, the coarse step is CDM's: du <- du - g + c (1-P) f(t_n)
+    and u <- u + du. On sel the p_t sub-steps run in d = v - 2 u_n from
+    d_0 = 0, which reads u_n only through the unmasked g (module
+    docstring). A sub-step applies `k_sel`, K[sel, sel] as element batches
+    in sel's numbering, with each host's neighbours folded into it (see
+    `ElementBatches.split`), scales the result by h^2 M^-1 and is leap-frog
+    in summed form, dd <- dd + a and d <- d + dd, from the coarse forcing
+    h2w2 = -2/p_t^2 g and the refined load. The sweep accumulates S =
+    sum_{k=1}^{p_t-1} (p_t - k) d_k, and on sel g <- -d_{p_t}, so du <-
+    d_{p_t} + du there. On the ring, nbhd(sel) less sel, the sub-steps have a
+    closed form: g[ring] += h^2 M^-1 K[ring, sel] S, one apply of `k_ring`,
+    which is g[ring] = c K u~ with u~ = u_n off sel and u_n + S/p_t^2 on
+    it; the ring then takes the coarse load.
 
-    The p_t sub-steps are linear in x = [v_0; h2w2; s], where h2w2 =
-    2 h^2 M^-1 ((1-P) f(t_n) - K (1-P) u_n) and s holds the load
-    coefficients s_0 = 2 pulse(t_n) and s_m = pulse(t_n + m h) +
-    pulse(t_n - m h). With n = k_local.size and e the element-matrix
-    entries one k_local apply multiplies, a sweep multiplies p_t e entries
-    and a map of the sub-steps about n (2n + p_t). When n (2n + p_t) <
-    p_t e and n <= _MAP_MAX_SIZE, the coarse step on nbhd(sel) is folded
-    here into one map F, k = len(nbhd) rows by k + p_t columns:
-
-        g[nbhd] = F [g; pulse(t_n); s_1, ..., s_{p_t-1}],
-        F = [-w W_h | -2 W_s0 - W_h f_nb | -W_s1:],
-
-    with W = [W_v | W_h | W_s] the sub-steps' map, v_{p_t} = W x, w =
-    -2/p_t^2 and f_nb the load h2w2 receives. g is c K u_n, the matvec of
-    u_n with no (1-P) pass: no element outside nbhd(sel) holds a selected
-    DOF, so off it g is bytewise the masked g. On it the mask's term of
-    h2w2, -w C K_sel u_n (C = c there, K_sel the dense k_local on the
-    selected columns), is h^2 M^-1 K_sel v_0, which cancels the sub-steps'
-    own K_sel v_0: F's block on u_n, 2I - 2 W_v + w W_h C K_sel, is zero,
-    and 2 u_n - v_{p_t} = -d_{p_t} with d = v - v_0 swept from d_0 = 0. F
-    is tabulated so, from the negated unit inputs, by running the
-    sub-steps once on the identity's columns with k_local as a dense
-    matrix; F z is the sweep's polynomial, so the two agree up to
-    round-off. Each coarse step then costs CDM's step, the p_t pulse
-    samples, a gather, one k (k + p_t) product and a scatter.
-    `sub_step_map` is F, or None when the sub-steps are swept.
+    The p_t sub-steps are linear in z = [g; pulse(t_n); s_1, ...,
+    s_{p_t-1}] on nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h).
+    With e the element-matrix entries of k_sel and k_ring, the elements
+    that hold a selected DOF, the map of a coarse step multiplies
+    k (k + p_t) entries, k = len(nbhd). When that is fewer than p_t e and
+    k < _MAP_MAX_SIZE, the coarse step on nbhd(sel) is folded here into one
+    map F of k rows by k + p_t columns, g[nbhd] = F z: on sel -d_{p_t}, on
+    the ring g plus the closed form. F is tabulated by sweeping the
+    inputs that reach sel, the unit g rows of sel and the load
+    coefficients, as the rows of a stack with k_sel dense; a g row of the
+    ring reaches only itself. F z is the sweep's polynomial, so the two
+    agree up to round-off. Each coarse step then costs CDM's step, the p_t
+    pulse samples, a gather, one k (k + p_t) product and a scatter.
+    `sub_step_map` is F, or None when the sub-steps are swept. `nbhd` is
+    sel followed by the ring.
 
     `run` and `step` share one loop, `_advance`, and its in-place kernel,
     `_coarse_step`, with h^2 and dt^2 folded into the scalings made here.
@@ -331,46 +330,38 @@ class LtsSolver:
         h2 = (dt / p_t) ** 2
         # the sub-step grid's offsets m h from t_n
         self._offsets = [m * (dt / p_t) for m in range(p_t)]
-        self.nbhd, self.k_local = system.stiffness.restrict(sel)
-        nb, n = self.nbhd, self.k_local.size
-        self.fine = sel[nb]  # P restricted to nbhd(sel)
-        # the full matvec's input mask 1-P, none when nothing is selected,
-        # and its output scaling c = dt^2 M^-1
-        self._unrefined = np.where(sel, 0.0, 1.0) if sel.any() else None
+        self.ring, self.k_sel, self.k_ring = system.stiffness.split(sel)
+        self.sel = np.flatnonzero(sel)
+        self.nbhd = np.concatenate([self.sel, self.ring])
+        n, k = len(self.sel), len(self.nbhd)
         m_inv = system.m_inv
         self._c = dt * dt * m_inv
-        # on nbhd(sel): h2w2 = -2/p_t^2 (g - c (1-P) f), and the sub-step
-        # output scaling h^2 M^-1 (zero on the zero slot)
+        # on sel: h2w2 = -2/p_t^2 g; the sub-step output scaling h^2 M^-1,
+        # zero on the slot, and the ring's
         self._w2_scale = -2.0 / p_t**2
-        self._h2_m_inv = np.append(h2 * m_inv[nb], 0.0)
-        # x = [v; h2w2; s]: v and h2w2 on nbhd(sel) and the zero slot, which
-        # stays 0, and the p_t load coefficients
-        self._x = np.zeros(2 * n + p_t)
-        self._v, self._h2w2, self._s = self._x[:n], self._x[n : 2 * n], self._x[2 * n :]
-        # each coarse step's temporaries: the full matvec's input and a
-        # gather on nbhd(sel)
-        self._u_in = np.empty(system.dof_count)
-        self._gathered = np.empty(len(nb))
-        # the load f_shape pulse(t): its unrefined part, scaled by c, is added
-        # to du off nbhd(sel) and to h2w2 on it; its refined part, scaled by
-        # h^2 M^-1, to the sub-steps. Each is kept on its nonzero entries
+        self._h2_m_inv = np.append(h2 * m_inv[self.sel], 0.0)
+        self._h2_m_inv_ring = h2 * m_inv[self.ring]
+        # d, h2w2 and S on sel and the zero slot, which stays 0, and the p_t
+        # load coefficients
+        self._d, self._h2w2, self._acc = np.zeros((3, n + 1))
+        self._s = np.empty(p_t)
+        # the load f_shape pulse(t): scaled by c, it is added to du on every
+        # unselected DOF; its selected part, scaled by h^2 M^-1, to the
+        # sub-steps. Each is kept on its nonzero entries
         coarse = self._c * system.f_shape
         coarse[sel] = 0.0
-        self._nbhd_load = _loaded_entries(-self._w2_scale * coarse[nb])
-        coarse[nb] = 0.0
         self._coarse_load = _loaded_entries(coarse)
-        self._fine_load = _loaded_entries(
-            np.where(self.fine, h2 * m_inv[nb] * system.f_shape[nb], 0.0)
-        )
-        k = self.k_local
-        e_local = len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size
+        self._fine_load = _loaded_entries(self._h2_m_inv[:-1] * system.f_shape[self.sel])
+        # the element-matrix entries of the elements that hold a selected DOF
+        ops = (self.k_sel, self.k_ring)
+        e = sum(len(op.batch_dofs) * op.batch_k_e.size + op.stack_k_e.size for op in ops)
         self._map = None
-        if n <= _MAP_MAX_SIZE and n * (2 * n + p_t) < p_t * e_local:
+        if k < _MAP_MAX_SIZE and k * (k + p_t) < p_t * e:
             self._map = self._tabulate()
             # z = [g; pulse(t_n), s_1, ..., s_{p_t - 1}] on nbhd(sel)
-            self._z = np.empty(len(nb) + p_t)
-            self._z_g, self._z_s = self._z[: len(nb)], self._z[len(nb) :]
-            self._unrefined = None  # F restores the mask on nbhd(sel)
+            self._z = np.empty(k + p_t)
+            self._z_g, self._z_s = self._z[:k], self._z[k:]
+            self._gathered = np.empty(k)
 
     @property
     def m_inv_sqrt(self):
@@ -379,7 +370,7 @@ class LtsSolver:
 
     @property
     def sub_step_map(self):
-        """F, read-only, with g[nbhd] = F z after the unmasked matvec, or None.
+        """F, read-only, with g[nbhd] = F z after the matvec of u_n, or None.
 
         z = [g; pulse(t_n); s_1, ..., s_{p_t - 1}] on nbhd(sel), g =
         dt^2 M^-1 K u_n there, so F's shape is (k, k + p_t), k = len(nbhd).
@@ -388,33 +379,31 @@ class LtsSolver:
         return self._map
 
     def _tabulate(self):
-        """F: the sub-steps in d = v - v_0 run on the identity's columns, _MAP_BLOCK at a time.
+        """F: the sub-steps in d run on the identity's columns, _MAP_BLOCK at a time.
 
-        Column j of F is 2 u_n - v_{p_t} = -d_{p_t} from d_0 = 0 under the
-        unit input z = e_j: h2w2 = w e_j for a g row, f_nb with s_0 = 2 for
-        pulse(t_n), and s_m = 1 alone for s_m. The columns are swept as the
-        rows of a stack, from the negated inputs, with k_local as a dense
-        matrix on the selected columns: it reads no other column of d.
+        Column j of F is g[nbhd] after the coarse step from the unit input
+        z = e_j: -d_{p_t} on sel, g + h^2 M^-1 K[ring, sel] S on the ring. A g
+        row of sel enters as h2w2 = -2/p_t^2 e_j, one of the ring only as itself,
+        pulse(t_n) as s_0 = 2 and s_m as s_m = 1 alone. The sel inputs are
+        swept as the rows of a stack, with k_sel as a dense matrix.
         """
-        n, p_t = self.k_local.size, self.cfg.p_t
-        k = n - 1
-        fine = np.flatnonzero(self.fine)
-        k_fine_t = np.ascontiguousarray(self.k_local.to_dense()[:, fine].T)
-        # row j of f_t is F's column j and a last column that is never read;
-        # the block of h2w2 rows and the columns of s hold the rows' inputs
-        f_t = np.zeros((k + p_t, n))
-        s = -np.eye(p_t, len(f_t), k)
+        n, k, p_t = len(self.sel), len(self.nbhd), self.cfg.p_t
+        k_sel_t = np.ascontiguousarray(self.k_sel.to_dense().T)
+        k_ring = self._h2_m_inv_ring[:, None] * self.k_ring.to_dense()[:-1]
+        f = np.zeros((k, k + p_t))
+        f[n:, n:k] = np.eye(k - n)
+        # the swept inputs: the g rows of sel, then the load coefficients
+        columns = np.r_[:n, k : k + p_t]
+        s = np.eye(p_t, n + p_t, n)
         s[0] *= 2.0
-        for j in range(0, len(f_t), _MAP_BLOCK):
-            v = f_t[j : j + _MAP_BLOCK]
-            h2w2 = -self._w2_scale * np.eye(len(v), n, j)
-            if j <= k < j + len(v):
-                h2w2[k - j, self._nbhd_load[0]] -= self._nbhd_load[1]
-            loads = [None] * p_t  # the block holds no row of the load
-            if j + len(v) > k:
-                loads = (np.multiply.outer(c, self._fine_load[1]) for c in s[:, j : j + len(v)])
-            self._sub_steps(v, h2w2, loads, lambda rows: rows[:, fine] @ k_fine_t)
-        f = f_t[:, :k].T
+        for j in range(0, n + p_t, _MAP_BLOCK):
+            cols = columns[j : j + _MAP_BLOCK]
+            d, acc, h2w2 = np.zeros((3, len(cols), n + 1))
+            h2w2[:, :n] = self._w2_scale * np.eye(len(cols), n, j)
+            loads = (np.multiply.outer(c, self._fine_load[1]) for c in s[:, j : j + len(cols)])
+            self._sub_steps(d, h2w2, loads, acc, lambda rows: rows @ k_sel_t)
+            f[:n, cols] = -d[:, :n].T
+            f[n:, cols] = k_ring @ acc.T
         f.flags.writeable = False
         return f
 
@@ -423,85 +412,81 @@ class LtsSolver:
         t_n, pulse = n * self.cfg.dt, self.system.pulse
         return [pulse(t_n + mh) for mh in self._offsets]
 
-    def _sub_steps(self, v, h2w2, loads, apply):
-        """The p_t sub-steps: v from v_0 to v_{p_t}, in place.
+    def _sub_steps(self, d, h2w2, loads, acc, apply):
+        """The p_t sub-steps: d from d_0 = 0 to d_{p_t} on sel, in place.
 
-        v and h2w2 are k_local-sized vectors, zero on the zero slot, or
-        stacks of them as rows; apply(v) is k_local applied to each. loads
-        yields, per sub-step m, s_m times the refined load's nonzero
-        entries, or None when s_m is 0.
+        d, h2w2 and acc are vectors on sel and the zero slot, or stacks of
+        them as rows; apply(d) is k_sel applied to each. loads yields, per
+        sub-step m, s_m times the refined load's nonzero entries, or None
+        when s_m is 0. acc gets S = sum_{k < p_t} (p_t - k) d_k added.
         """
         fine_idx = self._fine_load[0]
         for m, load in enumerate(loads):
-            a = apply(v)
+            a = apply(d)
             a *= self._h2_m_inv
-            # a <- h2w2 + h^2 M^-1 (s_m P f - K_local v_m)
+            # a <- h2w2 + h^2 M^-1 (s_m f - K[sel, sel] d_m)
             np.subtract(h2w2, a, out=a)
             if load is not None:
                 a[..., fine_idx] += load
-            # v_{m+1} = v_m + dv_{m+1/2}, dv_{m+1/2} = dv_{m-1/2} + a; the
-            # first sub-step is a half step from v_{-1} = v_1
+            # d_{m+1} = d_m + dd_{m+1/2}, dd_{m+1/2} = dd_{m-1/2} + a; the
+            # first sub-step is a half step from d_{-1} = d_1
             if m == 0:
                 a *= 0.5
-                dv = a
+                dd = a
             else:
-                dv += a
-            v += dv
+                dd += a
+            d += dd
+            acc += (self.cfg.p_t - 1 - m) * d  # weight 0 on d_{p_t}
 
     def _coarse_step(self, u, du, fwd, bwd):
         """Advance u = u_n and du = u_n - u_{n-1} to u_{n+1} and u_{n+1} - u_n, in place.
 
         fwd are the load samples of this coarse step's sub-step grid and bwd
         those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
-        One full stiffness matvec gives g = c K (1-P) u_n; on nbhd(sel)
-        `_local_step` replaces it by 2 u_n - v_{p_t}. Under the folded map
-        the matvec takes u_n unmasked and F z replaces g there. Then
-        du <- du - g, plus c (1-P) f(t_n) off nbhd(sel), and u <- u + du.
+        One full stiffness matvec gives g = c K u_n; on nbhd(sel)
+        `_local_step`, or F z under the folded map, replaces it by the
+        sub-steps' g. Then du <- du - g, plus c f(t_n) off sel, and
+        u <- u + du.
         """
-        u_in = u if self._unrefined is None else np.multiply(self._unrefined, u, out=self._u_in)
-        g = self.system.k_matvec(u_in)
+        g = self.system.k_matvec(u)
         g *= self._c
         if self._map is not None:
-            # nb is in range; mode="clip" lets take write to out unbuffered
+            # nbhd is in range; mode="clip" lets take write to out unbuffered
             g.take(self.nbhd, out=self._z_g, mode="clip")
             self._z_s[0] = fwd[0]
             np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
             g[self.nbhd] = np.matmul(self._map, self._z, out=self._gathered)
-        elif len(self.nbhd):
-            self._local_step(u, g, fwd, bwd)
-        # du_{n+1/2} = du_{n-1/2} + c ((1-P) f(t_n) - K (1-P) u_n) off
-        # nbhd(sel), v_{p_t} - 2 u_n + du_{n-1/2} on it; u_{n+1} = u_n + du_{n+1/2}
+        elif len(self.sel):
+            self._local_step(g, fwd, bwd)
+        # du_{n+1/2} = du_{n-1/2} - g + c f(t_n) off sel, d_{p_t} + du_{n-1/2}
+        # on it; u_{n+1} = u_n + du_{n+1/2}
         du -= g
         if fwd[0] != 0.0:
             idx, vals = self._coarse_load
             du[idx] += fwd[0] * vals
         u += du
 
-    def _local_step(self, u, g, fwd, bwd):
-        """The p_t sub-steps, swept, from v_0 = 2 u_n on nbhd(sel).
+    def _local_step(self, g, fwd, bwd):
+        """The p_t sub-steps, swept on sel, and the ring in closed form.
 
-        Serves the swept path: g is c K (1-P) u_n, overwritten on nbhd(sel)
-        with 2 u_n - v_{p_t}. Every temporary but the sweep's results lives
-        in a buffer made once.
+        Serves the swept path: g is c K u_n; on sel it becomes -d_{p_t}, and
+        the ring gets h^2 M^-1 K[ring, sel] S added. Every temporary but the
+        sweep's results lives in a buffer made once.
         """
-        # nb is in range; mode="clip" lets take write to out unbuffered
-        nb, v, h2w2, s, gathered = self.nbhd, self._v, self._h2w2, self._s, self._gathered
-        g.take(nb, out=gathered, mode="clip")
-        np.multiply(gathered, self._w2_scale, out=h2w2[:-1])
-        if fwd[0] != 0.0:
-            idx, vals = self._nbhd_load
-            h2w2[idx] += fwd[0] * vals
-        u.take(nb, out=gathered, mode="clip")
-        np.add(gathered, gathered, out=v[:-1])
+        sel, d, h2w2, acc, s = self.sel, self._d, self._h2w2, self._acc, self._s
+        # sel is in range; mode="clip" lets take write to out unbuffered
+        g.take(sel, out=h2w2[:-1], mode="clip")
+        h2w2 *= self._w2_scale
+        d[:] = 0.0
+        acc[:] = 0.0
         s[0] = 2.0 * fwd[0]
         np.add(fwd[1:], bwd[:0:-1], out=s[1:])
-
-        fine_vals = self._fine_load[1]
-        loads = (c * fine_vals if c != 0.0 else None for c in s)
-        self._sub_steps(v, h2w2, loads, self.k_local.apply)
-        gathered += gathered
-        gathered -= v[:-1]
-        g[nb] = gathered
+        loads = (c * self._fine_load[1] if c != 0.0 else None for c in s)
+        self._sub_steps(d, h2w2, loads, acc, self.k_sel.apply)
+        g[sel] = np.negative(d[:-1], out=d[:-1])
+        ring = self.k_ring.apply(acc)[:-1]
+        ring *= self._h2_m_inv_ring
+        g[self.ring] += ring
 
     def initial_state(self, u0=None, v0=None):
         """u_0 and du_0 = u_0 - u_{-1}, from u_1 + u_{-1} = q(u_0) and u_1 - u_{-1} = 2 dt v_0.
@@ -533,9 +518,19 @@ class LtsSolver:
 
         `_advance` for one step on copies of the state, which is left as it
         is, so the new state is checked against the scale of `state` and
-        flushed where `run` would flush it.
+        flushed where `run` would flush it. A state of another dt or DOF
+        count raises ConfigError before the step.
         """
-        return self._advance(state.u_curr.copy(), state.du.copy(), state.step, 1)
+        return self._advance(*self._resume(state), state.step, 1)
+
+    def _resume(self, state):
+        """Copies of the state's u and du; ConfigError unless this solver can continue it."""
+        n = self.system.dof_count
+        if state.dt != self.cfg.dt:
+            raise ConfigError(f"the state was stepped at dt = {state.dt!r}, not at {self.cfg.dt!r}")
+        if np.shape(state.u_curr) != (n,) or np.shape(state.du) != (n,):
+            raise ConfigError(f"the state must hold one value per DOF, {n}")
+        return state.u_curr.copy(), state.du.copy()
 
     def displacement(self, state):
         return state.u_curr.copy()

@@ -4,8 +4,9 @@
 enumeration and `kkt_report` certifies a solution by its KKT residuals.
 `critical_dt_sweep_oracle` computes the critical-time-step sweep one cell
 at a time, and `count_shape_evals` counts shape-function evaluations.
-`a_local` applies an LTS solver's sub-step operator M^-1 K[nbhd, sel] on
-nbhd(sel).
+`a_local` applies an LTS solver's two operators, M^-1 K[nbhd, sel], and
+`reference_coarse_step` is the LTS coarse step swept on all of nbhd(sel),
+the oracle for the solver's own.
 """
 
 import itertools
@@ -139,9 +140,45 @@ def count_shape_evals(monkeypatch):
 
 
 def a_local(solver, v):
-    """M^-1 K[nbhd, sel] v[fine] for v on nbhd(sel), from the solver's restricted operator.
+    """M^-1 K[nbhd, sel] v for v on sel, from the solver's sub-step and ring operators.
 
-    v is given to the operator unmasked, followed by its zero slot.
+    The rows are in the order of solver.nbhd: sel, then the ring.
     """
-    m_inv = solver.system.m_inv[solver.nbhd]
-    return m_inv * solver.k_local.apply(np.append(v, 0.0))[:-1]
+    x = np.append(v, 0.0)  # the operators' zero slot
+    kx = np.concatenate([solver.k_sel.apply(x)[:-1], solver.k_ring.apply(x)[:-1]])
+    return solver.system.m_inv[solver.nbhd] * kx
+
+
+def reference_coarse_step(solver, u, du, fwd, bwd):
+    """(u_{n+1}, du_{n+1}) of one LTS coarse step, swept in v on all of nbhd(sel).
+
+    The Diaz-Grote recurrence as first built here: the masked matvec g =
+    c K (1-P) u_n, c = dt^2 M^-1; on nbhd(sel), the DOFs that K's columns
+    of sel reach, p_t sub-steps from v_0 = 2 u_n, each applying the dense
+    K[nbhd, sel] to v on sel, with the coarse load in the forcing h2w2;
+    then g <- 2 u_n - v_{p_t} there, and du <- du - g, plus c (1-P) f(t_n)
+    off nbhd(sel). fwd and bwd are the pulse samples of this coarse step's
+    sub-step grid and the previous one's.
+    """
+    system, cfg = solver.system, solver.cfg
+    sel, p_t, dt = cfg.selection, cfg.p_t, cfg.dt
+    k = system.k_csr()
+    nb = np.union1d(np.flatnonzero(np.diff(k[:, sel].tocsr().indptr)), np.flatnonzero(sel))
+    fine = sel[nb]
+    k_nb_sel = k[nb][:, sel].toarray()
+    c = dt * dt * system.m_inv
+    h2_m_inv = (dt / p_t) ** 2 * system.m_inv[nb]
+    coarse_load = fwd[0] * np.where(sel, 0.0, c * system.f_shape)
+    fine_load = np.where(fine, h2_m_inv * system.f_shape[nb], 0.0)
+    g = c * (k @ np.where(sel, 0.0, u))
+    h2w2 = -2.0 / p_t**2 * (g[nb] - coarse_load[nb])
+    s = [2.0 * fwd[0]] + [fwd[m] + bwd[p_t - m] for m in range(1, p_t)]
+    v = 2.0 * u[nb]
+    for m in range(p_t):
+        a = h2w2 + s[m] * fine_load - h2_m_inv * (k_nb_sel @ v[fine])
+        dv = 0.5 * a if m == 0 else dv + a
+        v = v + dv
+    g[nb] = 2.0 * u[nb] - v
+    coarse_load[nb] = 0.0
+    du = du - g + coarse_load
+    return u + du, du

@@ -206,7 +206,7 @@ def batched_elements(mesh, system):
 
 
 def assert_lts_sub_step_matches_csr(system, selection):
-    """The sub-step operator is M^-1 K[nbhd, sel], on the CSR's nbhd.
+    """The solver's sub-step and ring operators are M^-1 K[nbhd, sel], on the CSR's nbhd.
 
     M^-1 is zero on the Dirichlet DOFs.
     """
@@ -214,12 +214,13 @@ def assert_lts_sub_step_matches_csr(system, selection):
     sel = np.flatnonzero(selection)
     # nbhd(sel) as the rows that the CSR's columns of sel store
     k_cols = system.k_csr()[:, sel].tocsr()
-    assert np.array_equal(solver.nbhd, np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel))
+    nbhd = np.union1d(np.flatnonzero(np.diff(k_cols.indptr)), sel)
+    assert np.array_equal(np.sort(solver.nbhd), nbhd)
     m_inv = 1.0 / system.lumped_mass
     m_inv[system.dirichlet_dofs] = 0.0
     a = m_inv[solver.nbhd, None] * k_cols.toarray()[solver.nbhd]
-    v = np.random.default_rng(5).standard_normal(len(solver.nbhd))
-    expect = a @ v[solver.fine]
+    v = np.random.default_rng(5).standard_normal(len(sel))
+    expect = a @ v
     err = np.abs(a_local(solver, v) - expect).max(initial=0.0)
     assert err <= 1e-14 * np.abs(expect).max(initial=0.0)
 
@@ -268,19 +269,11 @@ def test_bare_global_system_has_an_empty_batch():
 
 def test_empty_operator_applies_as_float_zeros():
     # np.bincount of an empty index ignores the dtype of its weights
-    for op in (ElementBatches(4), ElementBatches(4).restrict(np.ones(4, dtype=bool))[1]):
-        kx = op.apply(np.ones(op.size))
+    for op in (ElementBatches(4), *ElementBatches(4).split(np.ones(4, dtype=bool))[1:]):
+        kx = op.apply(np.ones(op.width))
         assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(op.size))
     empty = ElementBatches(0).apply(np.zeros(0))
     assert empty.dtype == np.float64 and empty.shape == (0,)
-
-
-def test_restriction_to_an_empty_selection_applies_as_float_zeros():
-    system = assemble_global(CartesianMesh(lx=1.0, ly=1.0, nx=2, ny=2, p=2), MAT)
-    nbhd, op = system.stiffness.restrict(np.zeros(system.dof_count, dtype=bool))
-    assert nbhd.size == 0 and op.size == 1
-    kx = op.apply(np.zeros(1))
-    assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(1))
 
 
 def cut_plate_stiffness():
@@ -293,10 +286,10 @@ def test_apply_returns_a_fresh_array():
     # both products go through one values buffer per operator; a result
     # must not be a view of it
     k = cut_plate_stiffness()
-    _, local = k.restrict(np.random.default_rng(6).random(k.size) < 0.3)
+    _, inner, outer = k.split(np.random.default_rng(6).random(k.size) < 0.3)
     rng = np.random.default_rng(7)
-    for op in (k, local):
-        x, y = rng.standard_normal((2, op.size))
+    for op in (k, inner, outer):
+        x, y = rng.standard_normal((2, op.width))
         first = op.apply(x)
         kept = first.copy()
         second = op.apply(y)
@@ -304,43 +297,29 @@ def test_apply_returns_a_fresh_array():
         assert first.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
-def test_restricted_operator_reads_no_entry_outside_cols(density):
-    k = cut_plate_stiffness()
-    cols = np.random.default_rng(8).random(k.size) < density
-    nbhd, op = k.restrict(cols)
-    assert op.size == len(nbhd) + 1 and len(op.stack_dofs) > 0 and len(op.batch_dofs) > 0
-    on_cols = cols[nbhd]
-    x = np.zeros(op.size)
-    x[:-1][on_cols] = np.random.default_rng(9).standard_normal(on_cols.sum())
-    filled = x.copy()
-    filled[:-1][~on_cols] = np.nan
-    got = op.apply(filled)
-    assert got.tobytes() == op.apply(x).tobytes()
-    assert got[-1] == 0.0  # no row adds to the zero slot
-    # and op is K[nbhd, cols] on nbhd's numbering
-    expect = k.to_csr()[nbhd][:, cols] @ x[:-1][on_cols]
-    assert np.abs(got[:-1] - expect).max() <= 1e-14 * np.abs(expect).max()
-
-
-@pytest.mark.parametrize("which", ["full", "restricted", "asymmetric", "empty"])
+@pytest.mark.parametrize("which", ["full", "restricted", "ring", "asymmetric", "empty"])
 def test_dense_matrix_is_the_map_apply_applies(which):
     k = cut_plate_stiffness()
     op = {
         "full": lambda: k,
-        "restricted": lambda: k.restrict(np.random.default_rng(10).random(k.size) < 0.3)[1],
+        "restricted": lambda: k.split(np.random.default_rng(10).random(k.size) < 0.3)[1],
+        "ring": lambda: k.split(np.random.default_rng(10).random(k.size) < 0.3)[2],
         "asymmetric": lambda: ElementBatches(
             6, batch_dofs=[[0, 1, 2, 3], [2, 3, 4, 5]], batch_k_e=np.arange(16.0).reshape(4, 4)
         ),
         "empty": lambda: ElementBatches(4),
     }[which]()
-    # the sums add the same terms as the CSR's, not always in its order
+    # the sums add the same terms as the CSR's, not always in its order. The
+    # last row of split's operators takes the rows it discards, a sum of
+    # many terms, and is left out
+    rows = slice(-1) if which in ("restricted", "ring") else slice(None)
     dense = op.to_dense()
+    assert dense.shape == (op.size, op.width)
+    dense = dense[rows]
     scale = np.abs(dense).max(initial=1.0)
-    assert dense.shape == (op.size, op.size)
-    assert np.abs(dense - op.to_csr().toarray()).max(initial=0.0) <= 1e-15 * scale
-    x = np.random.default_rng(11).standard_normal(op.size)
-    assert np.abs(dense @ x - op.apply(x)).max(initial=0.0) <= 1e-14 * scale * np.abs(x).max()
+    assert np.abs(dense - op.to_csr().toarray()[rows]).max(initial=0.0) <= 1e-15 * scale
+    x = np.random.default_rng(11).standard_normal(op.width)
+    assert np.abs(dense @ x - op.apply(x)[rows]).max(initial=0.0) <= 1e-14 * scale * np.abs(x).max()
 
 
 def test_batch_gemm_applies_k_e_not_its_transpose():
@@ -419,6 +398,12 @@ def test_element_operator_records_are_read_only():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+    # the cut records' stiffnesses are views of K's one stack, not copies
+    stack = assemble_global(mesh, MAT).stiffness.stack_k_e
+    cut = [rec.k_e for key, rec in ops.items() if mesh.classification[key] == "cut"]
+    assert len(cut) == len(stack) > 0
+    for k_e, stacked in zip(cut, stack):
+        assert np.shares_memory(k_e, stack) and k_e.tobytes() == stacked.tobytes()
 
 
 def test_interface_traction_total_force():
@@ -532,33 +517,77 @@ def test_element_dof_table_matches_per_element_numbering(nx, ny, p, voids):
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
-def test_restriction_to_every_stacked_element_shares_the_stack():
-    ls = half_plane(1.0, 0.0, 0.7)
-    mesh = CartesianMesh(lx=1.0, ly=0.2, nx=5, ny=2, p=3, level_set=ls, depth=2)
-    system = assemble_global(mesh, MAT)
-    k = system.stiffness
-    selection = np.zeros(system.dof_count, dtype=bool)
-    selection[system.cut_element_dofs] = True
-    nbhd, op = k.restrict(selection)
-    assert len(k.stack_k_e) == 2 and np.shares_memory(op.stack_k_e, k.stack_k_e)
-    copied = ElementBatches(
-        op.size,
-        op.batch_dofs,
-        op.batch_k_e,
-        op.stack_dofs,
-        k.stack_k_e.copy(),
-        batch_cols=op.batch_cols,
-        stack_cols=op.stack_cols,
+def test_split_operators_are_the_blocks_of_k():
+    # K[sel, sel] and K[ring, sel] from split, against the dense K, on free
+    # void plates under random selections: the cut elements' DOFs, each kept
+    # at a drawn rate, so that some cut elements are partly selected, and
+    # random DOFs besides. The examples are the empty and the full
+    # selection; a corner void whose cut elements leave a full element with
+    # no host; and the cut elements of a bar less its Dirichlet DOFs, as the
+    # bar benchmark selects them, clamped on the cut column's left edge, so
+    # that no cut element is a host
+    mat = Material(youngs_modulus=1.0, poisson_ratio=0.3, density=1.0)
+    seen = set()
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 4),
+        elements=st.integers(2, 8),
+        voids=st.lists(
+            st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.04, 0.25)),
+            min_size=1,
+            max_size=3,
+        ),
+        keep=st.floats(0.0, 1.0),
+        extra=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**16),
     )
-    x = np.random.default_rng(2).standard_normal(op.size)
-    assert op.apply(x).tobytes() == copied.apply(x).tobytes()
-    assert_lts_sub_step_matches_csr(system, selection)
-    # one corner DOF of the lower cut element: the upper one drops out
-    partial = np.zeros(system.dof_count, dtype=bool)
-    partial[k.stack_dofs[0, 0]] = True
-    _, op = k.restrict(partial)
-    assert len(op.stack_k_e) == 1 and not np.shares_memory(op.stack_k_e, k.stack_k_e)
-    assert_lts_sub_step_matches_csr(system, partial)
+    @example(p=2, elements=4, voids=[(0.5, 0.5, 0.2)], keep=0.0, extra=0.0, seed=0)
+    @example(p=2, elements=4, voids=[(0.5, 0.5, 0.2)], keep=1.0, extra=1.0, seed=0)
+    @example(p=3, elements=4, voids=[(0.0, 0.0, 0.4)], keep=1.0, extra=0.0, seed=0)
+    def check(p, elements, voids, keep, extra, seed):
+        mesh = CartesianMesh(
+            lx=1.0, ly=1.0, nx=elements, ny=elements, p=p,
+            level_set=union_of_voids([circle(*c) for c in voids]),
+        )
+        system = assemble_global(mesh, mat)
+        check_split(system, keep, extra, np.random.default_rng(seed))
+
+    def check_split(system, keep, extra, rng):
+        k = system.stiffness
+        cut = np.zeros(k.size, dtype=bool)
+        cut[system.cut_element_dofs] = True
+        sel = (rng.random(k.size) < extra) | (cut & (rng.random(k.size) < keep))
+        sel[system.dirichlet_dofs] = False
+        ring, inner, outer = k.split(sel)
+        n = int(sel.sum())
+        assert inner.size == inner.width == outer.width == n + 1 and outer.size == len(ring) + 1
+        dense = k.to_dense()
+        scale = np.abs(dense).max()
+        x = np.append(rng.standard_normal(n), 0.0)  # the zero slot
+        for op, rows in ((inner, sel), (outer, ring)):
+            block = op.to_dense()[:-1, :-1]
+            assert np.abs(block - dense[rows][:, sel]).max(initial=0.0) <= 1e-13 * scale
+            kx = op.apply(x)
+            assert kx.dtype == np.float64 and kx.shape == (op.size,)
+            err = np.abs(kx[:-1] - block @ x[:-1]).max(initial=0.0)
+            assert err <= 1e-13 * scale * np.abs(x).max(initial=1.0)
+        held = sel[k.stack_dofs]
+        hosts = held.all(axis=1).sum()
+        if (held.any(axis=1) & ~held.all(axis=1)).any():
+            seen.add("partly selected cut element")
+        if len(inner.batch_dofs) or len(inner.stack_dofs) > hosts:
+            seen.add("no host")
+        seen.add({0: "empty", k.size - len(system.dirichlet_dofs): "full"}.get(n, "some"))
+        assert_lts_sub_step_matches_csr(system, sel)
+
+    check()
+    mesh = CartesianMesh(lx=1.0, ly=0.2, nx=5, ny=2, p=3, level_set=half_plane(1.0, 0.0, 0.7))
+    mesh.fix_nodes(lambda x, y: np.abs(x - 0.6) < 1e-12)
+    system = assemble_global(mesh, MAT)
+    assert np.isin(system.dirichlet_dofs, system.cut_element_dofs).any()
+    check_split(system, 1.0, 0.0, np.random.default_rng(1))
+    assert seen == {"partly selected cut element", "no host", "empty", "full", "some"}
 
 
 @pytest.mark.parametrize("scheme", ["hrz", "fitted", "scaled"])

@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from cutsem.integrators import (
 )
 from cutsem.momentfit import MomentFitConfig
 
-from helpers import count_shape_evals, critical_dt_sweep_oracle
+from helpers import count_shape_evals, critical_dt_sweep_oracle, reference_coarse_step
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -260,10 +261,11 @@ def cut_bar(elements):
     of the global critical step. "lts_map" refines the cut-column DOFs at
     0.95 of the uncut step and choose_pt's ratio, 10, and tabulates its
     sub-steps; "lts" refines them at p_t = 3, at the coarse step whose
-    choose_pt ratio is 3, and sweeps them. The interface load lies on the
-    refined DOFs. On 100 elements, unless it is flushed, the wave front's
-    tail ahead of the pulse decays into the subnormal range within the first
-    300 CDM steps.
+    choose_pt ratio is 3, and sweeps them: the size rule would tabulate
+    them, so it is built with the map's cap at 0. The interface load lies
+    on the refined DOFs. On 100 elements, unless it is flushed, the wave
+    front's tail ahead of the pulse decays into the subnormal range within
+    the first 300 CDM steps.
     """
     cfg = BarBenchmarkConfig(cut_fraction=0.5, order=5, elements_x=elements, scheme="fitted")
     mesh, system = build_bar_system(cfg)
@@ -274,9 +276,11 @@ def cut_bar(elements):
     dt = CFL_SAFETY * table.dt_uncut_min
     dt3 = 3.0 * CFL_SAFETY * table.dt_cut_min
     assert choose_pt(dt3, table.dt_cut_min) == 3
+    with mock.patch.object(integrators, "_MAP_MAX_SIZE", 0):
+        swept = LtsSolver(system, LtsConfig(dt3, 3, selection))
     solvers = {
         "cdm": _cdm_solver(system, CFL_SAFETY * table.dt_c),
-        "lts": LtsSolver(system, LtsConfig(dt3, 3, selection)),
+        "lts": swept,
         "lts_map": LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection)),
     }
     assert solvers["lts"].sub_step_map is None and solvers["lts_map"].sub_step_map is not None
@@ -426,8 +430,8 @@ def count_k_matvecs(monkeypatch):
 
 
 def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
-    # the sweep multiplies a masked copy (1-P) u_n; the tabulated step
-    # multiplies u_n itself, with no (1-P) pass, as F corrects g on nbhd(sel)
+    # the sweep and the tabulated step both multiply u_n itself, with no
+    # (1-P) pass: the sub-steps in d, or F, correct g on nbhd(sel)
     _, solvers = cut_bar(20)
     calls = count_k_matvecs(monkeypatch)
     for solver in (solvers["lts"], solvers["lts_map"]):
@@ -435,8 +439,32 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
         calls.clear()
         solver._advance(state.u_curr, state.du, 0, 7)
         assert len(calls) == 7, solver.cfg.p_t
-        tabulated = solver.sub_step_map is not None
-        assert all((x is state.u_curr) == tabulated for x in calls), solver.cfg.p_t
+        assert all(x is state.u_curr for x in calls), solver.cfg.p_t
+
+
+def test_swept_sub_steps_touch_only_the_selected_dofs(monkeypatch):
+    # each sub-step applies K[sel, sel] to a vector of len(sel) + 1 entries,
+    # sel and the zero slot; the ring's one product a coarse step reads the
+    # same; neither goes through the full matvec
+    _, system, table = free_void_plate()
+    dt = CFL_SAFETY * table.dt_uncut_min
+    selection = np.zeros(system.dof_count, dtype=bool)
+    selection[system.cut_element_dofs] = True
+    solver = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
+    assert solver.sub_step_map is None and len(solver.ring) > 0
+    shapes = {"sel": [], "ring": []}
+
+    def recorded(name, apply):
+        return lambda x: shapes[name].append(x.shape) or apply(x)
+
+    for name, op in (("sel", solver.k_sel), ("ring", solver.k_ring)):
+        monkeypatch.setattr(op, "apply", recorded(name, op.apply))
+    calls = count_k_matvecs(monkeypatch)
+    u = np.random.default_rng(27).standard_normal(system.dof_count)
+    solver._advance(u, np.zeros(system.dof_count), 0, 4)
+    n = (int(selection.sum()) + 1,)
+    assert shapes == {"sel": [n] * (4 * solver.cfg.p_t), "ring": [n] * 4} and len(calls) == 4
+    assert solver._d.shape == solver._acc.shape == n
 
 
 def test_unmasked_matvec_off_the_neighbourhood_is_the_masked_one_bitwise():
@@ -627,6 +655,29 @@ def test_integrators_reject_a_step_that_is_not_positive_and_finite(integrator, d
             run_cdm(system, dt, 10)
         else:
             LtsConfig(dt, 1, np.zeros(system.dof_count, dtype=bool))
+
+
+@pytest.mark.parametrize("mismatch", ["dt", "size"])
+@pytest.mark.parametrize("integrator", ["cdm", "lts"])
+def test_step_rejects_a_state_it_cannot_continue(integrator, mismatch):
+    # unchecked, a state run at dt = 1e-4 and stepped at 2e-4 comes back as
+    # step 11 at dt 2e-4, its time jumped and its increment of the other
+    # dt; a state of another mesh ends in a bare IndexError
+    _, system = make_system(nx=5, p=3)
+    _, other = make_system(nx=4, p=3)
+    state = run_cdm(other if mismatch == "size" else system, 1e-4, 10)
+    dt = 2e-4 if mismatch == "dt" else 1e-4
+    if integrator == "cdm":
+        solver = _cdm_solver(system, dt)
+    else:
+        solver = LtsSolver(system, LtsConfig(dt, 2, np.ones(system.dof_count, dtype=bool)))
+    with pytest.raises(ConfigError, match="dt" if mismatch == "dt" else "DOF"):
+        solver.step(state)
+    if mismatch == "size":
+        with pytest.raises(ConfigError, match="DOF"):
+            run_cdm_continue(system, state, 1)
+    # a state of this system at this dt steps on
+    assert solver.step(run_cdm(system, dt, 10)).step == 11
 
 
 def test_lts_step_checks_its_state_at_every_step():
@@ -839,6 +890,11 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         assert zeroed[0] > 0
 
 
+def entries(op):
+    """The element-matrix entries one apply of the element batches op multiplies."""
+    return len(op.batch_dofs) * op.batch_k_e.size + op.stack_k_e.size
+
+
 def coarse_step_operator(solver):
     """Dense B with u_{n+1} - 2 u_n + u_{n-1} = -dt^2 B u_n: one unloaded `step` per column.
 
@@ -887,9 +943,9 @@ def test_coarse_step_operator_is_m_symmetric_on_void_plates():
         selection = np.zeros(system.dof_count, dtype=bool)
         selection[system.cut_element_dofs] = True
         lts = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
-        k, p_t = lts.k_local, lts.cfg.p_t
-        e = len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size
-        tabulated = k.size <= _MAP_MAX_SIZE and k.size * (2 * k.size + p_t) < p_t * e
+        k, p_t = len(lts.nbhd), lts.cfg.p_t
+        e = entries(lts.k_sel) + entries(lts.k_ring)
+        tabulated = k < _MAP_MAX_SIZE and k * (k + p_t) < p_t * e
         assert (lts.sub_step_map is not None) == tabulated
         paths.add(tabulated)
         sqrt_m = np.sqrt(system.lumped_mass)
@@ -908,33 +964,65 @@ def test_coarse_step_operator_is_m_symmetric_on_void_plates():
 @pytest.mark.parametrize("inputs", ["state", "load", "all"])
 def test_sub_step_map_equals_the_sweep(inputs):
     # F z, z = [g; pulse(t_n); s_1 ...] on nbhd(sel), against `_local_step`'s
-    # sweep from the same random u, g, fwd and bwd: F reads g unmasked and
-    # no u, the sweep reads g less the masked part c K[:, sel] u and starts
-    # from v_0 = 2 u. fwd and bwd are zero for "state" and the only nonzero
-    # inputs for "load", whose term is far smaller
+    # sweep on sel and closed form on the ring, from the same random g, fwd
+    # and bwd. fwd and bwd are zero for "state" and the only nonzero inputs
+    # for "load", whose term is far smaller
     system, solvers = cut_bar(100)
     solver = solvers["lts_map"]
     nb, p_t = solver.nbhd, solver.cfg.p_t
     rng = np.random.default_rng(24)
-    u, g = rng.standard_normal((2, system.dof_count))
+    g = rng.standard_normal(system.dof_count)
     fwd, bwd = rng.standard_normal((2, p_t))
     if inputs == "state":
         fwd[:] = bwd[:] = 0.0
     elif inputs == "load":
-        u[:] = g[:] = 0.0
+        g[:] = 0.0
     assert solver._fine_load[1].size > 0  # the interface load is on the refined DOFs
     swept = g.copy()
-    swept[nb] -= solver._c[nb] * solver.k_local.apply(np.append(u[nb], 0.0))[:-1]
-    solver._local_step(u, swept, fwd, bwd)
+    solver._local_step(swept, fwd, bwd)
     got = solver.sub_step_map @ np.concatenate([g[nb], fwd[:1], fwd[1:] + bwd[:0:-1]])
     assert np.abs(got - swept[nb]).max() <= 1e-13 * np.abs(swept[nb]).max()
 
 
+@pytest.mark.parametrize("load", ["loaded", "unloaded"])
+@pytest.mark.parametrize("path", ["swept", "tabulated"])
+def test_coarse_step_matches_the_reference_sweep_on_the_neighbourhood(path, load):
+    # the coarse step, swept on sel with the ring in closed form or folded
+    # into F, against the v-form sweep on all of nbhd(sel) from a masked
+    # matvec, from the same random u, du, fwd and bwd. "loaded" is the bar
+    # benchmark's 100-element bar at its dt and p_t = 10, its interface load
+    # on the refined DOFs, swept with the map's cap at 0; "unloaded" the
+    # free plates, two voids (swept) and one void at p_t = 12 (tabulated)
+    tabulated = path == "tabulated"
+    if load == "loaded":
+        system, solvers = cut_bar(100)
+        cfg = solvers["lts_map"].cfg
+    else:
+        _, system, table = free_void_plate("one" if tabulated else "two")
+        dt = CFL_SAFETY * table.dt_uncut_min
+        selection = np.zeros(system.dof_count, dtype=bool)
+        selection[system.cut_element_dofs] = True
+        p_t = choose_pt(dt, table.dt_cut_min)
+        cfg = LtsConfig(dt, max(p_t, 12) if tabulated else p_t, selection)
+    with mock.patch.object(integrators, "_MAP_MAX_SIZE", _MAP_MAX_SIZE if tabulated else 0):
+        solver = LtsSolver(system, cfg)
+    assert (solver.sub_step_map is not None) == tabulated
+    assert np.any(system.f_shape[cfg.selection]) == (load == "loaded")
+    rng = np.random.default_rng(28)
+    u, du = rng.standard_normal((2, system.dof_count))
+    u[system.dirichlet_dofs] = du[system.dirichlet_dofs] = 0.0
+    fwd, bwd = rng.standard_normal((2, cfg.p_t))
+    want_u, want_du = reference_coarse_step(solver, u, du, fwd, bwd)
+    solver._coarse_step(u, du, list(fwd), list(bwd))
+    for got, want in ((u, want_u), (du, want_du)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("case", ["bar_lts", "above_cap", "pt1"])
 def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
-    # with n = k_local.size and e the element-matrix entries one k_local
-    # apply multiplies, the map is tabulated when n (2n + p_t) < p_t e and
-    # n <= _MAP_MAX_SIZE: on the bar benchmark's 100-element bar at its dt
+    # with k = len(nbhd) and e the element-matrix entries of k_sel and
+    # k_ring, the map is tabulated when k (k + p_t) < p_t e and
+    # k < _MAP_MAX_SIZE: on the bar benchmark's 100-element bar at its dt
     # and p_t, not on the two-void plate above the cap (where the cost test
     # alone would pick it), and not at p_t = 1
     if case == "above_cap":
@@ -949,15 +1037,14 @@ def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
         if case == "pt1":
             cfg = LtsConfig(cfg.dt, 1, cfg.selection)
     solver = LtsSolver(system, cfg)
-    k, p_t = solver.k_local, cfg.p_t
-    n = k.size
-    cheaper = n * (2 * n + p_t) < p_t * (len(k.batch_dofs) * k.batch_k_e.size + k.stack_k_e.size)
+    k, p_t = len(solver.nbhd), cfg.p_t
+    cheaper = k * (k + p_t) < p_t * (entries(solver.k_sel) + entries(solver.k_ring))
     w = solver.sub_step_map
     if case == "bar_lts":
-        assert (n, p_t, cheaper) == (133, 10, True)
-        assert w.shape == (n - 1, n - 1 + p_t) and len(solver.nbhd) == n - 1
+        assert (k, p_t, cheaper) == (132, 10, True)
+        assert w.shape == (k, k + p_t)
     elif case == "above_cap":
-        assert n > _MAP_MAX_SIZE and cheaper and w is None
+        assert k >= _MAP_MAX_SIZE and cheaper and w is None
     else:
         assert not cheaper and w is None
 

@@ -13,7 +13,17 @@ K is never assembled on the run path. It is a set of element batches (the
 matrix-free element operator of Deville, Fischer & Mund, 2002): one GEMM
 over the stiffness that every full element shares and one stacked product
 over the cut elements, each with its own stiffness, both written into one
-values buffer and scattered back by one `np.bincount`.
+values buffer by one element-product routine. The leap-frog loop keeps its
+fields in that buffer's element-local layout, each DOF once per element
+entry of it, so `GlobalSystem.k_matvec` multiplies views of its input with
+no gather. The direct-stiffness sum (the gather-scatter Q Q^T of the same
+book) then adds only the shared DOFs' copies, grouped by copy count, in
+ascending element-local position as `np.bincount` would, and writes each
+sum back to every copy; the DOFs with one copy keep their product. A
+node's two DOFs sit side by side in every element entry, so the sums run
+a node at a time on a complex view of the values. The sub-step operators
+and the callers in DOF layout use `ElementBatches.apply`, which gathers
+its input and scatters the products by one `np.bincount`.
 `GlobalSystem.k_csr()` builds the sparse matrix from the same batches on
 its first call, for tests and checks.
 
@@ -24,6 +34,7 @@ shape functions are evaluated once at its rule, for both its stiffness and
 its lumped mass.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +215,11 @@ class ElementBatches:
     here, which the bincount reads: `apply` copies nothing but its gathers,
     and it is not reentrant. It returns a fresh float64 array, also on an
     empty operator.
+
+    An operator whose columns are its rows also applies in the
+    element-local layout of that buffer, `_index` order (the GEMM rows, then
+    the stack rows), where a vector holds each DOF at every element entry of
+    it: `to_local` and `from_local` convert, and `apply_local` multiplies.
     """
 
     def __init__(
@@ -238,14 +254,80 @@ class ElementBatches:
         self._batch_out = self._vals[:n_batch].reshape(self.batch_dofs.shape)
         self._stack_out = self._vals[n_batch:].reshape(self.stack_dofs.shape + (1,))
 
+    def _products(self, batch_x, stack_x):
+        """The element products K_e x_e, written into the values buffer, which is returned."""
+        np.matmul(batch_x, self._batch_k_t, out=self._batch_out)
+        np.matmul(self.stack_k_e, stack_x, out=self._stack_out)
+        return self._vals
+
     def apply(self, x):
         """K x."""
-        np.matmul(x[self.batch_cols], self._batch_k_t, out=self._batch_out)
-        np.matmul(self.stack_k_e, x[self.stack_cols][:, :, None], out=self._stack_out)
+        vals = self._products(x[self.batch_cols], x[self.stack_cols][:, :, None])
         # bincount of an empty index returns int64 whatever the weights are
-        return np.bincount(self._index, weights=self._vals, minlength=self.size).astype(
+        return np.bincount(self._index, weights=vals, minlength=self.size).astype(
             float, copy=False
         )
+
+    @functools.cached_property
+    def _copies(self):
+        """(first, dtype, groups): each DOF's first element-local position, and its copies by count.
+
+        When each pair of element entries holds the two DOFs of one node, as
+        the mesh's interleaved (ux, uy) numbering gives, a node's copies are
+        summed as complex numbers on a complex view of the values: each
+        complex add is the two adds of its DOFs, one index for both. dtype
+        is that view's, complex or float. groups holds one (c, n_c) table of
+        view positions per copy count c >= 2: column j holds the c positions
+        of one node or DOF, ascending, the order in which bincount adds
+        them. Built on first use, once per operator.
+        """
+        index = self._index
+        if not np.all(np.bincount(index, minlength=self.size)):
+            raise ConfigError("every DOF must belong to an element to apply K element-locally")
+        even = index[::2]
+        width = 2 if np.array_equal(index[1::2], even + 1) and not np.any(even % 2) else 1
+        unit = index[::width] // width
+        order = np.argsort(unit, kind="stable")
+        counts = np.bincount(unit)
+        start = np.cumsum(counts) - counts
+        groups = [
+            order[start[counts == c] + np.arange(c)[:, None]] for c in np.unique(counts) if c > 1
+        ]
+        first = (width * order[start, None] + np.arange(width)).ravel()[: self.size]
+        return first, np.dtype(complex if width == 2 else float), groups
+
+    @property
+    def first_copy(self):
+        """Each DOF's first position in the element-local layout."""
+        return self._copies[0]
+
+    def to_local(self, x):
+        """x in the element-local layout: a fresh array of each DOF's value at each copy."""
+        return x[self._index]
+
+    def from_local(self, x):
+        """A fresh array, in DOF layout, of each DOF's value at its first copy in x."""
+        return x.take(self.first_copy)
+
+    def apply_local(self, x):
+        """K x in the element-local layout, for x in it, whose copies of a DOF are equal.
+
+        The products read views of x; each shared DOF's copies are summed in
+        bincount's order and the sum is written to every copy. The result is
+        the values buffer, overwritten by the next product.
+        """
+        n_batch = self.batch_dofs.size
+        batch_x = x[:n_batch].reshape(self._batch_out.shape)
+        vals = self._products(batch_x, x[n_batch:].reshape(self._stack_out.shape))
+        _, dtype, groups = self._copies
+        summed = vals.view(dtype)
+        for pos in groups:
+            total = summed[pos[0]]
+            for other in pos[1:]:
+                total += summed[other]
+            for copy in pos:
+                summed[copy] = total
+        return vals
 
     def split(self, cols):
         """(ring, inner, outer): K[cols, cols] and K[ring, cols] as element batches.
@@ -376,9 +458,10 @@ class GlobalSystem:
     """Explicit-dynamics system with diagonal mass and K as element batches.
 
     `stiffness` is K (ElementBatches): the full elements share one
-    stiffness and the cut elements each have their own. k_matvec applies it;
-    k_csr() is built from it on first call. The load is f(t) = f_shape *
-    pulse(t), zero when the system is unloaded. K and f_shape include the
+    stiffness and the cut elements each have their own. k_matvec applies it
+    in the element-local layout of the leap-frog loop, `stiffness.apply` in
+    DOF layout; k_csr() is built from it on first call. The load is
+    f(t) = f_shape * pulse(t), zero when the system is unloaded. K and f_shape include the
     Dirichlet DOFs; `m_inv` and `m_inv_sqrt`, M^-1 and M^-1/2, are zero
     there, so an integrator that scales by them never moves those DOFs.
     The DOF count and the cut-element DOFs are read from K.
@@ -426,8 +509,8 @@ class GlobalSystem:
         return self.k_csr().data
 
     def k_matvec(self, x):
-        """K x, from the element batches."""
-        return self.stiffness.apply(x)
+        """K x in the element-local layout, from the element batches: `stiffness.apply_local`."""
+        return self.stiffness.apply_local(x)
 
     def k_csr(self):
         """The assembled scipy.sparse matrix, built once, on the first call."""

@@ -34,6 +34,16 @@ each cut element whose DOFs are all selected hosts the sel x sel blocks
 of the elements around it, so a sub-step multiplies little beyond the cut
 elements' own matrices.
 
+The loop keeps u, du and g in K's element-local layout
+(`ElementBatches.to_local`), each DOF at every element entry of it, in the
+order of K's element products. So `GlobalSystem.k_matvec` multiplies views
+of u with no gather and sums only the copies of the shared DOFs (see
+assembly). c and the coarse load sit on every copy, and every copy does
+its DOF's arithmetic, so the copies stay bitwise equal and the run is
+bitwise the one in DOF layout. The work on nbhd(sel) reads g at each DOF's
+first copy and writes its result to every copy. `initial_state`, `step`,
+`record` and `LtsState` are in DOF layout; `_advance` converts once a call.
+
 On the ring, nbhd(sel) less sel, the sub-step acceleration a_k is linear in
 d_k, and leap-frog in summed form gives d_{p_t} = p_t a_0 / 2 +
 sum_{k=1}^{p_t-1} (p_t - k) a_k. So the ring takes one closed-form product
@@ -46,13 +56,12 @@ On nbhd(sel) the coarse step is thus a fixed polynomial of degree p_t in
 K[sel, sel], linear in z = [g; pulse(t_n); s_1, ..., s_{p_t-1}] on
 nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h). On a small
 nbhd(sel) a sweep's cost is mostly numpy's per-call overhead on short
-vectors, which grows with p_t. So when k < _MAP_MAX_SIZE, k = len(nbhd),
-and k (k + p_t) < p_t e, e the element-matrix entries of the elements
-that hold a selected DOF, the solver folds the coarse step on nbhd(sel)
-into one dense map F, g[nbhd] <- F z, tabulated once by sweeping the
-inputs on sel with K[sel, sel] dense. Beyond CDM's step, a folded coarse
-step costs the p_t pulse samples and one k (k + p_t) product, with a
-gather and a scatter. F z evaluates the sweep's polynomial in another
+vectors, which grows with p_t, and the map's product is cheaper at every
+p_t. So when 0 < k < _MAP_MAX_SIZE, k = len(nbhd), the solver folds the
+coarse step on nbhd(sel) into one dense map F, g[nbhd] <- F z, tabulated
+once by sweeping the inputs on sel with K[sel, sel] dense. Beyond CDM's
+step, a folded coarse step costs the p_t pulse samples and one
+k (k + p_t) product, with a gather and a scatter. F z evaluates the sweep's polynomial in another
 order, so the two agree to round-off; the cap bounds F's memory and the
 dense products of its build.
 
@@ -301,19 +310,20 @@ class LtsSolver:
 
     The p_t sub-steps are linear in z = [g; pulse(t_n); s_1, ...,
     s_{p_t-1}] on nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h).
-    With e the element-matrix entries of k_sel and k_ring, the elements
-    that hold a selected DOF, the map of a coarse step multiplies
-    k (k + p_t) entries, k = len(nbhd). When that is fewer than p_t e and
-    k < _MAP_MAX_SIZE, the coarse step on nbhd(sel) is folded here into one
-    map F of k rows by k + p_t columns, g[nbhd] = F z: on sel -d_{p_t}, on
-    the ring g plus the closed form. F is tabulated by sweeping the
-    inputs that reach sel, the unit g rows of sel and the load
-    coefficients, as the rows of a stack with k_sel dense; a g row of the
-    ring reaches only itself. F z is the sweep's polynomial, so the two
+    When 0 < k < _MAP_MAX_SIZE, k = len(nbhd), the coarse step on nbhd(sel)
+    is folded here into one map F of k rows by k + p_t columns,
+    g[nbhd] = F z: on sel -d_{p_t}, on the ring g plus the closed form. F
+    is tabulated by sweeping the inputs that reach sel, the unit g rows of
+    sel and the load coefficients, as the rows of a stack with k_sel dense;
+    a g row of the ring reaches only itself. F z is the sweep's polynomial, so the two
     agree up to round-off. Each coarse step then costs CDM's step, the p_t
     pulse samples, a gather, one k (k + p_t) product and a scatter.
     `sub_step_map` is F, or None when the sub-steps are swept. `nbhd` is
     sel followed by the ring.
+
+    u, du and g are in K's element-local layout inside the loop (module
+    docstring): z reads g at the first copy of each nbhd DOF, and the
+    result on nbhd(sel) goes to every copy.
 
     `run` and `step` share one loop, `_advance`, and its in-place kernel,
     `_coarse_step`, with h^2 and dt^2 folded into the scalings made here.
@@ -335,7 +345,9 @@ class LtsSolver:
         self.nbhd = np.concatenate([self.sel, self.ring])
         n, k = len(self.sel), len(self.nbhd)
         m_inv = system.m_inv
-        self._c = dt * dt * m_inv
+        stiffness = system.stiffness
+        # c = dt^2 M^-1 and the coarse load at every copy of their DOFs
+        self._c = stiffness.to_local(dt * dt * m_inv)
         # on sel: h2w2 = -2/p_t^2 g; the sub-step output scaling h^2 M^-1,
         # zero on the slot, and the ring's
         self._w2_scale = -2.0 / p_t**2
@@ -348,20 +360,22 @@ class LtsSolver:
         # the load f_shape pulse(t): scaled by c, it is added to du on every
         # unselected DOF; its selected part, scaled by h^2 M^-1, to the
         # sub-steps. Each is kept on its nonzero entries
-        coarse = self._c * system.f_shape
+        coarse = dt * dt * m_inv * system.f_shape
         coarse[sel] = 0.0
-        self._coarse_load = _loaded_entries(coarse)
+        self._coarse_load = _loaded_entries(stiffness.to_local(coarse))
         self._fine_load = _loaded_entries(self._h2_m_inv[:-1] * system.f_shape[self.sel])
-        # the element-matrix entries of the elements that hold a selected DOF
-        ops = (self.k_sel, self.k_ring)
-        e = sum(len(op.batch_dofs) * op.batch_k_e.size + op.stack_k_e.size for op in ops)
-        self._map = None
-        if k < _MAP_MAX_SIZE and k * (k + p_t) < p_t * e:
-            self._map = self._tabulate()
-            # z = [g; pulse(t_n), s_1, ..., s_{p_t - 1}] on nbhd(sel)
-            self._z = np.empty(k + p_t)
-            self._z_g, self._z_s = self._z[:k], self._z[k:]
-            self._gathered = np.empty(k)
+        self._map = self._tabulate() if 0 < k < _MAP_MAX_SIZE else None
+        # z = [g; pulse(t_n), s_1, ..., s_{p_t - 1}] on nbhd(sel), g read at
+        # each DOF's first copy; the result on nbhd(sel) goes to every copy
+        self._z = np.empty(k + p_t)
+        self._z_g, self._z_s = self._z[:k], self._z[k:]
+        self._gathered = np.empty(k)
+        self._nbhd_first = stiffness.first_copy[self.nbhd]
+        row = np.full(system.dof_count, -1)
+        row[self.nbhd] = np.arange(k)
+        row = stiffness.to_local(row)
+        self._nbhd_copies = np.flatnonzero(row >= 0)
+        self._nbhd_rows = row[self._nbhd_copies]
 
     @property
     def m_inv_sqrt(self):
@@ -441,23 +455,27 @@ class LtsSolver:
     def _coarse_step(self, u, du, fwd, bwd):
         """Advance u = u_n and du = u_n - u_{n-1} to u_{n+1} and u_{n+1} - u_n, in place.
 
-        fwd are the load samples of this coarse step's sub-step grid and bwd
-        those of the previous one: the point t_n - m h is t_{n-1} + (p_t - m) h.
-        One full stiffness matvec gives g = c K u_n; on nbhd(sel)
-        `_local_step`, or F z under the folded map, replaces it by the
-        sub-steps' g. Then du <- du - g, plus c f(t_n) off sel, and
-        u <- u + du.
+        u and du are in K's element-local layout (`ElementBatches.to_local`),
+        every copy of a DOF doing that DOF's arithmetic. fwd are the load
+        samples of this coarse step's sub-step grid and bwd those of the
+        previous one: the point t_n - m h is t_{n-1} + (p_t - m) h. One full
+        stiffness matvec gives g = c K u_n; on nbhd(sel) `_local_step`, or
+        F z under the folded map, replaces it by the sub-steps' g, read at
+        each DOF's first copy and written to every copy. Then du <- du - g,
+        plus c f(t_n) off sel, and u <- u + du.
         """
         g = self.system.k_matvec(u)
         g *= self._c
-        if self._map is not None:
-            # nbhd is in range; mode="clip" lets take write to out unbuffered
-            g.take(self.nbhd, out=self._z_g, mode="clip")
-            self._z_s[0] = fwd[0]
-            np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
-            g[self.nbhd] = np.matmul(self._map, self._z, out=self._gathered)
-        elif len(self.sel):
-            self._local_step(g, fwd, bwd)
+        if len(self.sel):
+            # the positions are in range; mode="clip" lets take write to out unbuffered
+            g.take(self._nbhd_first, out=self._z_g, mode="clip")
+            if self._map is not None:
+                self._z_s[0] = fwd[0]
+                np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
+                local = np.matmul(self._map, self._z, out=self._gathered)
+            else:
+                local = self._local_step(self._z_g, fwd, bwd)
+            g[self._nbhd_copies] = local[self._nbhd_rows]
         # du_{n+1/2} = du_{n-1/2} - g + c f(t_n) off sel, d_{p_t} + du_{n-1/2}
         # on it; u_{n+1} = u_n + du_{n+1/2}
         du -= g
@@ -467,15 +485,15 @@ class LtsSolver:
         u += du
 
     def _local_step(self, g, fwd, bwd):
-        """The p_t sub-steps, swept on sel, and the ring in closed form.
+        """The p_t sub-steps, swept on sel, and the ring in closed form; returns g.
 
-        Serves the swept path: g is c K u_n; on sel it becomes -d_{p_t}, and
-        the ring gets h^2 M^-1 K[ring, sel] S added. Every temporary but the
-        sweep's results lives in a buffer made once.
+        Serves the swept path: g is c K u_n on nbhd(sel), in nbhd's order,
+        updated in place: on sel it becomes -d_{p_t}, and the ring gets
+        h^2 M^-1 K[ring, sel] S added. Every temporary but the sweep's
+        results lives in a buffer made once.
         """
-        sel, d, h2w2, acc, s = self.sel, self._d, self._h2w2, self._acc, self._s
-        # sel is in range; mode="clip" lets take write to out unbuffered
-        g.take(sel, out=h2w2[:-1], mode="clip")
+        n, d, h2w2, acc, s = len(self.sel), self._d, self._h2w2, self._acc, self._s
+        h2w2[:-1] = g[:n]
         h2w2 *= self._w2_scale
         d[:] = 0.0
         acc[:] = 0.0
@@ -483,10 +501,11 @@ class LtsSolver:
         np.add(fwd[1:], bwd[:0:-1], out=s[1:])
         loads = (c * self._fine_load[1] if c != 0.0 else None for c in s)
         self._sub_steps(d, h2w2, loads, acc, self.k_sel.apply)
-        g[sel] = np.negative(d[:-1], out=d[:-1])
+        np.negative(d[:-1], out=g[:n])
         ring = self.k_ring.apply(acc)[:-1]
         ring *= self._h2_m_inv_ring
-        g[self.ring] += ring
+        g[n:] += ring
+        return g
 
     def initial_state(self, u0=None, v0=None):
         """u_0 and du_0 = u_0 - u_{-1}, from u_1 + u_{-1} = q(u_0) and u_1 - u_{-1} = 2 dt v_0.
@@ -502,21 +521,23 @@ class LtsSolver:
         """
         n = self.system.dof_count
         dt = self.cfg.dt
-        # u is updated in place by the loop, so a given u0 is copied
+        stiffness = self.system.stiffness
+        # the state does not alias a given u0
         u = np.zeros(n) if u0 is None else np.array(_start_vector(self.system, "u0", u0))
         v = np.zeros(n) if v0 is None else _start_vector(self.system, "v0", v0)
         du = dt * v - 0.5 * dt * dt * (self.system.m_inv * self.system.force(0.0))
         if np.any(u):
-            d = np.zeros(n)
+            u_local = stiffness.to_local(u)
+            d = np.zeros_like(u_local)
             unloaded = np.zeros(self.cfg.p_t)
-            self._coarse_step(u.copy(), d, unloaded, unloaded)
-            du -= 0.5 * d
+            self._coarse_step(u_local, d, unloaded, unloaded)
+            du -= 0.5 * stiffness.from_local(d)
         return LtsState(u, du, 0, dt, self.system.lumped_mass)
 
     def step(self, state):
         """One coarse step of the second-order leap-frog LTS update.
 
-        `_advance` for one step on copies of the state, which is left as it
+        `_advance` for one step from the state, which is left as it
         is, so the new state is checked against the scale of `state` and
         flushed where `run` would flush it. A state of another dt or DOF
         count raises ConfigError before the step.
@@ -524,32 +545,35 @@ class LtsSolver:
         return self._advance(*self._resume(state), state.step, 1)
 
     def _resume(self, state):
-        """Copies of the state's u and du; ConfigError unless this solver can continue it."""
+        """The state's u and du; ConfigError unless this solver can continue it."""
         n = self.system.dof_count
         if state.dt != self.cfg.dt:
             raise ConfigError(f"the state was stepped at dt = {state.dt!r}, not at {self.cfg.dt!r}")
         if np.shape(state.u_curr) != (n,) or np.shape(state.du) != (n,):
             raise ConfigError(f"the state must hold one value per DOF, {n}")
-        return state.u_curr.copy(), state.du.copy()
+        return state.u_curr, state.du
 
     def displacement(self, state):
         return state.u_curr.copy()
 
     def run(self, n_steps, u0=None, v0=None, record=None):
-        """initial_state and n_steps coarse steps, on its two buffers updated in place."""
+        """initial_state and n_steps coarse steps."""
         state = self.initial_state(u0, v0)
         return self._advance(state.u_curr, state.du, 0, n_steps, record)
 
     def _advance(self, u, du, first, n_steps, record=None):
-        """The one leap-frog loop: coarse steps first, ..., first + n_steps - 1 on u and du.
+        """The one leap-frog loop: coarse steps first, ..., first + n_steps - 1 from u and du.
 
-        Both buffers are updated in place, and each step is checked by
-        `_check_divergence` against the scale of the start u.
-        record(n, t_n, u_n) is invoked after every step when given, with an
-        array of its own.
+        u and du, in DOF layout, are left as they are: the loop steps them
+        in K's element-local layout and returns the state in DOF layout.
+        Each step is checked by `_check_divergence` against the scale of the
+        start u. record(n, t_n, u_n) is invoked after every step when given,
+        with an array of its own.
         """
         dt = self.cfg.dt
+        stiffness = self.system.stiffness
         scale = max(float(np.max(np.abs(u))), 1.0)
+        u, du = stiffness.to_local(u), stiffness.to_local(du)
         end = first + n_steps
         bwd = self._pulse_samples(first - 1)
         for n in range(first, end):
@@ -558,7 +582,8 @@ class LtsSolver:
             bwd = fwd
             _check_divergence(n, end - 1, u, du, scale)
             if record is not None:
-                record(n + 1, (n + 1) * dt, u.copy())
+                record(n + 1, (n + 1) * dt, stiffness.from_local(u))
+        u, du = stiffness.from_local(u), stiffness.from_local(du)
         return LtsState(u, du, end, dt, self.system.lumped_mass)
 
 

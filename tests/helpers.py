@@ -6,7 +6,11 @@ enumeration and `kkt_report` certifies a solution by its KKT residuals.
 at a time, and `count_shape_evals` counts shape-function evaluations.
 `a_local` applies an LTS solver's two operators, M^-1 K[nbhd, sel], and
 `reference_coarse_step` is the LTS coarse step swept on all of nbhd(sel),
-the oracle for the solver's own.
+the oracle for the solver's own. `coarse_step` runs the solver's own
+coarse step, element-local, on a state in DOF layout, and
+`dof_layout_coarse_step` and `dof_layout_run` step that state in DOF layout
+with a bincount matvec, as the loop did before it kept K's element-local
+layout: the loop's bitwise oracle.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from scipy.linalg import null_space
 from cutsem.assembly import Material, element_lumped_mass, element_stiffness
 from cutsem.geometry import _gauss_square, build_cut_quadrature, half_plane
 from cutsem.gll import TensorBasis2d, gll_rule
-from cutsem.integrators import element_max_eigenvalue
+from cutsem.integrators import _check_divergence, element_max_eigenvalue
 from cutsem.momentfit import (
     MomentFitConfig,
     build_moment_system,
@@ -182,3 +186,76 @@ def reference_coarse_step(solver, u, du, fwd, bwd):
     coarse_load[nb] = 0.0
     du = du - g + coarse_load
     return u + du, du
+
+
+def coarse_step(solver, u, du, fwd, bwd):
+    """(u_{n+1}, du_{n+1}) of the solver's coarse step from u and du in DOF layout.
+
+    The step runs on copies in K's element-local layout; each DOF is read
+    back from its first copy.
+    """
+    stiffness = solver.system.stiffness
+    u, du = stiffness.to_local(u), stiffness.to_local(du)
+    solver._coarse_step(u, du, fwd, bwd)
+    return stiffness.from_local(u), stiffness.from_local(du)
+
+
+def dof_layout_coarse_step(solver, u, du, fwd, bwd):
+    """The coarse step on u and du in DOF layout, in place, with g = c K u_n by bincount.
+
+    g = c K u_n, c = dt^2 M^-1, from `ElementBatches.apply` (a gather, the
+    element products and one bincount over every element entry); then the
+    solver's map F z on nbhd(sel), or its sweep on sel with the ring in
+    closed form; then du <- du - g, plus c f(t_n) off sel, and u <- u + du.
+    """
+    system, sel, ring, nbhd = solver.system, solver.sel, solver.ring, solver.nbhd
+    dt, p_t = solver.cfg.dt, solver.cfg.p_t
+    c = dt * dt * system.m_inv
+    g = system.stiffness.apply(u)
+    g *= c
+    if solver.sub_step_map is not None:
+        z = np.concatenate([g[nbhd], fwd[:1], np.add(fwd[1:], bwd[:0:-1])])
+        g[nbhd] = solver.sub_step_map @ z
+    elif len(sel):
+        d, acc, h2w2 = np.zeros((3, len(sel) + 1))
+        h2w2[:-1] = g[sel]
+        h2w2 *= -2.0 / p_t**2
+        s = np.concatenate([[2.0 * fwd[0]], np.add(fwd[1:], bwd[:0:-1])])
+        loads = (s_m * solver._fine_load[1] if s_m != 0.0 else None for s_m in s)
+        solver._sub_steps(d, h2w2, loads, acc, solver.k_sel.apply)
+        g[sel] = -d[:-1]
+        g[ring] += solver.k_ring.apply(acc)[:-1] * ((dt / p_t) ** 2 * system.m_inv[ring])
+    du -= g
+    if fwd[0] != 0.0:
+        coarse = c * system.f_shape
+        coarse[sel] = 0.0
+        idx = np.flatnonzero(coarse)
+        du[idx] += fwd[0] * coarse[idx]
+    u += du
+
+
+def dof_layout_run(solver, n_steps, u0=None, v0=None):
+    """(u, du) after initial_state and n_steps `dof_layout_coarse_step`s, checked and flushed.
+
+    The start is `LtsSolver.initial_state`'s, its one unloaded coarse step
+    from a nonzero u0 taken in DOF layout too; after each step the loop's
+    `_check_divergence` checks and flushes u and du.
+    """
+    system, dt = solver.system, solver.cfg.dt
+    n = system.dof_count
+    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    du = dt * v - 0.5 * dt * dt * (system.m_inv * system.force(0.0))
+    if np.any(u):
+        d = np.zeros(n)
+        unloaded = np.zeros(solver.cfg.p_t)
+        dof_layout_coarse_step(solver, u.copy(), d, unloaded, unloaded)
+        du -= 0.5 * d
+    scale = max(float(np.max(np.abs(u))), 1.0)
+    bwd = solver._pulse_samples(-1)
+    for step in range(n_steps):
+        fwd = solver._pulse_samples(step)
+        dof_layout_coarse_step(solver, u, du, fwd, bwd)
+        bwd = fwd
+        _check_divergence(step, n_steps - 1, u, du, scale)
+    return u, du

@@ -192,7 +192,7 @@ def assert_matvec_matches_csr(system, seed=4):
     # rounding, relative to the largest entry of K x
     x = np.random.default_rng(seed).standard_normal(system.dof_count)
     expect = system.k_csr() @ x
-    assert np.abs(system.k_matvec(x) - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert np.abs(system.stiffness.apply(x) - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def batched_elements(mesh, system):

@@ -46,7 +46,13 @@ from cutsem.integrators import (
 )
 from cutsem.momentfit import MomentFitConfig
 
-from helpers import count_shape_evals, critical_dt_sweep_oracle, reference_coarse_step
+from helpers import (
+    coarse_step,
+    count_shape_evals,
+    critical_dt_sweep_oracle,
+    dof_layout_run,
+    reference_coarse_step,
+)
 
 MAT = Material(youngs_modulus=1.0, poisson_ratio=0.0, density=1.0)
 
@@ -172,6 +178,18 @@ def test_cdm_zero_load_stays_zero():
     _, system = make_system()
     hist = run_cdm(system, 1e-4, 50)
     assert np.max(np.abs(hist.u_curr)) == 0.0
+
+
+def test_a_dof_in_no_element_cannot_be_stepped():
+    # the loop keeps each DOF at its element entries: a DOF with none has
+    # no place in that layout, and is rejected before any step
+    system = GlobalSystem(
+        stiffness=ElementBatches(2, stack_dofs=[[0]], stack_k_e=[[[1.0]]]),
+        lumped_mass=np.ones(2),
+        dirichlet_dofs=np.array([], dtype=np.int64),
+    )
+    with pytest.raises(ConfigError, match="every DOF must belong to an element"):
+        run_cdm(system, 0.1, 1)
 
 
 def test_cdm_harmonic_oscillator_period_error():
@@ -417,7 +435,7 @@ def test_lts_local_step_matches_full_mask_recurrence():
 
 
 def count_k_matvecs(monkeypatch):
-    """A list that gets the argument of each GlobalSystem.k_matvec call."""
+    """The arguments of the GlobalSystem.k_matvec calls: the loop's element-local u."""
     calls = []
     original = GlobalSystem.k_matvec
 
@@ -431,15 +449,17 @@ def count_k_matvecs(monkeypatch):
 
 def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
     # the sweep and the tabulated step both multiply u_n itself, with no
-    # (1-P) pass: the sub-steps in d, or F, correct g on nbhd(sel)
-    _, solvers = cut_bar(20)
+    # (1-P) pass: the sub-steps in d, or F, correct g on nbhd(sel). The loop
+    # keeps u in K's element-local layout, one buffer for the whole run
+    system, solvers = cut_bar(20)
     calls = count_k_matvecs(monkeypatch)
+    entries = system.stiffness.batch_dofs.size + system.stiffness.stack_dofs.size
     for solver in (solvers["lts"], solvers["lts_map"]):
         state = solver.initial_state()
         calls.clear()
         solver._advance(state.u_curr, state.du, 0, 7)
         assert len(calls) == 7, solver.cfg.p_t
-        assert all(x is state.u_curr for x in calls), solver.cfg.p_t
+        assert all(x is calls[0] for x in calls) and calls[0].shape == (entries,), solver.cfg.p_t
 
 
 def test_swept_sub_steps_touch_only_the_selected_dofs(monkeypatch):
@@ -475,8 +495,9 @@ def test_unmasked_matvec_off_the_neighbourhood_is_the_masked_one_bitwise():
     sel = solver.cfg.selection
     u = np.random.default_rng(25).standard_normal(system.dof_count)
     u[system.dirichlet_dofs] = 0.0
-    unmasked = solver._c * system.k_matvec(u)
-    masked = solver._c * system.k_matvec(np.where(sel, 0.0, u))
+    c = solver.cfg.dt * solver.cfg.dt * system.m_inv
+    unmasked = c * system.stiffness.apply(u)
+    masked = c * system.stiffness.apply(np.where(sel, 0.0, u))
     off = np.setdiff1d(np.arange(system.dof_count), solver.nbhd)
     assert unmasked[off].tobytes() == masked[off].tobytes()
     assert np.any(unmasked[solver.nbhd] != masked[solver.nbhd])
@@ -778,9 +799,7 @@ def test_flush_zeroes_only_entries_below_the_floor(integrator):
     solver = solvers[integrator]
 
     def unflushed_step(u, du, n):
-        u, du = u.copy(), du.copy()
-        solver._coarse_step(u, du, solver._pulse_samples(n), solver._pulse_samples(n - 1))
-        return u, du
+        return coarse_step(solver, u, du, solver._pulse_samples(n), solver._pulse_samples(n - 1))
 
     state = solver.initial_state()
     free = state.u_curr, state.du
@@ -890,11 +909,6 @@ def test_leapfrog_invariant_is_exact(monkeypatch, integrator, start):
         assert zeroed[0] > 0
 
 
-def entries(op):
-    """The element-matrix entries one apply of the element batches op multiplies."""
-    return len(op.batch_dofs) * op.batch_k_e.size + op.stack_k_e.size
-
-
 def coarse_step_operator(solver):
     """Dense B with u_{n+1} - 2 u_n + u_{n-1} = -dt^2 B u_n: one unloaded `step` per column.
 
@@ -943,9 +957,7 @@ def test_coarse_step_operator_is_m_symmetric_on_void_plates():
         selection = np.zeros(system.dof_count, dtype=bool)
         selection[system.cut_element_dofs] = True
         lts = LtsSolver(system, LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection))
-        k, p_t = len(lts.nbhd), lts.cfg.p_t
-        e = entries(lts.k_sel) + entries(lts.k_ring)
-        tabulated = k < _MAP_MAX_SIZE and k * (k + p_t) < p_t * e
+        tabulated = len(lts.nbhd) < _MAP_MAX_SIZE
         assert (lts.sub_step_map is not None) == tabulated
         paths.add(tabulated)
         sqrt_m = np.sqrt(system.lumped_mass)
@@ -978,10 +990,9 @@ def test_sub_step_map_equals_the_sweep(inputs):
     elif inputs == "load":
         g[:] = 0.0
     assert solver._fine_load[1].size > 0  # the interface load is on the refined DOFs
-    swept = g.copy()
-    solver._local_step(swept, fwd, bwd)
+    swept = solver._local_step(g[nb], fwd, bwd)
     got = solver.sub_step_map @ np.concatenate([g[nb], fwd[:1], fwd[1:] + bwd[:0:-1]])
-    assert np.abs(got - swept[nb]).max() <= 1e-13 * np.abs(swept[nb]).max()
+    assert np.abs(got - swept).max() <= 1e-13 * np.abs(swept).max()
 
 
 @pytest.mark.parametrize("load", ["loaded", "unloaded"])
@@ -1013,18 +1024,136 @@ def test_coarse_step_matches_the_reference_sweep_on_the_neighbourhood(path, load
     u[system.dirichlet_dofs] = du[system.dirichlet_dofs] = 0.0
     fwd, bwd = rng.standard_normal((2, cfg.p_t))
     want_u, want_du = reference_coarse_step(solver, u, du, fwd, bwd)
-    solver._coarse_step(u, du, list(fwd), list(bwd))
-    for got, want in ((u, want_u), (du, want_du)):
+    for got, want in zip(coarse_step(solver, u, du, list(fwd), list(bwd)), (want_u, want_du)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["bar_lts", "above_cap", "pt1"])
+def test_element_local_loop_is_the_dof_layout_loop_bitwise(monkeypatch):
+    # The loop steps u and du in K's element-local layout, every copy of a
+    # DOF doing that DOF's arithmetic, with a copy sum in place of bincount.
+    # Against the same loop in DOF layout (helpers.dof_layout_run), on loaded
+    # bars clamped at x = 0 (DOFs with 1 or 2 copies) and free void plates
+    # (1 to 4), under CDM, swept and tabulated LTS, from a displaced or a
+    # velocity start: `run` then `step`, 60 to 70 steps, past two flushes,
+    # give u and du bitwise; every DOF's copies are bitwise equal after
+    # every step; K's copy sum is bitwise bincount's. An unshared entry keeps
+    # the product's signed zero where bincount's 0.0 + v gives +0.0, so the
+    # byte comparisons also guard the signs of zeros. With the mesh's
+    # numbering a node's copies are summed on a complex view; with each
+    # element's entries reversed, (uy, ux), a DOF's are summed alone
+    seen = {"copies": set(), "integrators": set(), "starts": set(), "views": set()}
+    states = []
+
+    def recorded(n, last, u, du, scale):
+        states.append((u.copy(), du.copy()))
+        return check_divergence(n, last, u, du, scale)
+
+    check_divergence = integrators._check_divergence
+    monkeypatch.setattr(integrators, "_check_divergence", recorded)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        body=st.sampled_from(["bar", "plate"]),
+        p=st.integers(2, 4),
+        size=st.integers(4, 6),
+        fraction=st.floats(0.1, 0.9),
+        integrator=st.sampled_from(["cdm", "swept", "tabulated"]),
+        start=st.sampled_from(["displaced", "velocity"]),
+        n_steps=st.integers(61, 70),
+        reversed_entries=st.booleans(),
+    )
+    # a whole void element at the centre: its corner nodes have 3 copies
+    @example(
+        body="plate", p=2, size=5, fraction=0.8, integrator="tabulated", start="displaced",
+        n_steps=61, reversed_entries=True,
+    )
+    @example(
+        body="bar", p=3, size=4, fraction=0.3, integrator="swept", start="velocity", n_steps=61,
+        reversed_entries=False,
+    )
+    def check(body, p, size, fraction, integrator, start, n_steps, reversed_entries):
+        if body == "bar":
+            cfg = BarBenchmarkConfig(cut_fraction=fraction, order=p, elements_x=size)
+            mesh, system = build_bar_system(cfg)
+            mat = cfg.material
+        else:
+            mesh = CartesianMesh(
+                lx=1.0, ly=1.0, nx=size, ny=size, p=p,
+                level_set=union_of_voids([circle(0.5, 0.5, fraction / size)]),
+            )
+            mat = Material(youngs_modulus=1.0, poisson_ratio=0.3, density=1.0)
+            system = assemble_global(mesh, mat)
+        table = critical_timestep_table(mesh, mat)
+        if reversed_entries:
+            k = system.stiffness
+            batches = ElementBatches(
+                k.size,
+                k.batch_dofs[:, ::-1],
+                k.batch_k_e[::-1, ::-1],
+                k.stack_dofs[:, ::-1],
+                k.stack_k_e[:, ::-1, ::-1],
+            )
+            system = GlobalSystem(
+                batches, system.lumped_mass, system.dirichlet_dofs, system.f_shape, system.pulse
+            )
+        stiffness = system.stiffness
+        seen["views"].add(stiffness._copies[1].name)
+
+        def copies_equal(v):
+            return v.tobytes() == stiffness.to_local(stiffness.from_local(v)).tobytes()
+
+        rng = np.random.default_rng(n_steps)
+        x = rng.standard_normal(system.dof_count)
+        kx = stiffness.apply_local(stiffness.to_local(x))
+        assert copies_equal(kx)
+        assert stiffness.from_local(kx).tobytes() == stiffness.apply(x).tobytes()
+        if integrator == "cdm":
+            dt = CFL_SAFETY * table.dt_c
+            solver = _cdm_solver(system, dt)
+        else:
+            dt = CFL_SAFETY * table.dt_uncut_min
+            selection = np.zeros(system.dof_count, dtype=bool)
+            selection[system.cut_element_dofs] = True
+            selection[system.dirichlet_dofs] = False
+            cap = 10**6 if integrator == "tabulated" else 0
+            cfg = LtsConfig(dt, choose_pt(dt, table.dt_cut_min), selection)
+            with mock.patch.object(integrators, "_MAP_MAX_SIZE", cap):
+                solver = LtsSolver(system, cfg)
+            assert (solver.sub_step_map is not None) == (integrator == "tabulated")
+        v = 1e-3 * rng.standard_normal(system.dof_count)
+        v[system.dirichlet_dofs] = 0.0
+        start_state = {"u0" if start == "displaced" else "v0": v}
+        want_u, want_du = dof_layout_run(solver, n_steps, **start_state)
+        states.clear()
+        if integrator == "cdm":
+            state = run_cdm_continue(system, run_cdm(system, dt, n_steps - 1, **start_state), 1)
+        else:
+            state = solver.step(solver.run(n_steps - 1, **start_state))
+        assert state.step == n_steps and np.max(np.abs(want_u)) > 0.0
+        assert state.u_curr.tobytes() == want_u.tobytes()
+        assert state.du.tobytes() == want_du.tobytes()
+        assert len(states) == n_steps and all(copies_equal(v) for pair in states for v in pair)
+        copies = np.bincount(stiffness.to_local(np.arange(system.dof_count)))
+        seen["copies"].update(np.unique(copies).tolist())
+        seen["integrators"].add(integrator)
+        seen["starts"].add(start)
+
+    check()
+    assert seen == {
+        "copies": {1, 2, 3, 4},
+        "integrators": {"cdm", "swept", "tabulated"},
+        "starts": {"displaced", "velocity"},
+        "views": {"complex128", "float64"},
+    }
+
+
+@pytest.mark.parametrize("case", ["bar_lts", "above_cap", "pt1", "empty"])
 def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
-    # with k = len(nbhd) and e the element-matrix entries of k_sel and
-    # k_ring, the map is tabulated when k (k + p_t) < p_t e and
-    # k < _MAP_MAX_SIZE: on the bar benchmark's 100-element bar at its dt
-    # and p_t, not on the two-void plate above the cap (where the cost test
-    # alone would pick it), and not at p_t = 1
+    # in process the map's product beats the sweep at every p_t on the
+    # neighbourhoods below the cap (CHANGES.md), so it is tabulated when
+    # 0 < k < _MAP_MAX_SIZE, k = len(nbhd): on the bar benchmark's
+    # 100-element bar at its dt and p_t, and at p_t = 1; not on the two-void
+    # plate above the cap, nor with nothing selected
     if case == "above_cap":
         _, system, table = free_void_plate()
         dt = CFL_SAFETY * table.dt_uncut_min
@@ -1036,17 +1165,16 @@ def test_sub_steps_are_tabulated_when_the_map_is_cheaper_and_small(case):
         cfg = solvers["lts_map"].cfg
         if case == "pt1":
             cfg = LtsConfig(cfg.dt, 1, cfg.selection)
+        elif case == "empty":
+            cfg = LtsConfig(cfg.dt, 1, np.zeros_like(cfg.selection))
     solver = LtsSolver(system, cfg)
     k, p_t = len(solver.nbhd), cfg.p_t
-    cheaper = k * (k + p_t) < p_t * (entries(solver.k_sel) + entries(solver.k_ring))
     w = solver.sub_step_map
-    if case == "bar_lts":
-        assert (k, p_t, cheaper) == (132, 10, True)
+    if case in ("bar_lts", "pt1"):
+        assert (k, p_t) == (132, 10 if case == "bar_lts" else 1)
         assert w.shape == (k, k + p_t)
-    elif case == "above_cap":
-        assert k >= _MAP_MAX_SIZE and cheaper and w is None
     else:
-        assert not cheaper and w is None
+        assert (k >= _MAP_MAX_SIZE if case == "above_cap" else k == 0) and w is None
 
 
 def test_sub_step_map_is_read_only():

@@ -44,6 +44,12 @@ from .errors import ConfigError, SingularMass, VoidElement
 from .gll import tensor_basis
 from .momentfit import LumpedElementMass, MomentFitConfig, lump_element
 
+# the most grid nodes, (nx p + 1)(ny p + 1), a mesh may have. Its build
+# takes about 1.3 KB per node at p = 1, where each node has an element of
+# its own, and 0.12 KB at p = 4, so this bounds it near 1.3 GB; the largest
+# study, the perfbench plate at p = 4, has 9,409 nodes
+MAX_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class Material:
@@ -89,6 +95,9 @@ class CartesianMesh:
             raise ConfigError(f"mesh lengths must be positive, got lx = {lx}, ly = {ly}")
         if depth < 0:
             raise ConfigError(f"quadrature depth must be >= 0, got {depth}")
+        nodes = (int(nx) * int(p) + 1) * (int(ny) * int(p) + 1)
+        if nodes > MAX_NODES:
+            raise ConfigError(f"nx = {nx}, ny = {ny} and p = {p} give more than {MAX_NODES} nodes")
         self.lx, self.ly = float(lx), float(ly)
         self.nx, self.ny = int(nx), int(ny)
         self.p = int(p)
@@ -204,49 +213,33 @@ class ElementBatches:
     `batch_dofs` (n_b, 2n) are elements that all share the stiffness
     `batch_k_e` (2n, 2n), applied as one GEMM. `stack_dofs` (n_s, 2n) are
     elements with a stiffness each, `stack_k_e` (n_s, 2n, 2n), applied as one
-    stacked product. The DOF tables give the rows each element adds to;
-    `batch_cols` and `stack_cols`, the same tables unless given, the entries
-    of x it reads, and `width`, size unless given, the length of x. The
-    arrays are read-only. The GEMM multiplies by a
-    C-contiguous copy of `batch_k_e.T`, made once here, so BLAS takes its
-    no-transpose path.
+    stacked product. The DOF tables give both the entries of x each element
+    reads and the rows it adds to, so the operator is square, of `size`.
+    The arrays are read-only. The GEMM multiplies by a C-contiguous copy of
+    `batch_k_e.T`, made once here, so BLAS takes its no-transpose path.
 
     Both products write into two slices of one values buffer, made once
     here, which the bincount reads: `apply` copies nothing but its gathers,
     and it is not reentrant. It returns a fresh float64 array, also on an
     empty operator.
 
-    An operator whose columns are its rows also applies in the
-    element-local layout of that buffer, `_index` order (the GEMM rows, then
-    the stack rows), where a vector holds each DOF at every element entry of
-    it: `to_local` and `from_local` convert, and `apply_local` multiplies.
+    The operator also applies in the element-local layout of that buffer,
+    `_index` order (the GEMM rows, then the stack rows), where a vector
+    holds each DOF at every element entry of it: `to_local` and
+    `from_local` convert, and `apply_local` multiplies.
     """
 
-    def __init__(
-        self,
-        size,
-        batch_dofs=None,
-        batch_k_e=None,
-        stack_dofs=None,
-        stack_k_e=None,
-        *,
-        batch_cols=None,
-        stack_cols=None,
-        width=None,
-    ):
+    def __init__(self, size, batch_dofs=None, batch_k_e=None, stack_dofs=None, stack_k_e=None):
         def frozen(a, ndim, dtype):
             a = np.empty((0,) * ndim, dtype) if a is None else np.asarray(a, dtype)
             a.flags.writeable = False
             return a
 
         self.size = int(size)
-        self.width = self.size if width is None else int(width)
         self.batch_dofs = frozen(batch_dofs, 2, np.int64)
         self.batch_k_e = frozen(batch_k_e, 2, float)
         self.stack_dofs = frozen(stack_dofs, 2, np.int64)
         self.stack_k_e = frozen(stack_k_e, 3, float)
-        self.batch_cols = self.batch_dofs if batch_cols is None else frozen(batch_cols, 2, np.int64)
-        self.stack_cols = self.stack_dofs if stack_cols is None else frozen(stack_cols, 2, np.int64)
         self._batch_k_t = np.ascontiguousarray(self.batch_k_e.T)
         self._index = np.concatenate([self.batch_dofs.ravel(), self.stack_dofs.ravel()])
         self._vals = np.empty(len(self._index))
@@ -262,7 +255,7 @@ class ElementBatches:
 
     def apply(self, x):
         """K x."""
-        vals = self._products(x[self.batch_cols], x[self.stack_cols][:, :, None])
+        vals = self._products(x[self.batch_dofs], x[self.stack_dofs][:, :, None])
         # bincount of an empty index returns int64 whatever the weights are
         return np.bincount(self._index, weights=vals, minlength=self.size).astype(
             float, copy=False
@@ -330,23 +323,23 @@ class ElementBatches:
         return vals
 
     def split(self, cols):
-        """(ring, inner, outer): K[cols, cols] and K[ring, cols] as element batches.
+        """(ring, inner, outer): K[cols, cols] and K[ring, cols] as square element batches.
 
         cols is a boolean mask, and ring the DOFs outside it of the elements
-        that hold a DOF of it. Both operators read x in the numbering of
-        cols followed by one zero slot, width n + 1 for n DOFs in cols:
-        every column outside cols is gathered from the slot, so x must be
-        zero there. inner, of size n + 1, applies K[cols, cols] in that
-        numbering and outer, of size len(ring) + 1, K[ring, cols] in ring's.
-        Rows outside those add to the last entry of the result, which is to
-        be discarded. The DOF tables serve as gather tables, as they do in
-        the assembled K.
+        that hold a DOF of it. inner, of size n + 1 for n DOFs in cols, is
+        K[cols, cols] in the numbering of cols followed by one slot. outer,
+        of size k + 1, is in the numbering of nbhd = cols then ring, k DOFs,
+        followed by one slot; it holds the elements with DOFs both in and
+        outside cols, which are all that couple a ring DOF with one of cols,
+        so its (ring, cols) block is K[ring, cols], and on an x that is zero
+        over the ring its ring rows are K[ring, cols] x. In both the slot
+        stands for every other DOF: x must be zero there, and the slot's
+        row of the result is to be discarded.
 
         A host is a stacked element with every DOF in cols. inner adds each
         other element's cols x cols block into a copy of the first host
         that holds all of its DOFs in cols, and keeps an element with no
-        such host as it is, in the GEMM batch or the stack. outer holds the
-        elements with DOFs both in and outside cols.
+        such host as it is, in the GEMM batch or the stack.
         """
         n = int(np.count_nonzero(cols))
         gather = np.where(cols, np.cumsum(cols) - 1, n)
@@ -369,48 +362,32 @@ class ElementBatches:
         ring = np.zeros(self.size, dtype=bool)
         ring[b_out] = ring[s_out] = True
         ring = np.flatnonzero(ring & ~cols)
-        rows = np.full(self.size, len(ring))
-        rows[ring] = np.arange(len(ring))
+        k = n + len(ring)
+        nbhd = np.where(cols, gather, k)
+        nbhd[ring] = np.arange(n, k)
         inner = ElementBatches(n + 1, gather[b_in], b_k, gather[s_dofs[stack]], folded)
-        outer = ElementBatches(
-            len(ring) + 1,
-            rows[b_out],
-            b_k,
-            rows[s_out],
-            s_k[s_part],
-            batch_cols=gather[b_out],
-            stack_cols=gather[s_out],
-            width=n + 1,
-        )
+        outer = ElementBatches(k + 1, nbhd[b_out], b_k, nbhd[s_out], s_k[s_part])
         return ring, inner, outer
 
     def to_dense(self):
-        """The dense (size, width) matrix of the map `apply` applies, summed in batch order."""
-        k = np.zeros((self.size, self.width))
-        for dofs, cols, k_e in (
-            (self.batch_dofs, self.batch_cols, self.batch_k_e),
-            (self.stack_dofs, self.stack_cols, self.stack_k_e),
-        ):
-            np.add.at(k, (dofs[:, :, None], cols[:, None, :]), k_e)
+        """The dense matrix of the map `apply` applies, summed in batch order."""
+        k = np.zeros((self.size, self.size))
+        for dofs, k_e in ((self.batch_dofs, self.batch_k_e), (self.stack_dofs, self.stack_k_e)):
+            np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), k_e)
         return k
 
     def to_csr(self):
-        """The assembled sparse matrix, summed in batch order: rows from the
-        DOF tables, columns from the gather tables, so it is the map that
-        `apply` applies."""
+        """The assembled sparse matrix, summed in batch order, so it is the map `apply` applies."""
         import scipy.sparse as sp
 
         shared = np.broadcast_to(self.batch_k_e, (len(self.batch_dofs),) + self.batch_k_e.shape)
-        parts = [
-            (self.batch_dofs, self.batch_cols, shared),
-            (self.stack_dofs, self.stack_cols, self.stack_k_e),
-        ]
+        parts = [(self.batch_dofs, shared), (self.stack_dofs, self.stack_k_e)]
         # element by element, rows run i-major and columns j-minor over k_e[i, j]
-        rows = [np.repeat(r, r.shape[1], axis=1).ravel() for r, _, _ in parts]
-        cols = [np.tile(c, c.shape[1]).ravel() for _, c, _ in parts]
-        vals = [k.ravel() for _, _, k in parts]
+        rows = [np.repeat(d, d.shape[1], axis=1).ravel() for d, _ in parts]
+        cols = [np.tile(d, d.shape[1]).ravel() for d, _ in parts]
+        vals = [k.ravel() for _, k in parts]
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.width)).tocsr()
+        k = sp.coo_matrix((vals, (rows, cols)), shape=(self.size, self.size)).tocsr()
         k.sum_duplicates()
         return k
 

@@ -50,6 +50,8 @@ def _bar_cfg_from_args(args):
     if args.h is not None:
         if not (math.isfinite(args.h) and args.h > 0):
             raise ConfigError(f"h must be positive and finite, got {args.h!r}")
+        if not math.isfinite(BarBenchmarkConfig.lx / args.h):
+            raise ConfigError(f"h = {args.h!r} is too small: the element count overflows")
         n = max(2, int(round(BarBenchmarkConfig.lx / args.h + 1.0 - args.cut_fraction)))
         kwargs["elements_x"] = n
     if args.elements is not None:

@@ -49,21 +49,24 @@ d_k, and leap-frog in summed form gives d_{p_t} = p_t a_0 / 2 +
 sum_{k=1}^{p_t-1} (p_t - k) a_k. So the ring takes one closed-form product
 a coarse step: g[ring] = dt^2 M^-1 K u~ there, with u~ = u_n off sel and
 u_n + S / p_t^2 on it, S = sum_{k=1}^{p_t-1} (p_t - k) d_k accumulated by
-the sweep; that is, g[ring] += h^2 M^-1 K[ring, sel] S. The load on the
-ring is the coarse one.
+the sweep; that is, g[ring] += h^2 M^-1 K[ring, sel] S, one product of
+the (ring, sel) block of a square operator on nbhd(sel) with S padded by
+zeros over the ring. The load on the ring is the coarse one.
 
 On nbhd(sel) the coarse step is thus a fixed polynomial of degree p_t in
 K[sel, sel], linear in z = [g; pulse(t_n); s_1, ..., s_{p_t-1}] on
-nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h). On a small
-nbhd(sel) a sweep's cost is mostly numpy's per-call overhead on short
-vectors, which grows with p_t, and the map's product is cheaper at every
-p_t. So when 0 < k < _MAP_MAX_SIZE, k = len(nbhd), the solver folds the
-coarse step on nbhd(sel) into one dense map F, g[nbhd] <- F z, tabulated
-once by sweeping the inputs on sel with K[sel, sel] dense. Beyond CDM's
-step, a folded coarse step costs the p_t pulse samples and one
-k (k + p_t) product, with a gather and a scatter. F z evaluates the sweep's polynomial in another
-order, so the two agree to round-off; the cap bounds F's memory and the
-dense products of its build.
+nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h). One kernel,
+`LtsSolver._local_step`, defines it on z or on a stack of such rows. On a
+small nbhd(sel) a sweep's cost is mostly numpy's per-call overhead on
+short vectors, which grows with p_t, and the map's product is cheaper at
+every p_t. So when 0 < k < _MAP_MAX_SIZE, k = len(nbhd), the solver folds
+the coarse step on nbhd(sel) into one dense map F, g[nbhd] <- F z,
+tabulated once by the kernel itself on the unit rows of z, with the
+operators dense; otherwise it sweeps the kernel on z each coarse step.
+Beyond CDM's step, a folded coarse step costs the p_t pulse samples and
+one k (k + p_t) product, with a gather and a scatter. F z evaluates the
+sweep's polynomial in another order, so the two agree to round-off; the
+cap bounds F's memory and the dense products of its build.
 
 dt^2 and h^2 are folded into diagonal scalings made once per solver. A
 load term is added only when the pulse is nonzero, on the DOFs its shape
@@ -304,22 +307,24 @@ class LtsSolver:
     h2w2 = -2/p_t^2 g and the refined load. The sweep accumulates S =
     sum_{k=1}^{p_t-1} (p_t - k) d_k, and on sel g <- -d_{p_t}, so du <-
     d_{p_t} + du there. On the ring, nbhd(sel) less sel, the sub-steps have a
-    closed form: g[ring] += h^2 M^-1 K[ring, sel] S, one apply of `k_ring`,
-    which is g[ring] = c K u~ with u~ = u_n off sel and u_n + S/p_t^2 on
-    it; the ring then takes the coarse load.
+    closed form: g[ring] += h^2 M^-1 K[ring, sel] S, which is g[ring] =
+    c K u~ with u~ = u_n off sel and u_n + S/p_t^2 on it; `k_ring` is
+    square in nbhd's numbering, and its (ring, sel) block is K[ring, sel].
+    The ring then takes the coarse load.
 
-    The p_t sub-steps are linear in z = [g; pulse(t_n); s_1, ...,
-    s_{p_t-1}] on nbhd(sel), s_m = pulse(t_n + m h) + pulse(t_n - m h).
-    When 0 < k < _MAP_MAX_SIZE, k = len(nbhd), the coarse step on nbhd(sel)
-    is folded here into one map F of k rows by k + p_t columns,
-    g[nbhd] = F z: on sel -d_{p_t}, on the ring g plus the closed form. F
-    is tabulated by sweeping the inputs that reach sel, the unit g rows of
-    sel and the load coefficients, as the rows of a stack with k_sel dense;
-    a g row of the ring reaches only itself. F z is the sweep's polynomial, so the two
-    agree up to round-off. Each coarse step then costs CDM's step, the p_t
-    pulse samples, a gather, one k (k + p_t) product and a scatter.
-    `sub_step_map` is F, or None when the sub-steps are swept. `nbhd` is
-    sel followed by the ring.
+    The coarse step on nbhd(sel) is linear in z = [g; pulse(t_n); s_1,
+    ..., s_{p_t-1}] there, s_m = pulse(t_n + m h) + pulse(t_n - m h), and
+    one kernel, `_local_step`, evaluates it on z or on a stack of such
+    rows. When 0 < k < _MAP_MAX_SIZE, k = len(nbhd), it is folded here into
+    one map F of k rows by k + p_t columns, g[nbhd] = F z, tabulated by the
+    kernel itself on the unit rows of z that reach sel, the g rows of sel
+    and the load coefficients, with k_sel and k_ring's ring block dense; a
+    g row of the ring reaches only itself. F z is the sweep's polynomial,
+    so the two agree up to round-off. Each coarse step then costs CDM's
+    step, the p_t pulse samples, a gather, one k (k + p_t) product and a
+    scatter. Otherwise the kernel is swept on z each coarse step, with the
+    sparse operators. `sub_step_map` is F, or None when the sub-steps are
+    swept. `nbhd` is sel followed by the ring.
 
     u, du and g are in K's element-local layout inside the loop (module
     docstring): z reads g at the first copy of each nbhd DOF, and the
@@ -343,20 +348,15 @@ class LtsSolver:
         self.ring, self.k_sel, self.k_ring = system.stiffness.split(sel)
         self.sel = np.flatnonzero(sel)
         self.nbhd = np.concatenate([self.sel, self.ring])
-        n, k = len(self.sel), len(self.nbhd)
+        k = len(self.nbhd)
         m_inv = system.m_inv
         stiffness = system.stiffness
         # c = dt^2 M^-1 and the coarse load at every copy of their DOFs
         self._c = stiffness.to_local(dt * dt * m_inv)
-        # on sel: h2w2 = -2/p_t^2 g; the sub-step output scaling h^2 M^-1,
-        # zero on the slot, and the ring's
-        self._w2_scale = -2.0 / p_t**2
+        # the sub-step output scaling h^2 M^-1 on sel, zero on the slot, and
+        # on the ring
         self._h2_m_inv = np.append(h2 * m_inv[self.sel], 0.0)
         self._h2_m_inv_ring = h2 * m_inv[self.ring]
-        # d, h2w2 and S on sel and the zero slot, which stays 0, and the p_t
-        # load coefficients
-        self._d, self._h2w2, self._acc = np.zeros((3, n + 1))
-        self._s = np.empty(p_t)
         # the load f_shape pulse(t): scaled by c, it is added to du on every
         # unselected DOF; its selected part, scaled by h^2 M^-1, to the
         # sub-steps. Each is kept on its nonzero entries
@@ -393,31 +393,25 @@ class LtsSolver:
         return self._map
 
     def _tabulate(self):
-        """F: the sub-steps in d run on the identity's columns, _MAP_BLOCK at a time.
+        """F: `_local_step` on the unit rows of z that reach sel, _MAP_BLOCK at a time.
 
-        Column j of F is g[nbhd] after the coarse step from the unit input
-        z = e_j: -d_{p_t} on sel, g + h^2 M^-1 K[ring, sel] S on the ring. A g
-        row of sel enters as h2w2 = -2/p_t^2 e_j, one of the ring only as itself,
-        pulse(t_n) as s_0 = 2 and s_m as s_m = 1 alone. The sel inputs are
-        swept as the rows of a stack, with k_sel as a dense matrix.
+        Column j of F is g[nbhd] after the coarse step from z = e_j. The
+        unit rows of sel's g and of the load coefficients are swept as the
+        rows of a stack, with k_sel and k_ring's (ring, sel) block dense; a
+        g row of the ring reaches only itself, F's identity there.
         """
         n, k, p_t = len(self.sel), len(self.nbhd), self.cfg.p_t
         k_sel_t = np.ascontiguousarray(self.k_sel.to_dense().T)
-        k_ring = self._h2_m_inv_ring[:, None] * self.k_ring.to_dense()[:-1]
-        f = np.zeros((k, k + p_t))
-        f[n:, n:k] = np.eye(k - n)
-        # the swept inputs: the g rows of sel, then the load coefficients
+        k_ring = self._h2_m_inv_ring[:, None] * self.k_ring.to_dense()[n:-1, :n]
+        f = np.eye(k, k + p_t)
         columns = np.r_[:n, k : k + p_t]
-        s = np.eye(p_t, n + p_t, n)
-        s[0] *= 2.0
-        for j in range(0, n + p_t, _MAP_BLOCK):
+        for j in range(0, len(columns), _MAP_BLOCK):
             cols = columns[j : j + _MAP_BLOCK]
-            d, acc, h2w2 = np.zeros((3, len(cols), n + 1))
-            h2w2[:, :n] = self._w2_scale * np.eye(len(cols), n, j)
-            loads = (np.multiply.outer(c, self._fine_load[1]) for c in s[:, j : j + len(cols)])
-            self._sub_steps(d, h2w2, loads, acc, lambda rows: rows @ k_sel_t)
-            f[:n, cols] = -d[:, :n].T
-            f[n:, cols] = k_ring @ acc.T
+            z = np.zeros((len(cols), k + p_t))
+            z[np.arange(len(cols)), cols] = 1.0
+            f[:, cols] = self._local_step(
+                z, lambda d: d @ k_sel_t, lambda s: (k_ring @ s[:, :n].T).T
+            ).T
         f.flags.writeable = False
         return f
 
@@ -426,22 +420,48 @@ class LtsSolver:
         t_n, pulse = n * self.cfg.dt, self.system.pulse
         return [pulse(t_n + mh) for mh in self._offsets]
 
-    def _sub_steps(self, d, h2w2, loads, acc, apply):
-        """The p_t sub-steps: d from d_0 = 0 to d_{p_t} on sel, in place.
+    def _ring_step(self, acc):
+        """h^2 M^-1 K[ring, sel] S: `k_ring` on S, given as acc on sel and the slot, padded.
 
-        d, h2w2 and acc are vectors on sel and the zero slot, or stacks of
-        them as rows; apply(d) is k_sel applied to each. loads yields, per
-        sub-step m, s_m times the refined load's nonzero entries, or None
-        when s_m is 0. acc gets S = sum_{k < p_t} (p_t - k) d_k added.
+        The padding puts zeros over the ring, so k_ring's ring rows read
+        only its (ring, sel) block.
         """
-        fine_idx = self._fine_load[0]
-        for m, load in enumerate(loads):
-            a = apply(d)
+        n = len(self.sel)
+        s = np.zeros(len(self.nbhd) + 1)
+        s[:n] = acc[:n]
+        ring = self.k_ring.apply(s)[n:-1]
+        ring *= self._h2_m_inv_ring
+        return ring
+
+    def _local_step(self, z, apply_sel, ring):
+        """The coarse step on nbhd(sel) from z: the p_t sub-steps on sel, the ring in closed form.
+
+        z = [g; pulse(t_n); s_1, ..., s_{p_t - 1}] on nbhd(sel), g = c K u_n,
+        or a stack of such rows; returns g[nbhd] after the step, a vector or
+        stack of k entries. On sel the sub-steps run in d from d_0 = 0 with
+        the forcing h2w2 = -2/p_t^2 g and the refined load s_m f, s_0 = 2
+        pulse(t_n): apply_sel(d) is k_sel applied to d on sel and the zero
+        slot, or to each row of a stack of them, and the result there is
+        -d_{p_t}. The sweep accumulates S = sum_{k < p_t} (p_t - k) d_k, on
+        sel and the slot like d, and ring(S) is h^2 M^-1 K[ring, sel] S,
+        added to g on the ring.
+        """
+        n, k, p_t = len(self.sel), len(self.nbhd), self.cfg.p_t
+        g, s = z[..., :k], z[..., k:]
+        lead = z.shape[:-1]
+        h2w2, d, acc = np.zeros((3,) + lead + (n + 1,))
+        np.multiply(g[..., :n], -2.0 / p_t**2, out=h2w2[..., :n])
+        fine_idx, fine_vals = self._fine_load
+        # the sub-steps with a load, found once: a test per sub-step costs more
+        loaded = np.any(np.reshape(s, (-1, p_t)) != 0.0, axis=0).tolist()
+        for m in range(p_t):
+            a = apply_sel(d)
             a *= self._h2_m_inv
             # a <- h2w2 + h^2 M^-1 (s_m f - K[sel, sel] d_m)
             np.subtract(h2w2, a, out=a)
-            if load is not None:
-                a[..., fine_idx] += load
+            if loaded[m]:
+                coef = 2.0 * s[..., 0] if m == 0 else s[..., m]
+                a[..., fine_idx] += np.multiply.outer(coef, fine_vals)
             # d_{m+1} = d_m + dd_{m+1/2}, dd_{m+1/2} = dd_{m-1/2} + a; the
             # first sub-step is a half step from d_{-1} = d_1
             if m == 0:
@@ -450,7 +470,11 @@ class LtsSolver:
             else:
                 dd += a
             d += dd
-            acc += (self.cfg.p_t - 1 - m) * d  # weight 0 on d_{p_t}
+            acc += (p_t - 1 - m) * d  # weight 0 on d_{p_t}
+        out = np.empty(lead + (k,))
+        np.negative(d[..., :n], out=out[..., :n])
+        np.add(g[..., n:], ring(acc), out=out[..., n:])
+        return out
 
     def _coarse_step(self, u, du, fwd, bwd):
         """Advance u = u_n and du = u_n - u_{n-1} to u_{n+1} and u_{n+1} - u_n, in place.
@@ -459,8 +483,8 @@ class LtsSolver:
         every copy of a DOF doing that DOF's arithmetic. fwd are the load
         samples of this coarse step's sub-step grid and bwd those of the
         previous one: the point t_n - m h is t_{n-1} + (p_t - m) h. One full
-        stiffness matvec gives g = c K u_n; on nbhd(sel) `_local_step`, or
-        F z under the folded map, replaces it by the sub-steps' g, read at
+        stiffness matvec gives g = c K u_n; on nbhd(sel) F z under the folded
+        map, or `_local_step` on z, replaces it by the sub-steps' g, read at
         each DOF's first copy and written to every copy. Then du <- du - g,
         plus c f(t_n) off sel, and u <- u + du.
         """
@@ -469,12 +493,12 @@ class LtsSolver:
         if len(self.sel):
             # the positions are in range; mode="clip" lets take write to out unbuffered
             g.take(self._nbhd_first, out=self._z_g, mode="clip")
+            self._z_s[0] = fwd[0]
+            np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
             if self._map is not None:
-                self._z_s[0] = fwd[0]
-                np.add(fwd[1:], bwd[:0:-1], out=self._z_s[1:])
                 local = np.matmul(self._map, self._z, out=self._gathered)
             else:
-                local = self._local_step(self._z_g, fwd, bwd)
+                local = self._local_step(self._z, self.k_sel.apply, self._ring_step)
             g[self._nbhd_copies] = local[self._nbhd_rows]
         # du_{n+1/2} = du_{n-1/2} - g + c f(t_n) off sel, d_{p_t} + du_{n-1/2}
         # on it; u_{n+1} = u_n + du_{n+1/2}
@@ -483,29 +507,6 @@ class LtsSolver:
             idx, vals = self._coarse_load
             du[idx] += fwd[0] * vals
         u += du
-
-    def _local_step(self, g, fwd, bwd):
-        """The p_t sub-steps, swept on sel, and the ring in closed form; returns g.
-
-        Serves the swept path: g is c K u_n on nbhd(sel), in nbhd's order,
-        updated in place: on sel it becomes -d_{p_t}, and the ring gets
-        h^2 M^-1 K[ring, sel] S added. Every temporary but the sweep's
-        results lives in a buffer made once.
-        """
-        n, d, h2w2, acc, s = len(self.sel), self._d, self._h2w2, self._acc, self._s
-        h2w2[:-1] = g[:n]
-        h2w2 *= self._w2_scale
-        d[:] = 0.0
-        acc[:] = 0.0
-        s[0] = 2.0 * fwd[0]
-        np.add(fwd[1:], bwd[:0:-1], out=s[1:])
-        loads = (c * self._fine_load[1] if c != 0.0 else None for c in s)
-        self._sub_steps(d, h2w2, loads, acc, self.k_sel.apply)
-        np.negative(d[:-1], out=g[:n])
-        ring = self.k_ring.apply(acc)[:-1]
-        ring *= self._h2_m_inv_ring
-        g[n:] += ring
-        return g
 
     def initial_state(self, u0=None, v0=None):
         """u_0 and du_0 = u_0 - u_{-1}, from u_1 + u_{-1} = q(u_0) and u_1 - u_{-1} = 2 dt v_0.
@@ -609,8 +610,12 @@ def check_sweep_grid(orders, cut_fractions, schemes, epsilons):
     """
     for p in orders:
         tensor_basis(p)  # rejects an unsupported order; the basis is kept
-    if not all(0.0 < frac < 1.0 for frac in cut_fractions):
-        raise ConfigError("cut fractions must lie in (0, 1)")
+    # a cut below the sliver volume ratio leaves a void rule, with no points
+    # to evaluate; the factor 2 keeps the volume's round-off clear of it, as
+    # for the bar's cut_fraction
+    low = 2.0 * geometry.SLIVER_VOLUME_RATIO
+    if not all(low <= frac < 1.0 for frac in cut_fractions):
+        raise ConfigError(f"cut fractions must lie in [{low!r}, 1)")
     for scheme in schemes:
         if scheme not in LUMPING_SCHEMES:
             raise ConfigError(f"unknown lumping scheme: {scheme}")

@@ -146,10 +146,16 @@ def count_shape_evals(monkeypatch):
 def a_local(solver, v):
     """M^-1 K[nbhd, sel] v for v on sel, from the solver's sub-step and ring operators.
 
-    The rows are in the order of solver.nbhd: sel, then the ring.
+    The rows are in the order of solver.nbhd: sel, then the ring. k_sel
+    reads v and its zero slot; k_ring, square in nbhd's numbering, reads v
+    padded with zeros over the ring and the slot.
     """
-    x = np.append(v, 0.0)  # the operators' zero slot
-    kx = np.concatenate([solver.k_sel.apply(x)[:-1], solver.k_ring.apply(x)[:-1]])
+    n = len(v)
+    padded = np.zeros(len(solver.nbhd) + 1)
+    padded[:n] = v
+    kx = np.concatenate(
+        [solver.k_sel.apply(padded[: n + 1])[:-1], solver.k_ring.apply(padded)[n:-1]]
+    )
     return solver.system.m_inv[solver.nbhd] * kx
 
 
@@ -205,26 +211,19 @@ def dof_layout_coarse_step(solver, u, du, fwd, bwd):
 
     g = c K u_n, c = dt^2 M^-1, from `ElementBatches.apply` (a gather, the
     element products and one bincount over every element entry); then the
-    solver's map F z on nbhd(sel), or its sweep on sel with the ring in
-    closed form; then du <- du - g, plus c f(t_n) off sel, and u <- u + du.
+    solver's map F z on nbhd(sel), or its kernel `_local_step` swept on z;
+    then du <- du - g, plus c f(t_n) off sel, and u <- u + du.
     """
-    system, sel, ring, nbhd = solver.system, solver.sel, solver.ring, solver.nbhd
-    dt, p_t = solver.cfg.dt, solver.cfg.p_t
+    system, sel, nbhd, dt = solver.system, solver.sel, solver.nbhd, solver.cfg.dt
     c = dt * dt * system.m_inv
     g = system.stiffness.apply(u)
     g *= c
-    if solver.sub_step_map is not None:
+    if len(sel):
         z = np.concatenate([g[nbhd], fwd[:1], np.add(fwd[1:], bwd[:0:-1])])
-        g[nbhd] = solver.sub_step_map @ z
-    elif len(sel):
-        d, acc, h2w2 = np.zeros((3, len(sel) + 1))
-        h2w2[:-1] = g[sel]
-        h2w2 *= -2.0 / p_t**2
-        s = np.concatenate([[2.0 * fwd[0]], np.add(fwd[1:], bwd[:0:-1])])
-        loads = (s_m * solver._fine_load[1] if s_m != 0.0 else None for s_m in s)
-        solver._sub_steps(d, h2w2, loads, acc, solver.k_sel.apply)
-        g[sel] = -d[:-1]
-        g[ring] += solver.k_ring.apply(acc)[:-1] * ((dt / p_t) ** 2 * system.m_inv[ring])
+        if solver.sub_step_map is not None:
+            g[nbhd] = solver.sub_step_map @ z
+        else:
+            g[nbhd] = solver._local_step(z, solver.k_sel.apply, solver._ring_step)
     du -= g
     if fwd[0] != 0.0:
         coarse = c * system.f_shape

@@ -131,6 +131,12 @@ def test_mesh_rejects_non_positive_lengths(lx, ly):
         CartesianMesh(lx=lx, ly=ly, nx=2, ny=2, p=4)
 
 
+def test_mesh_rejects_more_nodes_than_the_bound_before_allocating():
+    # 1001 x 1000 grid nodes, one above MAX_NODES = 10^6
+    with pytest.raises(ConfigError, match="more than 1000000 nodes"):
+        CartesianMesh(lx=1.0, ly=1.0, nx=1000, ny=999, p=1)
+
+
 def test_mesh_rejects_negative_depth():
     for level_set in (None, circle(0.5, 0.5, 0.2)):
         with pytest.raises(ConfigError, match="depth"):
@@ -270,7 +276,7 @@ def test_bare_global_system_has_an_empty_batch():
 def test_empty_operator_applies_as_float_zeros():
     # np.bincount of an empty index ignores the dtype of its weights
     for op in (ElementBatches(4), *ElementBatches(4).split(np.ones(4, dtype=bool))[1:]):
-        kx = op.apply(np.ones(op.width))
+        kx = op.apply(np.ones(op.size))
         assert kx.dtype == np.float64 and np.array_equal(kx, np.zeros(op.size))
     empty = ElementBatches(0).apply(np.zeros(0))
     assert empty.dtype == np.float64 and empty.shape == (0,)
@@ -289,7 +295,7 @@ def test_apply_returns_a_fresh_array():
     _, inner, outer = k.split(np.random.default_rng(6).random(k.size) < 0.3)
     rng = np.random.default_rng(7)
     for op in (k, inner, outer):
-        x, y = rng.standard_normal((2, op.width))
+        x, y = rng.standard_normal((2, op.size))
         first = op.apply(x)
         kept = first.copy()
         second = op.apply(y)
@@ -314,11 +320,11 @@ def test_dense_matrix_is_the_map_apply_applies(which):
     # many terms, and is left out
     rows = slice(-1) if which in ("restricted", "ring") else slice(None)
     dense = op.to_dense()
-    assert dense.shape == (op.size, op.width)
+    assert dense.shape == (op.size, op.size)
     dense = dense[rows]
     scale = np.abs(dense).max(initial=1.0)
     assert np.abs(dense - op.to_csr().toarray()[rows]).max(initial=0.0) <= 1e-15 * scale
-    x = np.random.default_rng(11).standard_normal(op.width)
+    x = np.random.default_rng(11).standard_normal(op.size)
     assert np.abs(dense @ x - op.apply(x)[rows]).max(initial=0.0) <= 1e-14 * scale * np.abs(x).max()
 
 
@@ -518,8 +524,9 @@ def test_element_dof_table_matches_per_element_numbering(nx, ny, p, voids):
 
 
 def test_split_operators_are_the_blocks_of_k():
-    # K[sel, sel] and K[ring, sel] from split, against the dense K, on free
-    # void plates under random selections: the cut elements' DOFs, each kept
+    # K[sel, sel] and K[ring, sel] from split, the latter the (ring, sel)
+    # block of a square operator in nbhd's numbering, against the dense K,
+    # and applied to x on sel padded with zeros, on free void plates under random selections: the cut elements' DOFs, each kept
     # at a drawn rate, so that some cut elements are partly selected, and
     # random DOFs besides. The examples are the empty and the full
     # selection; a corner void whose cut elements leave a full element with
@@ -561,16 +568,19 @@ def test_split_operators_are_the_blocks_of_k():
         sel[system.dirichlet_dofs] = False
         ring, inner, outer = k.split(sel)
         n = int(sel.sum())
-        assert inner.size == inner.width == outer.width == n + 1 and outer.size == len(ring) + 1
+        assert inner.size == n + 1 and outer.size == n + len(ring) + 1
         dense = k.to_dense()
         scale = np.abs(dense).max()
-        x = np.append(rng.standard_normal(n), 0.0)  # the zero slot
-        for op, rows in ((inner, sel), (outer, ring)):
-            block = op.to_dense()[:-1, :-1]
+        # v on sel, then zeros over the ring and the slot
+        x = np.zeros(outer.size)
+        x[:n] = rng.standard_normal(n)
+        # inner's rows of sel, and outer's of the ring in nbhd's numbering
+        for op, rows, at in ((inner, sel, slice(n)), (outer, ring, slice(n, -1))):
+            block = op.to_dense()[at, :n]
             assert np.abs(block - dense[rows][:, sel]).max(initial=0.0) <= 1e-13 * scale
-            kx = op.apply(x)
+            kx = op.apply(x[: op.size])
             assert kx.dtype == np.float64 and kx.shape == (op.size,)
-            err = np.abs(kx[:-1] - block @ x[:-1]).max(initial=0.0)
+            err = np.abs(kx[at] - block @ x[:n]).max(initial=0.0)
             assert err <= 1e-13 * scale * np.abs(x).max(initial=1.0)
         held = sel[k.stack_dofs]
         hosts = held.all(axis=1).sum()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,7 @@ def test_bar2d_sweep_empty_list_exits_2(tmp_path, capsys, lines, key):
         ("--t-end", "0", "t_end"),
         ("--h", "0", "h"),
         ("--h", "inf", "h"),
+        ("--h", "5e-324", "too small"),  # lx / h overflows
     ],
 )
 def test_bar2d_rejects_non_positive_step_and_size(tmp_path, capsys, flag, value, message):
@@ -185,6 +187,28 @@ def test_bar2d_rejects_a_sliver_cut_column(tmp_path, capsys, fraction, rc):
         assert "cut_fraction" in capsys.readouterr().err and not out.exists()
     else:
         assert float(out.read_text().splitlines()[1].split(",")[7]) != 1.0
+
+
+@pytest.mark.parametrize("fraction", ["1e-12", "1e-300"])
+def test_dtcrit_sweep_rejects_a_sliver_fraction(tmp_path, capsys, fraction):
+    # a cut below the sliver volume ratio has a void rule with no points: a
+    # config error before any order runs, not a ValueError from the shapes
+    out = tmp_path / "x.csv"
+    args = ["--orders", "4", "--fractions", fraction, "--schemes", "fitted", "--out", str(out)]
+    assert main(["dtcrit-sweep", *args]) == 2
+    assert "cut fractions must lie in [2e-10, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bar2d_rejects_an_oversized_mesh_before_allocating(tmp_path, capsys):
+    # h = 1e-9 asks for 10^9 elements: a config error in well under a
+    # second, not a MemoryError once the mesh allocates its nodes
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert main(["bar2d", "--h", "1e-9", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "more than 1000000 nodes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -464,8 +464,9 @@ def test_lts_one_stiffness_matvec_per_coarse_step(monkeypatch):
 
 def test_swept_sub_steps_touch_only_the_selected_dofs(monkeypatch):
     # each sub-step applies K[sel, sel] to a vector of len(sel) + 1 entries,
-    # sel and the zero slot; the ring's one product a coarse step reads the
-    # same; neither goes through the full matvec
+    # sel and the zero slot; the ring's one product a coarse step reads S on
+    # nbhd(sel) and the slot, zero over the ring; neither goes through the
+    # full matvec
     _, system, table = free_void_plate()
     dt = CFL_SAFETY * table.dt_uncut_min
     selection = np.zeros(system.dof_count, dtype=bool)
@@ -482,9 +483,8 @@ def test_swept_sub_steps_touch_only_the_selected_dofs(monkeypatch):
     calls = count_k_matvecs(monkeypatch)
     u = np.random.default_rng(27).standard_normal(system.dof_count)
     solver._advance(u, np.zeros(system.dof_count), 0, 4)
-    n = (int(selection.sum()) + 1,)
-    assert shapes == {"sel": [n] * (4 * solver.cfg.p_t), "ring": [n] * 4} and len(calls) == 4
-    assert solver._d.shape == solver._acc.shape == n
+    n, k = (int(selection.sum()) + 1,), (len(solver.nbhd) + 1,)
+    assert shapes == {"sel": [n] * (4 * solver.cfg.p_t), "ring": [k] * 4} and len(calls) == 4
 
 
 def test_unmasked_matvec_off_the_neighbourhood_is_the_masked_one_bitwise():
@@ -975,10 +975,10 @@ def test_coarse_step_operator_is_m_symmetric_on_void_plates():
 
 @pytest.mark.parametrize("inputs", ["state", "load", "all"])
 def test_sub_step_map_equals_the_sweep(inputs):
-    # F z, z = [g; pulse(t_n); s_1 ...] on nbhd(sel), against `_local_step`'s
-    # sweep on sel and closed form on the ring, from the same random g, fwd
-    # and bwd. fwd and bwd are zero for "state" and the only nonzero inputs
-    # for "load", whose term is far smaller
+    # F z, z = [g; pulse(t_n); s_1 ...] on nbhd(sel), against `_local_step`
+    # swept on z with the sparse operators, from the same random g, fwd and
+    # bwd. fwd and bwd are zero for "state" and the only nonzero inputs for
+    # "load", whose term is far smaller
     system, solvers = cut_bar(100)
     solver = solvers["lts_map"]
     nb, p_t = solver.nbhd, solver.cfg.p_t
@@ -990,9 +990,24 @@ def test_sub_step_map_equals_the_sweep(inputs):
     elif inputs == "load":
         g[:] = 0.0
     assert solver._fine_load[1].size > 0  # the interface load is on the refined DOFs
-    swept = solver._local_step(g[nb], fwd, bwd)
-    got = solver.sub_step_map @ np.concatenate([g[nb], fwd[:1], fwd[1:] + bwd[:0:-1]])
+    z = np.concatenate([g[nb], fwd[:1], fwd[1:] + bwd[:0:-1]])
+    swept = solver._local_step(z, solver.k_sel.apply, solver._ring_step)
+    got = solver.sub_step_map @ z
     assert np.abs(got - swept).max() <= 1e-13 * np.abs(swept).max()
+
+
+def test_each_column_of_the_map_is_the_sweep_of_its_unit_input():
+    # F is tabulated by the kernel itself, on stacks of unit rows with the
+    # operators dense; column j against `_local_step` swept on the vector
+    # z = e_j with the sparse operators, on the bar benchmark's 100-element
+    # bar, its interface load on the refined DOFs
+    _, solvers = cut_bar(100)
+    solver = solvers["lts_map"]
+    f = solver.sub_step_map
+    assert solver._fine_load[1].size > 0
+    for j, z in enumerate(np.eye(f.shape[1])):
+        swept = solver._local_step(z, solver.k_sel.apply, solver._ring_step)
+        assert np.abs(f[:, j] - swept).max() <= 1e-13 * np.abs(swept).max(), j
 
 
 @pytest.mark.parametrize("load", ["loaded", "unloaded"])
